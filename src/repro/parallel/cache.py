@@ -8,8 +8,10 @@ a worker process that serves thousands of batches this is the dominant
 redundant cost, so each worker keeps one :class:`ScheduleCache`:
 
 * ``bit_table(n_bits)`` — the ``(N, 2**N)`` MSB-first bit matrix of
-  every representable offset word, so expanding a batch is one fancy
-  gather instead of ``N`` shifted masks over int64 temporaries;
+  every representable offset word (the compiled-artifact format).  Its
+  transpose, one contiguous ``N``-wide bit row per word, is what the
+  kernel gathers from, so expanding a batch is one row gather instead
+  of ``N`` shifted masks over int64 temporaries;
 * ``select(k, n_bits)`` — memoized MUX select schedules keyed by the
   down-counter load ``(k, N)``, for the cycle-accurate paths;
 * ``layer_coeff(w_int, n_bits)`` — the sign-folded coefficient matrix
@@ -22,6 +24,10 @@ redundant cost, so each worker keeps one :class:`ScheduleCache`:
 small integers, so the float32/float64 GEMM is exact (every partial sum
 is an exactly-representable integer) and the result is identical down
 to the last LSB.  The parity fleet in ``tests/parallel`` pins this.
+The layout is chosen for the gather: bit rows land contiguously in a
+``(P, D*N)`` operand matrix, and the coefficients are re-laid to match
+it once per layer, so no per-batch transposing copy of the ``N``-fold
+bit expansion is ever made.
 
 Since PR 6 the cache is a *thin view* over an optional compiled
 artifact (:mod:`repro.parallel.compiled`): every lookup first checks
@@ -39,9 +45,10 @@ from collections import OrderedDict
 
 import numpy as np
 
+from repro.backend import resolve_backend
 from repro.core.accumulator import check_acc_bits
 from repro.core.fsm_generator import coefficient_vector
-from repro.core.kernels import _resolve, select_schedule
+from repro.core.kernels import select_schedule
 from repro.core.mvm import sc_matmul
 from repro.keys import (
     bit_table_key,
@@ -50,7 +57,7 @@ from repro.keys import (
     sng_ud_table_key,
     ud_table_key,
 )
-from repro.sc.encoding import bits_msb_first, signed_range, to_offset_binary
+from repro.sc.encoding import bits_msb_first, signed_range
 from repro.sc.lfsr import _ALT_TAPS, MAXIMAL_TAPS
 
 __all__ = [
@@ -65,6 +72,17 @@ __all__ = [
 
 #: float32 GEMM is exact while every partial sum stays below 2**24.
 _F32_EXACT_BOUND = 1 << 24
+
+
+def _d_major(coeff_t: np.ndarray, n_bits: int) -> np.ndarray:
+    """Re-lay ``(M, N*D)`` select-line-major coefficients as ``(D*N, M)``.
+
+    Row ``d*N + n`` holds select line ``n`` of operand ``d``: the column
+    order of a gathered ``(P, D, N)`` bit block.
+    """
+    m, nd = coeff_t.shape
+    by_line = coeff_t.reshape(m, n_bits, nd // n_bits)  # (M, N, D)
+    return np.ascontiguousarray(by_line.transpose(2, 1, 0)).reshape(nd, m)
 
 
 class CachePoisonedError(RuntimeError):
@@ -96,10 +114,11 @@ class ScheduleCache:
         self._selects: dict[tuple[int, int], np.ndarray] = {}
         self._layers: OrderedDict[tuple, tuple] = OrderedDict()
         self._ud_tables: dict[str, np.ndarray] = {}
-        #: device-resident copies of cached host arrays, keyed by
-        #: ``(backend.key, kind, ...)``.  Memoized so a non-numpy
-        #: backend pays one host->device transfer per table/layer, not
-        #: one per batch; dropped with the cache on fault recovery.
+        #: backend-resident derived layouts of cached host arrays (the
+        #: bit-row table, operand-major coefficients), keyed by
+        #: ``(backend.key, kind, ...)``.  Memoized so each is derived --
+        #: and, off numpy, copied to the device -- once per table/layer,
+        #: not once per batch; dropped with the cache on fault recovery.
         self._device_arrays: OrderedDict[tuple, object] = OrderedDict()
         self._poisoned = False
         self.hits = 0
@@ -292,12 +311,12 @@ class ScheduleCache:
             self._layers.popitem(last=False)
         return key, entry
 
-    def _device_array(self, bk, key: tuple, source: np.ndarray, dtype=None):
-        """Memoized backend-resident copy of a cached host array.
+    def _device_array(self, bk, key: tuple, build):
+        """Memoized backend-resident array, derived by ``build()`` on a miss.
 
         Keyed by the backend identity plus the entry's *content* key, so
-        an evicted-and-rebuilt host entry maps back to the same device
-        copy.  Bounded like the layer LRU (device memory is the scarcer
+        an evicted-and-rebuilt host entry maps back to the same derived
+        array.  Bounded like the layer LRU (device memory is the scarcer
         resource).
         """
         full = (bk.key,) + key
@@ -305,7 +324,7 @@ class ScheduleCache:
         if hit is not None:
             self._device_arrays.move_to_end(full)
             return hit
-        dev = bk.asarray(source if dtype is None else source.astype(dtype, copy=False))
+        dev = bk.asarray(build())
         self._device_arrays[full] = dev
         while len(self._device_arrays) > 4 * self.max_layers:
             self._device_arrays.popitem(last=False)
@@ -368,13 +387,20 @@ class ScheduleCache:
         product and gains nothing from the cached closed form, so it
         delegates to the reference implementation.
 
-        ``backend=`` moves the gather + GEMM onto a
-        :mod:`repro.backend` backend; coefficient and bit tables are
-        memoized device-side per backend, inputs and outputs stay
-        numpy.  The result is bit-identical to the numpy path: the
-        cached coefficients are float32 only when every partial sum is
-        below ``2**24`` (float64 otherwise), so the GEMM is exact under
-        any summation order.
+        The whole product is one gather and one GEMM.  Each operand's
+        offset word picks its ``N``-wide row of the ``(2**N, N)`` bit-row
+        table (the transpose of :meth:`bit_table`), so the gather writes
+        one contiguous ``(P, D*N)`` matrix with no transposing copy, and
+        that matrix multiplies the layer's coefficients re-laid
+        operand-major as ``(D*N, M)``.  Both derived layouts are built
+        once (per ``N``, per layer key) and memoized per backend.
+
+        ``backend=`` runs the gather + GEMM on a :mod:`repro.backend`
+        backend with that same layout; inputs and outputs stay numpy.
+        The result is bit-identical on every backend: the cached
+        coefficients are float32 only when every partial sum is below
+        ``2**24`` (float64 otherwise), so the GEMM is exact under any
+        summation order.
         """
         if saturate == "term":
             return sc_matmul(w_int, x_int, n_bits, acc_bits, saturate=saturate)
@@ -389,41 +415,29 @@ class ScheduleCache:
         if saturate not in ("final", None):
             raise ValueError(f"unknown saturate mode: {saturate!r}")
 
-        m, d = w.shape
-        _, p = x.shape
+        d, p = x.shape
         key, (coeff_t, const) = self._layer_lookup(w, n_bits)
-        offs = to_offset_binary(x, n_bits)
-        bk = _resolve(backend)
-        if bk is not None:
-            coeff_dev = self._device_array(
-                bk, ("layer",) + key + (coeff_t.dtype.str,), coeff_t
-            )
-            table_dev = self._device_array(
-                bk, ("bit", int(n_bits), coeff_t.dtype.str),
-                self.bit_table(n_bits), dtype=coeff_t.dtype,
-            )
-            # (N, 2**N) gathered at (D*P,) flat offsets -> (N, D*P); the
-            # flat layout equals (N, D, P), so the reshape below matches
-            # the numpy path's (N, D, P) -> (N*D, P) exactly.
-            bits = bk.gather(
-                table_dev, bk.asarray(offs.reshape(-1), dtype=bk.int64), axis=1
-            )
-            bits = bits.reshape(n_bits * d, p)
-            prod = bk.to_numpy(bk.matmul(coeff_dev, bits))
-            ones_signed = np.rint(np.asarray(prod, dtype=np.float64)).astype(np.int64)
-        else:
-            bits = self.bit_table(n_bits)[:, offs]  # (N, D, P), contiguous
-            bits = bits.reshape(d * n_bits, p)
-            if coeff_t.dtype != np.float32:
-                bits = bits.astype(np.float64)
-            ones_signed = np.rint(
-                np.asarray(coeff_t @ bits, dtype=np.float64)
-            ).astype(np.int64)
-        out = 2 * ones_signed - const[:, None]
+        bk = resolve_backend(backend)
+        dtype = coeff_t.dtype
+        coeff = self._device_array(
+            bk, ("layer",) + key + (dtype.str,), lambda: _d_major(coeff_t, n_bits)
+        )
+        rows = self._device_array(
+            bk, ("rows", int(n_bits), dtype.str),
+            lambda: np.ascontiguousarray(self.bit_table(n_bits).T, dtype=dtype),
+        )
+        # Offset-binary words, transposed: row q holds the D operands of
+        # output column q, so gathering their (2**N, N) bit rows lands as
+        # one contiguous (P, D, N) block and the reshape to (P, D*N) is free.
+        offs = np.add(x.T, 1 << (n_bits - 1), order="C")
+        bits = bk.gather(rows, bk.asarray(offs, dtype=bk.int64), axis=0)
+        prod = bk.to_numpy(bk.matmul(bits.reshape(p, d * n_bits), coeff))  # (P, M)
+        ones_signed = np.rint(prod).astype(np.int64)  # exact: integer-valued sums
+        out = 2 * ones_signed - const
         if saturate == "final":
             width = check_acc_bits(n_bits, acc_bits)
             out = np.clip(out, -(1 << (width - 1)), (1 << (width - 1)) - 1)
-        return out
+        return out.T
 
     def stats(self) -> dict[str, int]:
         """Cache effectiveness counters (for logs and tests)."""

@@ -553,7 +553,7 @@ class ServingServer:
             except _HttpError as exc:
                 return exc.code, _json_body({"error": str(exc)}), \
                     "application/json", {}
-            self.metrics.decode_total.inc(1.0, "raw")
+            fmt = "raw"
         else:
             try:
                 doc = json.loads(body.decode() or "{}")
@@ -575,7 +575,14 @@ class ServingServer:
                     "error": f"images must be shaped {self.input_shape} "
                     f"or (n, {', '.join(map(str, self.input_shape))}), got {x.shape}"
                 }), "application/json", {}
-            self.metrics.decode_total.inc(1.0, "json")
+            fmt = "json"
+        # A NaN/Inf pixel is a client error: refuse it here, before
+        # admission, so it can never fail a coalesced group or count
+        # as an engine fault on a replica breaker.
+        if not np.isfinite(x).all():
+            return 400, _json_body({"error": "images must be finite (NaN or Inf pixel)"}), \
+                "application/json", {}
+        self.metrics.decode_total.inc(1.0, fmt)
         deadline = doc.get("deadline_ms")
         if deadline is None and "x-deadline-ms" in headers:
             try:

@@ -76,13 +76,24 @@ class TestReplicaDeath:
         self, seed, net, images
     ):
         """r1 dies persistently; the stream completes 200/bit-exact and
-        r1's breaker — alone — opens, visible in /healthz and /metrics."""
+        r1's breaker — alone — opens, visible in /healthz and /metrics.
+
+        The survivors hold each dispatch for 50 ms, so groups overlap and
+        least-loaded dispatch reaches r1 whatever the engine's own speed
+        (a group that finds r0 idle never tries r1 at all).
+        """
         plan = FaultPlan(
             specs=(
                 FaultSpec(
                     "engine.dispatch", "raise",
                     attempt=None, times=None, key="grouped@r1",
                 ),
+            ) + tuple(
+                FaultSpec(
+                    "engine.dispatch", "delay",
+                    attempt=None, times=None, key=f"grouped@{name}", seconds=0.05,
+                )
+                for name in ("r0", "r2")
             )
         )
         stream = ragged_stream(images, seed)

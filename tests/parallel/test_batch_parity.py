@@ -167,6 +167,73 @@ def test_schedule_cache_keyed_by_content_not_identity():
     assert np.array_equal(second, sc_matmul(w, x, 4, 2))
 
 
+# -- cached sc_matmul: bit-row gather layout -------------------------------
+
+#: (M, D, P) of one 16-image shard of the digits net's two conv layers
+CONV_SHAPES = {"conv1": (8, 25, 9216), "conv2": (16, 200, 1024)}
+
+
+def _operands(m, d, p, n_bits=8, seed=0):
+    rng = np.random.default_rng(seed)
+    half = 1 << (n_bits - 1)
+    return rng.integers(-half, half, size=(m, d)), rng.integers(-half, half, size=(d, p))
+
+
+def _assert_cached_twice_matches_core(w, x, n_bits, saturate):
+    cache = ScheduleCache()
+    expected = sc_matmul(w, x, n_bits, 2, saturate=saturate)
+    for _ in range(2):  # the second call is served from the derived-layout memo
+        assert np.array_equal(expected, cache.sc_matmul(w, x, n_bits, 2, saturate=saturate))
+    return cache
+
+
+@pytest.mark.parametrize("saturate", ["final", None])
+@pytest.mark.parametrize("layer", sorted(CONV_SHAPES))
+def test_schedule_cache_conv_shapes_match_core(layer, saturate):
+    w, x = _operands(*CONV_SHAPES[layer])
+    _assert_cached_twice_matches_core(w, x, 8, saturate)
+
+
+@pytest.mark.parametrize("saturate", ["final", None])
+def test_schedule_cache_float64_coefficients_match_core(monkeypatch, saturate):
+    """Force the float64 GEMM (otherwise reached only near D = 70000 at N=8)."""
+    import repro.parallel.cache as cache_mod
+
+    monkeypatch.setattr(cache_mod, "_F32_EXACT_BOUND", 1)
+    w, x = _operands(5, 12, 7, seed=3)
+    cache = _assert_cached_twice_matches_core(w, x, 8, saturate)
+    assert cache.layer_coeff(w, 8)[0].dtype == np.float64
+
+
+@pytest.mark.parametrize("saturate", ["final", None])
+def test_schedule_cache_square_coefficients_match_core(saturate):
+    """M == D*N: a transposed coefficient layout would pass every shape check."""
+    w, x = _operands(16, 2, 11, seed=4)
+    _assert_cached_twice_matches_core(w, x, 8, saturate)
+
+
+def test_schedule_cache_warm_call_makes_no_transposing_copy():
+    """A warm conv1 call allocates the N*D*P bit matrix once, not twice.
+
+    The gather writes the (P, D*N) operand matrix directly; a layout
+    that needs a transposing copy of it peaks above 2x its size.
+    """
+    import tracemalloc
+
+    m, d, p = CONV_SHAPES["conv1"]
+    w, x = _operands(m, d, p)
+    cache = ScheduleCache()
+    cache.sc_matmul(w, x, 8, 2)
+    bit_matrix = 8 * d * p * np.dtype(np.float32).itemsize
+    tracemalloc.start()
+    try:
+        cache.sc_matmul(w, x, 8, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * bit_matrix, f"peak {peak / 1e6:.2f} MB"
+
+
 # -- in-process sharding (hypothesis-driven) ------------------------------
 
 

@@ -204,6 +204,8 @@ class TestRoutingAndValidation:
                  (), 400),
                 ("POST", "/v1/predict", {"images": [[0, 0], [0, 0]]},
                  (("x-deadline-ms", "soon"),), 400),
+                # json.dumps writes a bare NaN literal, which json.loads accepts
+                ("POST", "/v1/predict", {"images": [[float("nan"), 0], [0, 0]]}, (), 400),
             ]
             for method, path, body, headers, expect in cases:
                 status, _, _ = await request(server.port, method, path, body, headers)
@@ -419,6 +421,23 @@ class TestKeepAlive:
         with_server(stub_factory(), check)
 
 
+def _f64(value) -> bytes:
+    """One little-endian float64, as packed in a raw request body."""
+    return np.array([value], dtype="<f8").tobytes()
+
+
+async def _post_raw(port, x):
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(_http_payload(
+        "POST", "/v1/predict", pack_raw_request(x),
+        headers=(("Content-Type", RAW_CONTENT_TYPE),), connection="close",
+    ))
+    await writer.drain()
+    status, _, body = await _read_response(reader)
+    writer.close()
+    return status, json.loads(body)
+
+
 class TestRawDecode:
     def test_raw_body_byte_identical_logits_to_json_path(self, net, images):
         async def check(server):
@@ -457,6 +476,9 @@ class TestRawDecode:
                 lambda b: b[:4] + (0).to_bytes(4, "little") + b[8:],
                 id="zero-count",
             ),
+            pytest.param(lambda b: b[:8] + _f64(np.nan) + b[16:], id="nan-pixel"),
+            pytest.param(lambda b: b[:-8] + _f64(np.inf), id="inf-pixel"),
+            pytest.param(lambda b: b[:16] + _f64(-np.inf) + b[24:], id="neg-inf-pixel"),
         ],
     )
     def test_malformed_raw_body_is_400_not_500(self, mangle):
@@ -493,6 +515,35 @@ class TestRawDecode:
             assert server.metrics.decode_total.value("raw") == 1.0
 
         with_server(stub_factory(), check)
+
+
+class TestNonFiniteInput:
+    def test_nan_requests_never_trip_the_breaker(self, net, images):
+        """Three NaN requests against threshold 3: the circuit stays closed."""
+        async def check(server):
+            poison = images[:2].copy()
+            poison[1, 0, 5, 5] = np.nan
+            for _ in range(3):
+                status, doc = await _post_raw(server.port, poison)
+                assert status == 400, doc
+            _, _, body = await request(server.port, "GET", "/healthz")
+            assert json.loads(body)["circuit"]["state"] == "closed"
+            status, doc = await _post_raw(server.port, images[:2])
+            assert status == 200
+            assert doc["classes"] == net.predict(images[:2], batch=SHARD).tolist()
+
+        with_server(real_factory(net), check, shard_batch=SHARD, breaker_threshold=3)
+
+    def test_huge_finite_pixel_still_answers(self, net, images):
+        """1e300 is finite: decode admits it and the engine saturates it."""
+        async def check(server):
+            big = images[:1].copy()
+            big[0, 0, 3, 3] = 1e300
+            status, doc = await _post_raw(server.port, big)
+            assert status == 200
+            assert doc["classes"] == net.predict(big, batch=SHARD).tolist()
+
+        with_server(real_factory(net), check, shard_batch=SHARD)
 
 
 class TestReplicaBoot:
