@@ -30,15 +30,6 @@ The suites:
   point verified bit-exact against serial ``Network.predict``.
   ``--check`` re-measures and gates against the committed
   ``BENCH_PR8.json``;
-* ``--suite pr9`` — tensor-backend matrix (:mod:`repro.backend`)
-  written to ``BENCH_PR9.json``: cached-schedule and truncated-matmul
-  kernel legs plus a batched-inference leg per backend spec (numpy
-  always; torch / torch:cuda recorded as ``available: false`` when the
-  optional extra or the device is absent), every available leg verified
-  bit-exact against the numpy reference, and the numpy path guarded
-  against regression vs the committed ``BENCH_PR2.json`` /
-  ``BENCH_PR3.json`` baselines.  ``--check`` re-measures and gates
-  against the committed ``BENCH_PR9.json`` without overwriting it;
 * ``--suite pr10`` — SNG generator-family matrix
   (:mod:`repro.sc.generators`) written to ``BENCH_PR10.json``: the
   exhaustive Fig. 5 full-period multiply error and a Fig. 6-style
@@ -54,7 +45,7 @@ The suites:
 Run from the repo root:
 
     PYTHONPATH=src python benchmarks/snapshot.py
-        [--suite pr2|pr3|pr4|pr6|pr8|pr9|pr10] [--repeats N] [--out FILE] [--check]
+        [--suite pr2|pr3|pr4|pr6|pr8|pr10] [--repeats N] [--out FILE] [--check]
 
 The PR2 JSON also carries the tier-1 wall-clock numbers (measured with
 ``pytest --durations`` before/after the kernel rewrite) so the speedup
@@ -866,197 +857,6 @@ def bench_replica_scaling(
     }
 
 
-PR9_GATE = {
-    # Regression guards for the numpy path against the committed PR2 /
-    # PR3 snapshots.  Cross-container timing variance runs 2-3x, so the
-    # gates are deliberately loose: they catch a dispatch bug that
-    # knocks the vectorized path off (the stepped fallback is ~60x on
-    # the PR2 workload), not scheduler jitter or a slower host.
-    "kernel_slowdown_max": 6.0,
-    "inference_slowdown_max": 2.5,
-    # --check tolerance vs the committed BENCH_PR9.json numpy legs.
-    "throughput_tolerance": 0.60,
-}
-
-#: every spec the matrix reports on; absent ones record available=false
-PR9_SPECS = ("numpy", "torch", "torch:cuda")
-
-
-def _bench_backend_spec(spec: str, repeats: int, n_images: int, batch_size: int) -> dict:
-    """Kernel + batched-inference legs of one backend (bit-exact checked).
-
-    An unavailable backend (torch not installed, no CUDA device) is a
-    *recorded outcome*, not an error — the numpy-only container emits
-    ``{"available": false}`` rows so the committed snapshot documents
-    exactly which legs ran where.
-    """
-    from repro.backend import resolve_backend
-    from repro.errors import BackendUnavailableError
-
-    try:
-        resolve_backend(spec)
-    except (BackendUnavailableError, ValueError) as exc:
-        return {"spec": spec, "available": False, "detail": str(exc)}
-
-    from repro.experiments.network_performance import measure_throughput
-    from repro.parallel import ParallelConfig, ScheduleCache
-
-    n_bits, budget = 8, 16
-    rng = np.random.default_rng(9)
-    half = 1 << (n_bits - 1)
-    w = rng.integers(-half, half, size=(32, 288))
-    x = rng.integers(-half, half, size=(288, 256))
-
-    cache = ScheduleCache()
-    ref_cached = cache.sc_matmul(w, x, n_bits, 2)  # numpy reference path
-
-    def cached_matmul():
-        return cache.sc_matmul(w, x, n_bits, 2, backend=spec)
-
-    cached_exact = bool(np.array_equal(ref_cached, cached_matmul()))
-    cached_s = _time(cached_matmul, repeats)
-
-    ref_trunc = truncated_matmul_kernel(w, x, n_bits, budget, True)
-
-    def trunc_matmul():
-        return truncated_matmul_kernel(w, x, n_bits, budget, True, backend=spec)
-
-    trunc_exact = bool(np.allclose(ref_trunc, trunc_matmul(), rtol=1e-12, atol=1e-9))
-    trunc_s = _time(trunc_matmul, repeats)
-
-    config = ParallelConfig(workers=0, batch_size=batch_size, backend=spec)
-    run = measure_throughput(
-        n_images=n_images, parallelism=config, repeats=repeats, check=True
-    )
-    inference = run.to_dict()
-    inference["seconds"] = round(run.seconds, 6)
-    inference["images_per_sec"] = round(run.images_per_sec, 2)
-
-    return {
-        "spec": spec,
-        "available": True,
-        "cached_sc_matmul": {
-            "workload": "cached sc_matmul (32x288)@(288x256), N=8",
-            "seconds": round(cached_s, 6),
-            "bit_exact": cached_exact,
-        },
-        "truncated_matmul": {
-            "workload": f"truncated matmul (32x288)@(288x256), N=8, budget={budget}",
-            "seconds": round(trunc_s, 6),
-            "bit_exact": trunc_exact,
-        },
-        "inference": inference,
-    }
-
-
-def bench_backend_matrix(
-    repeats: int, n_images: int = 256, batch_size: int = 16
-) -> dict:
-    """The PR9 backend matrix: one row per spec, numpy-anchored."""
-    legs = [_bench_backend_spec(s, repeats, n_images, batch_size) for s in PR9_SPECS]
-    by_spec = {leg["spec"]: leg for leg in legs}
-    numpy_leg = by_spec["numpy"]
-    available = [leg for leg in legs if leg["available"]]
-    return {
-        "workload": (
-            f"digits-quick / proposed-sc N=8, {n_images} images, "
-            f"batch_size={batch_size}, workers=0 (in-process sharded)"
-        ),
-        "legs": legs,
-        "all_bit_exact": all(
-            leg["cached_sc_matmul"]["bit_exact"]
-            and leg["truncated_matmul"]["bit_exact"]
-            and leg["inference"]["bit_exact"]
-            for leg in available
-        ),
-        "headline": {
-            "numpy_kernel_s": numpy_leg["truncated_matmul"]["seconds"],
-            "numpy_images_per_sec": numpy_leg["inference"]["images_per_sec"],
-            "torch_available": by_spec["torch"]["available"],
-            "cuda_available": by_spec["torch:cuda"]["available"],
-        },
-    }
-
-
-def _run_pr9(args: argparse.Namespace) -> int:
-    root = Path(__file__).resolve().parent.parent
-    committed = root / "BENCH_PR9.json"
-    result = bench_backend_matrix(args.repeats)
-    report = {
-        "schema": "bench-pr9/v1",
-        "platform": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "numpy": np.__version__,
-        },
-        "backend_matrix": result,
-    }
-    gate = PR9_GATE
-    failures = []
-    if not result["all_bit_exact"]:
-        failures.append("an available backend leg diverged from the numpy reference")
-    headline = result["headline"]
-
-    # numpy-regression guard vs the committed PR2/PR3 baselines: the
-    # backend indirection must not have slowed the default path down.
-    pr2 = root / "BENCH_PR2.json"
-    if pr2.exists():
-        pinned = json.loads(pr2.read_text())["kernels"]["truncated_matmul"]
-        ceiling = pinned["vectorized_s"] * gate["kernel_slowdown_max"]
-        if headline["numpy_kernel_s"] > ceiling:
-            failures.append(
-                f"numpy truncated-matmul kernel {headline['numpy_kernel_s']}s "
-                f"exceeds {ceiling:.6f}s (committed PR2 {pinned['vectorized_s']}s "
-                f"x{gate['kernel_slowdown_max']} slowdown gate)"
-            )
-    pr3 = root / "BENCH_PR3.json"
-    if pr3.exists():
-        curve = json.loads(pr3.read_text())["batch_throughput"]["curve"]
-        pinned_rate = next(
-            (e["images_per_sec"] for e in curve if e["workers"] == 0), None
-        )
-        if pinned_rate is not None:
-            floor = pinned_rate / gate["inference_slowdown_max"]
-            if headline["numpy_images_per_sec"] < floor:
-                failures.append(
-                    f"numpy batched inference {headline['numpy_images_per_sec']} "
-                    f"img/s is below {floor:.1f} img/s (committed PR3 "
-                    f"{pinned_rate} img/s / {gate['inference_slowdown_max']} gate)"
-                )
-
-    if args.check:
-        if not committed.exists():
-            failures.append(f"--check requires a committed {committed.name}")
-        else:
-            pinned = json.loads(committed.read_text())["backend_matrix"]["headline"]
-            floor = pinned["numpy_images_per_sec"] * (1.0 - gate["throughput_tolerance"])
-            if headline["numpy_images_per_sec"] < floor:
-                failures.append(
-                    f"numpy inference {headline['numpy_images_per_sec']} img/s "
-                    f"regressed below {floor:.1f} img/s (committed "
-                    f"{pinned['numpy_images_per_sec']} img/s minus "
-                    f"{gate['throughput_tolerance']:.0%} tolerance)"
-                )
-        out = args.out  # never overwrite the committed snapshot in --check
-    else:
-        out = args.out or committed
-    if out:
-        Path(out).write_text(json.dumps(report, indent=2) + "\n")
-        print(f"wrote {out}")
-    for leg in result["legs"]:
-        if leg["available"]:
-            print(
-                f"{leg['spec']:12s} kernel {leg['truncated_matmul']['seconds']:>9.4f}s  "
-                f"inference {leg['inference']['images_per_sec']:>8.1f} img/s  "
-                f"bit_exact={leg['inference']['bit_exact']}"
-            )
-        else:
-            print(f"{leg['spec']:12s} unavailable ({leg['detail']})")
-    for msg in failures:
-        print(f"ERROR: {msg}")
-    return 1 if failures else 0
-
-
 PR10_GATE = {
     # Accuracy gates vs the lfsr leg measured in the *same* run, so a
     # slow host never flips them.  Without fine-tuning the conventional
@@ -1460,7 +1260,7 @@ def _run_pr3(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--suite", choices=("pr2", "pr3", "pr4", "pr6", "pr8", "pr9", "pr10"), default="pr2"
+        "--suite", choices=("pr2", "pr3", "pr4", "pr6", "pr8", "pr10"), default="pr2"
     )
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--tier1-seconds", type=float, default=None,
@@ -1469,9 +1269,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="pr6/pr8/pr9/pr10: gate a fresh measurement against the committed "
-        "BENCH_PR6.json / BENCH_PR8.json / BENCH_PR9.json / BENCH_PR10.json "
-        "instead of overwriting it",
+        help="pr6/pr8/pr10: gate a fresh measurement against the committed "
+        "BENCH_PR6.json / BENCH_PR8.json / BENCH_PR10.json instead of overwriting it",
     )
     args = parser.parse_args(argv)
 
@@ -1483,8 +1282,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_pr6(args)
     if args.suite == "pr8":
         return _run_pr8(args)
-    if args.suite == "pr9":
-        return _run_pr9(args)
     if args.suite == "pr10":
         return _run_pr10(args)
     args.out = args.out or Path(__file__).resolve().parent.parent / "BENCH_PR2.json"

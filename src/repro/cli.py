@@ -7,7 +7,6 @@ Commands
 ``infer``      timed batched SC inference (sharded process-pool engine)
 ``serve``      async HTTP inference service (micro-batching + /metrics)
 ``rtl``        emit the Verilog RTL project
-``backends``   tensor-backend availability/device probe
 ``generators`` SNG generator-family registry probe
 ``info``       version, experiment list, benchmark specs
 ``cache``      inspect/verify/clear the checkpoint artifact store;
@@ -82,12 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inf.add_argument("--batch", type=int, default=16, help="images per shard")
     p_inf.add_argument("--no-cache", action="store_true", help="disable per-worker caches")
     p_inf.add_argument(
-        "--backend",
-        default=None,
-        help="tensor backend: numpy (default), torch, torch:cuda, auto "
-        "(see `repro backends`)",
-    )
-    p_inf.add_argument(
         "--generator",
         default=None,
         help="SNG family for conventional-SC engines: lfsr (default), halton, "
@@ -114,12 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="engine pool size (0 = in-process sharding with the schedule "
         "cache); a comma list like 2,0 sets each replica's pool explicitly",
-    )
-    p_srv.add_argument(
-        "--backend",
-        default=None,
-        help="tensor backend per replica: numpy (default), torch, torch:cuda, "
-        "auto; a comma list like torch,numpy assigns per replica",
     )
     p_srv.add_argument(
         "--generator",
@@ -234,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify one design only (default: all)",
     )
 
-    sub.add_parser("backends", help="tensor-backend availability and device probe")
-
     sub.add_parser("generators", help="SNG generator-family registry probe")
 
     sub.add_parser("info", help="version and available experiments")
@@ -324,23 +309,20 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     from repro.parallel import ParallelConfig
 
     spec = DIGITS_QUICK_SPEC if args.benchmark == "digits" else SHAPES_QUICK_SPEC
-    if args.workers is None and args.backend is None and args.generator is None:
+    if args.workers is None and args.generator is None:
         parallelism = None
         mode = "serial reference"
     else:
-        # --backend/--generator alone run the in-process sharded path
-        # (workers=0) so the override has a config to ride on
+        # --generator alone runs the in-process sharded path (workers=0)
+        # so the override has a config to ride on
         workers = args.workers or 0
         parallelism = ParallelConfig(
             workers=workers,
             batch_size=args.batch,
             use_cache=not args.no_cache,
-            backend=args.backend,
             generator=args.generator,
         )
         mode = f"workers={workers} batch={args.batch} cache={not args.no_cache}"
-        if args.backend:
-            mode += f" backend={args.backend}"
         if args.generator:
             mode += f" generator={args.generator}"
     result = measure_throughput(
@@ -391,7 +373,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         shard_timeout_s=args.shard_timeout_s,
         shard_retries=args.shard_retries,
         precompile=not args.no_precompile,
-        backend=args.backend,
         generator=args.generator,
     )
     return run_server(config)
@@ -545,18 +526,6 @@ def _cache_inspect(args: argparse.Namespace, store) -> int:
     return 1 if bad else 0
 
 
-def _cmd_backends(_: argparse.Namespace) -> int:
-    from repro.backend import list_backends
-
-    rows = list_backends()
-    width = max(len(r.spec) for r in rows)
-    for r in rows:
-        status = "available" if r.available else "unavailable"
-        detail = f"  ({r.detail})" if r.detail else ""
-        print(f"{r.spec:{width}s}  {status:11s}  device={r.device}{detail}")
-    return 0
-
-
 def _cmd_generators(_: argparse.Namespace) -> int:
     from repro.sc.generators import list_generators
 
@@ -588,7 +557,6 @@ def main(argv: list[str] | None = None) -> int:
         "infer": _cmd_infer,
         "serve": _cmd_serve,
         "rtl": _cmd_rtl,
-        "backends": _cmd_backends,
         "generators": _cmd_generators,
         "info": _cmd_info,
         "cache": _cmd_cache,

@@ -10,16 +10,6 @@ per-cycle saturating accumulation is a ``cumsum`` plus a bounds check
 (:func:`repro.sc.counters.saturating_walk`) that falls back to the
 exact stepped path only for rows that actually overflow.
 
-Every kernel accepts an optional ``backend=`` — an
-:class:`repro.backend.ArrayBackend` instance or spec string — that
-moves its array-heavy stage (gathers, the big GEMM) onto that backend.
-The schedule *generation* (integer bit-twiddling over tiny arrays) and
-the saturating-walk control flow stay on the host in all cases; inputs
-and outputs are always numpy, so shard and shm boundaries never see a
-backend-native tensor.  Results are bit-exact across backends: the
-gathers are integer ops and the GEMM operands are integer-valued
-floats within the dtype's exact range (see ``docs/backends.md``).
-
 The guarantee, enforced by ``tests/core/test_kernel_parity.py``: the
 vectorized kernels are **bit-exact** with the stepped simulators
 (exhaustively at small N, property-based at N=8-10).  The reordering is
@@ -51,26 +41,13 @@ __all__ = [
 ]
 
 
-def _resolve(backend):
-    """Resolve a kernel's ``backend=`` knob; ``None`` means numpy."""
-    if backend is None:
-        return None
-    from repro.backend import resolve_backend
-
-    bk = resolve_backend(backend)
-    return None if bk.is_numpy else bk
-
-
-def select_schedule(
-    length: int, n_bits: int, start_cycle: int = 1, backend=None
-) -> np.ndarray:
+def select_schedule(length: int, n_bits: int, start_cycle: int = 1) -> np.ndarray:
     """MUX select indices for a block of ``length`` cycles (-1 = none).
 
     Matches :class:`repro.core.fsm_generator.FsmMuxGenerator` exactly,
     including the wrap of the FSM cycle register back to 1 after
     ``2**n_bits`` — so a schedule can start anywhere and span any number
-    of periods.  With ``backend=`` the (host-computed) schedule is
-    delivered as that backend's int64 tensor, ready for device gathers.
+    of periods.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
@@ -78,39 +55,20 @@ def select_schedule(
     if not 1 <= start_cycle <= period:
         raise ValueError(f"start_cycle must be in [1, {period}]")
     cycles = (start_cycle - 1 + np.arange(length, dtype=np.int64)) % period + 1
-    sched = cycles if length == 0 else np.asarray(select_index(cycles, n_bits), dtype=np.int64)
-    bk = _resolve(backend)
-    if bk is not None:
-        return bk.asarray(sched, dtype=bk.int64)
-    return sched
+    return cycles if length == 0 else np.asarray(select_index(cycles, n_bits), dtype=np.int64)
 
 
-def stream_matrix(
-    values, length: int, n_bits: int, start_cycle: int = 1, backend=None
-) -> np.ndarray:
+def stream_matrix(values, length: int, n_bits: int, start_cycle: int = 1) -> np.ndarray:
     """FSM+MUX stream bits for many operands over a block of cycles.
 
     ``values`` are unsigned words (any shape ``S``); the result has
     shape ``S + (length,)`` with ``out[..., t]`` the bit emitted at the
     ``t``-th cycle of the block.  One gather instead of a Python loop
-    per (operand, cycle) pair.  The backend path expresses the same
-    expansion as two protocol gathers against a padded word-bit table
-    (shifts are not part of the backend shim) and returns numpy;
-    bit-exact with the host path for every operand and schedule.
+    per (operand, cycle) pair.
     """
     arr = np.asarray(values, dtype=np.int64)
     if arr.size and (arr.min() < 0 or arr.max() >= (1 << n_bits)):
         raise ValueError(f"values out of {n_bits}-bit unsigned range")
-    bk = _resolve(backend)
-    if bk is not None:
-        sel = select_schedule(length, n_bits, start_cycle)
-        # padded table: column n_bits is all-zero, where sel = -1 lands
-        words = np.arange(1 << n_bits, dtype=np.int64)
-        table = np.zeros((1 << n_bits, n_bits + 1), dtype=np.int64)
-        table[:, :n_bits] = (words[:, None] >> np.arange(n_bits)) & 1
-        rows = bk.gather(bk.asarray(table), bk.asarray(arr.reshape(-1)), axis=0)
-        cols = bk.gather(rows, bk.asarray(np.where(sel >= 0, sel, n_bits)), axis=1)
-        return bk.to_numpy(cols).reshape(arr.shape + (length,))
     sel = select_schedule(length, n_bits, start_cycle)
     bits = (arr[..., None] >> np.maximum(sel, 0)) & 1
     return np.where(sel >= 0, bits, 0).astype(np.int64)
@@ -124,7 +82,6 @@ def mvm_mac_kernel(
     lo: int,
     hi: int,
     start_cycle: int = 1,
-    backend=None,
 ) -> np.ndarray:
     """One BISC-MVM ``mac`` call over all lanes as array ops.
 
@@ -134,21 +91,16 @@ def mvm_mac_kernel(
     and every lane accumulator saturates *per cycle* to ``[lo, hi]``.
     Returns the new accumulator values (bit-exact; lanes whose walk
     saturates take the stepped fallback inside
-    :func:`~repro.sc.counters.saturating_walk`).  ``backend=`` moves
-    the stream expansion onto that backend; the saturating walk is
-    branchy host control flow and always runs on numpy, so the result
-    is identical integers either way.
+    :func:`~repro.sc.counters.saturating_walk`).
     """
     k = abs(int(w_int))
-    bits = stream_matrix(x_offsets, k, n_bits, start_cycle, backend=backend)
+    bits = stream_matrix(x_offsets, k, n_bits, start_cycle)
     if w_int < 0:
         bits = 1 - bits
     return saturating_walk(acc_values, 2 * bits - 1, lo, hi)
 
 
-def bit_parallel_mac_kernel(
-    w_int: int, x_offset: int, n_bits: int, b: int, backend=None
-) -> tuple[int, int]:
+def bit_parallel_mac_kernel(w_int: int, x_offset: int, n_bits: int, b: int) -> tuple[int, int]:
     """Total accumulator delta and cycle count of one bit-parallel MAC.
 
     The column contributions of :class:`repro.core.bit_parallel
@@ -156,12 +108,7 @@ def bit_parallel_mac_kernel(
     rows_j`` over all columns gives ``2 * P[|w|] - |w|`` — the whole
     multiply collapses to one closed-form evaluation, with the latency
     ``ceil(|w| / b)`` unchanged.
-
-    ``backend=`` is accepted for API uniformity with the other kernels
-    but unused: the closed form is a handful of scalar integer ops with
-    nothing to offload.
     """
-    del backend
     k = abs(int(w_int))
     ones = int(prefix_ones(x_offset, k, n_bits))
     delta = 2 * ones - k
@@ -176,7 +123,6 @@ def truncated_matmul_kernel(
     n_bits: int,
     cycle_budget: int,
     rescale: bool = True,
-    backend=None,
 ) -> np.ndarray:
     """Matrix product under a per-multiply cycle budget, as one matmul.
 
@@ -192,12 +138,6 @@ def truncated_matmul_kernel(
     is exact; with ``rescale=True`` the ``|w|/cycles`` factors make the
     result float and agreement with the broadcast form is to float64
     round-off (the summation order differs).
-
-    ``backend=`` runs the big GEMM on that backend.  With
-    ``rescale=False`` the operands are integer-valued float64, so the
-    result is bit-identical across backends; with ``rescale=True`` it
-    is float64-roundoff-identical (the same tolerance already separating
-    this kernel from the broadcast reference).
     """
     if cycle_budget < 0:
         raise ValueError("cycle_budget must be >= 0")
@@ -229,14 +169,6 @@ def truncated_matmul_kernel(
         d * n_bits, p
     ).astype(np.float64)
 
-    bk = _resolve(backend)
-    if bk is not None:
-        ones_weighted = bk.to_numpy(
-            bk.matmul(
-                bk.asarray(coeff.reshape(m, d * n_bits)), bk.asarray(bits_flat)
-            )
-        )
-    else:
-        ones_weighted = coeff.reshape(m, d * n_bits) @ bits_flat  # (M, P)
+    ones_weighted = coeff.reshape(m, d * n_bits) @ bits_flat  # (M, P)
     out = 2.0 * ones_weighted - (weight * c).sum(axis=1)[:, None]
     return out

@@ -136,7 +136,6 @@ def sc_matmul(
     n_bits: int,
     acc_bits: int = 2,
     saturate: str | None = "term",
-    backend=None,
 ) -> np.ndarray:
     """Matrix product with BISC-MVM arithmetic, fully vectorized.
 
@@ -165,13 +164,6 @@ def sc_matmul(
     terms turns the whole accumulation into one matrix product, which is
     why the functional simulation of a full CNN layer is a single
     matmul.
-
-    ``backend=`` runs that single matmul (``"final"``/``None`` modes)
-    on a :mod:`repro.backend` backend.  All operands are integer-valued
-    float64 with partial sums far below ``2**53``, so the result is
-    bit-identical on every backend.  The ``"term"`` mode saturates
-    per weight term — a host loop of small products — and ignores the
-    knob.
     """
     w = np.asarray(w_int, dtype=np.int64)
     x = np.asarray(x_int, dtype=np.int64)
@@ -206,14 +198,7 @@ def sc_matmul(
     # One big matmul: fold sign into the coefficients.
     coeff_signed = (coeff * sign[:, :, None]).reshape(m, d * n_bits).astype(np.float64)
     bits_flat = bits_t.reshape(d * n_bits, p)
-    from repro.core.kernels import _resolve
-
-    bk = _resolve(backend)
-    if bk is not None:
-        prod = bk.to_numpy(bk.matmul(bk.asarray(coeff_signed), bk.asarray(bits_flat)))
-    else:
-        prod = coeff_signed @ bits_flat
-    ones_signed = np.rint(prod).astype(np.int64)
+    ones_signed = np.rint(coeff_signed @ bits_flat).astype(np.int64)
     out = 2 * ones_signed - (sign * k).sum(axis=1)[:, None]
     if saturate == "final":
         out = np.clip(out, clip_lo, clip_hi)

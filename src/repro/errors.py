@@ -8,27 +8,7 @@ without either importing the other's (heavy) package at module scope.
 
 from __future__ import annotations
 
-__all__ = ["ArtifactVersionError", "BackendUnavailableError"]
-
-
-class BackendUnavailableError(RuntimeError):
-    """A requested tensor backend cannot be used in this environment.
-
-    Raised by :func:`repro.backend.resolve_backend` when the named
-    backend's runtime is not importable (torch not installed) or its
-    device is absent (``torch:cuda`` without a visible GPU).  The
-    message always names the remedy so CLI users see an actionable
-    error instead of an ``ImportError`` traceback.
-    """
-
-    def __init__(self, spec: str, reason: str, remedy: str | None = None) -> None:
-        remedy = remedy or 'pip install "repro[torch]"'
-        super().__init__(
-            f"backend {spec!r} is unavailable: {reason} (try: {remedy})"
-        )
-        self.spec = spec
-        self.reason = reason
-        self.remedy = remedy
+__all__ = ["ArtifactVersionError"]
 
 
 class ArtifactVersionError(RuntimeError):

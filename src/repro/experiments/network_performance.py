@@ -71,7 +71,6 @@ class ThroughputResult:
     workers: int
     batch_size: int
     use_cache: bool
-    backend: str
     seconds: float
     images_per_sec: float
     bit_exact: bool | None = None
@@ -163,12 +162,11 @@ def measure_throughput(
 
     model, x = _workload(spec, engine, n_bits, n_images)
     if parallelism is None:
-        workers, batch_size, use_cache, backend = -1, 0, False, "numpy"
+        workers, batch_size, use_cache = -1, 0, False
         generator = None
     else:
         config = resolve_parallelism(parallelism)
         workers, batch_size, use_cache = config.workers, config.batch_size, config.use_cache
-        backend = config.backend or "numpy"
         generator = config.generator
     best = float("inf")
     pred = None
@@ -196,7 +194,6 @@ def measure_throughput(
         workers=workers,
         batch_size=batch_size,
         use_cache=use_cache,
-        backend=backend,
         seconds=best,
         images_per_sec=n_images / best if best > 0 else float("inf"),
         bit_exact=bit_exact,

@@ -54,22 +54,14 @@ _SAT_MODES = ("term", "final", None)
 class MatmulEngine:
     """Base class carrying the common quantization parameters.
 
-    ``backend`` selects the :mod:`repro.backend` tensor backend the
-    array-heavy stages run on (``None`` = numpy).  It is a *spec
+    ``generator`` selects the SNG family (:mod:`repro.sc.generators`
+    registry key) feeding the conventional SC path.  It is a *spec
     string*, so it pickles with the engine and travels to pool workers
     inside the network skeleton; each process resolves it locally.
-    The SC engines whose math is integer-exact across backends
-    (:class:`ProposedScEngine`, :class:`TruncatedScEngine`) dispatch on
-    it; the float/fixed/LFSR baselines ignore it and stay on numpy
-    (their loops are host-bound, not GEMM-bound).
-
-    ``generator`` selects the SNG family (:mod:`repro.sc.generators`
-    registry key) feeding the conventional SC path; like ``backend`` it
-    is a spec string resolved per process.  ``None`` and ``"lfsr"``
-    both keep the shared-LFSR fast path byte-identical.  Engines
-    without stochastic number sources (float/fixed/proposed — the
-    proposed multiplier is deterministic by construction) carry the
-    field but ignore it.
+    ``None`` and ``"lfsr"`` both keep the shared-LFSR fast path
+    byte-identical.  Engines without stochastic number sources
+    (float/fixed/proposed — the proposed multiplier is deterministic by
+    construction) carry the field but ignore it.
     """
 
     n_bits: int = 8
@@ -77,7 +69,6 @@ class MatmulEngine:
     w_scale: float = 1.0
     x_scale: float = 1.0
     saturate: str | None = "final"
-    backend: str | None = None
     generator: str | None = None
 
     #: short identifier used by experiment tables
@@ -88,14 +79,9 @@ class MatmulEngine:
             raise ValueError(f"unknown saturate mode {self.saturate!r}")
         if self.w_scale <= 0 or self.x_scale <= 0:
             raise ValueError("scales must be positive")
-        if self.backend is not None:
-            # fail fast in the parent process: an unknown or absent
-            # backend should never be discovered inside a pool worker
-            from repro.backend import resolve_backend
-
-            resolve_backend(self.backend)
         if self.generator is not None:
-            # same fail-fast contract as backend specs
+            # fail fast in the parent process: an unknown generator
+            # should never be discovered inside a pool worker
             from repro.sc.generators import resolve_generator
 
             resolve_generator(self.generator)
@@ -309,14 +295,10 @@ class ProposedScEngine(MatmulEngine):
         w_int, x_int = self._quantize(w, x)
         if self.cache is not None:
             acc = self.cache.sc_matmul(
-                w_int, x_int, self.n_bits, self.acc_bits,
-                saturate=self.saturate, backend=self.backend,
+                w_int, x_int, self.n_bits, self.acc_bits, saturate=self.saturate
             )
         else:
-            acc = sc_matmul(
-                w_int, x_int, self.n_bits, self.acc_bits,
-                saturate=self.saturate, backend=self.backend,
-            )
+            acc = sc_matmul(w_int, x_int, self.n_bits, self.acc_bits, saturate=self.saturate)
         return self._dequantize(acc)
 
 
@@ -342,10 +324,7 @@ class TruncatedScEngine(MatmulEngine):
         from repro.core.kernels import truncated_matmul_kernel
 
         w_int, x_int = self._quantize(w, x)
-        acc = truncated_matmul_kernel(
-            w_int, x_int, self.n_bits, self.cycle_budget, self.rescale,
-            backend=self.backend,
-        )
+        acc = truncated_matmul_kernel(w_int, x_int, self.n_bits, self.cycle_budget, self.rescale)
         width = self.n_bits + self.acc_bits
         acc = np.clip(acc, -(1 << (width - 1)), (1 << (width - 1)) - 1)
         return self._dequantize(acc)

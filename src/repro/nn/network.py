@@ -46,8 +46,7 @@ class Network:
 
     # -- inference ----------------------------------------------------------
     def predict(
-        self, x: np.ndarray, batch: int = 256, parallelism=None, backend=None,
-        generator=None,
+        self, x: np.ndarray, batch: int = 256, parallelism=None, generator=None
     ) -> np.ndarray:
         """Predicted class indices, evaluated in batches.
 
@@ -57,17 +56,12 @@ class Network:
         At a fixed batch size, results are bit-exact across worker
         counts (see :mod:`repro.parallel.engine` for the contract).
 
-        ``backend`` selects the :mod:`repro.backend` tensor backend the
-        conv engines dispatch on for this call (a spec string like
-        ``"torch"``; ``None`` = leave engines as constructed).  Results
-        are bit-exact across backends for the SC engines.
-
         ``generator`` selects the SNG family (a
         :mod:`repro.sc.generators` registry key like ``"mip"``) the
         conventional-SC engines draw their bitstreams from for this
         call; ``None`` keeps each engine's configured family.
         """
-        if backend is not None or generator is not None:
+        if generator is not None:
             import dataclasses
 
             from repro.parallel import ParallelConfig, resolve_parallelism
@@ -75,17 +69,10 @@ class Network:
             if parallelism is None:
                 # preserve the serial path's chunking: the float dense
                 # head is summation-order-sensitive to the batch size
-                parallelism = ParallelConfig(
-                    workers=0, batch_size=batch, backend=backend, generator=generator
-                )
+                parallelism = ParallelConfig(workers=0, batch_size=batch, generator=generator)
             else:
-                overrides = {}
-                if backend is not None:
-                    overrides["backend"] = backend
-                if generator is not None:
-                    overrides["generator"] = generator
                 parallelism = dataclasses.replace(
-                    resolve_parallelism(parallelism), **overrides
+                    resolve_parallelism(parallelism), generator=generator
                 )
         if parallelism is not None:
             from repro.parallel import predict_batched
@@ -99,13 +86,10 @@ class Network:
 
     def accuracy(
         self, x: np.ndarray, labels: np.ndarray, batch: int = 256,
-        parallelism=None, backend=None, generator=None,
+        parallelism=None, generator=None,
     ) -> float:
         """Top-1 accuracy on the given set."""
-        pred = self.predict(
-            x, batch=batch, parallelism=parallelism, backend=backend,
-            generator=generator,
-        )
+        pred = self.predict(x, batch=batch, parallelism=parallelism, generator=generator)
         return float((pred == np.asarray(labels)).mean())
 
     # -- parameters -----------------------------------------------------------

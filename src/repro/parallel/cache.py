@@ -21,13 +21,22 @@ redundant cost, so each worker keeps one :class:`ScheduleCache`:
 
 :meth:`ScheduleCache.sc_matmul` combines these into a fast path that is
 **bit-exact** with :func:`repro.core.mvm.sc_matmul`: all operands are
-small integers, so the float32/float64 GEMM is exact (every partial sum
-is an exactly-representable integer) and the result is identical down
-to the last LSB.  The parity fleet in ``tests/parallel`` pins this.
+small integers, so the GEMM is exact (every partial sum is an
+exactly-representable integer) and the result is identical down to the
+last LSB under any summation order.  The rule that makes it so: a
+layer's coefficients are float32 only when every partial sum stays
+below ``2**24`` (bounded by twice the row's total coefficient mass),
+and float64 — exact below ``2**53`` — otherwise.  The parity fleet in
+``tests/parallel`` pins this.
+
 The layout is chosen for the gather: bit rows land contiguously in a
 ``(P, D*N)`` operand matrix, and the coefficients are re-laid to match
 it once per layer, so no per-batch transposing copy of the ``N``-fold
-bit expansion is ever made.
+bit expansion is ever made.  Both derived layouts are memoized under
+``("rows", N, dtype)`` and ``("layer", digest, shape, N, dtype)``, in
+an LRU bounded at four times ``max_layers``; steady-state inference
+derives each once, and a cache drop (fault recovery) drops them with
+the entries they were derived from.
 
 Since PR 6 the cache is a *thin view* over an optional compiled
 artifact (:mod:`repro.parallel.compiled`): every lookup first checks
@@ -45,7 +54,6 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.backend import resolve_backend
 from repro.core.accumulator import check_acc_bits
 from repro.core.fsm_generator import coefficient_vector
 from repro.core.kernels import select_schedule
@@ -114,12 +122,10 @@ class ScheduleCache:
         self._selects: dict[tuple[int, int], np.ndarray] = {}
         self._layers: OrderedDict[tuple, tuple] = OrderedDict()
         self._ud_tables: dict[str, np.ndarray] = {}
-        #: backend-resident derived layouts of cached host arrays (the
-        #: bit-row table, operand-major coefficients), keyed by
-        #: ``(backend.key, kind, ...)``.  Memoized so each is derived --
-        #: and, off numpy, copied to the device -- once per table/layer,
-        #: not once per batch; dropped with the cache on fault recovery.
-        self._device_arrays: OrderedDict[tuple, object] = OrderedDict()
+        #: derived layouts of cached arrays (the bit-row table, the
+        #: operand-major coefficients), keyed by ``("rows", ...)`` /
+        #: ``("layer", ...)`` content keys; see :meth:`sc_matmul`.
+        self._derived: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self._poisoned = False
         self.hits = 0
         self.misses = 0
@@ -264,7 +270,7 @@ class ScheduleCache:
         return self._layer_lookup(np.asarray(w_int), n_bits)[1]
 
     def _layer_lookup(self, w_int: np.ndarray, n_bits: int) -> tuple[tuple, tuple]:
-        """:meth:`layer_coeff` plus the content key (device-copy memo)."""
+        """:meth:`layer_coeff` plus the content key (derived-layout memo)."""
         if self._poisoned:
             raise CachePoisonedError("schedule cache was poisoned; drop and rebuild")
         w = np.ascontiguousarray(np.asarray(w_int, dtype=np.int64))
@@ -311,24 +317,22 @@ class ScheduleCache:
             self._layers.popitem(last=False)
         return key, entry
 
-    def _device_array(self, bk, key: tuple, build):
-        """Memoized backend-resident array, derived by ``build()`` on a miss.
+    def _derived_array(self, key: tuple, build) -> np.ndarray:
+        """Memoized derived layout, built by ``build()`` on a miss.
 
-        Keyed by the backend identity plus the entry's *content* key, so
-        an evicted-and-rebuilt host entry maps back to the same derived
-        array.  Bounded like the layer LRU (device memory is the scarcer
-        resource).
+        Keyed by the source entry's *content* key, so an evicted-and-
+        rebuilt entry maps back to the same derived array.  LRU-bounded
+        at four times the layer bound.
         """
-        full = (bk.key,) + key
-        hit = self._device_arrays.get(full)
+        hit = self._derived.get(key)
         if hit is not None:
-            self._device_arrays.move_to_end(full)
+            self._derived.move_to_end(key)
             return hit
-        dev = bk.asarray(build())
-        self._device_arrays[full] = dev
-        while len(self._device_arrays) > 4 * self.max_layers:
-            self._device_arrays.popitem(last=False)
-        return dev
+        arr = build()
+        self._derived[key] = arr
+        while len(self._derived) > 4 * self.max_layers:
+            self._derived.popitem(last=False)
+        return arr
 
     @staticmethod
     def _entry_ok(key, entry) -> bool:
@@ -379,7 +383,6 @@ class ScheduleCache:
         n_bits: int,
         acc_bits: int = 2,
         saturate: str | None = "final",
-        backend=None,
     ) -> np.ndarray:
         """BISC-MVM matrix product, bit-exact with :func:`~repro.core.mvm.sc_matmul`.
 
@@ -393,14 +396,9 @@ class ScheduleCache:
         one contiguous ``(P, D*N)`` matrix with no transposing copy, and
         that matrix multiplies the layer's coefficients re-laid
         operand-major as ``(D*N, M)``.  Both derived layouts are built
-        once (per ``N``, per layer key) and memoized per backend.
-
-        ``backend=`` runs the gather + GEMM on a :mod:`repro.backend`
-        backend with that same layout; inputs and outputs stay numpy.
-        The result is bit-identical on every backend: the cached
-        coefficients are float32 only when every partial sum is below
-        ``2**24`` (float64 otherwise), so the GEMM is exact under any
-        summation order.
+        once (per ``N``, per layer key) and memoized.  The GEMM is exact:
+        the cached coefficients are float32 only when every partial sum
+        is below ``2**24`` (float64 otherwise).
         """
         if saturate == "term":
             return sc_matmul(w_int, x_int, n_bits, acc_bits, saturate=saturate)
@@ -417,21 +415,20 @@ class ScheduleCache:
 
         d, p = x.shape
         key, (coeff_t, const) = self._layer_lookup(w, n_bits)
-        bk = resolve_backend(backend)
         dtype = coeff_t.dtype
-        coeff = self._device_array(
-            bk, ("layer",) + key + (dtype.str,), lambda: _d_major(coeff_t, n_bits)
+        coeff = self._derived_array(
+            ("layer",) + key + (dtype.str,), lambda: _d_major(coeff_t, n_bits)
         )
-        rows = self._device_array(
-            bk, ("rows", int(n_bits), dtype.str),
+        rows = self._derived_array(
+            ("rows", int(n_bits), dtype.str),
             lambda: np.ascontiguousarray(self.bit_table(n_bits).T, dtype=dtype),
         )
         # Offset-binary words, transposed: row q holds the D operands of
         # output column q, so gathering their (2**N, N) bit rows lands as
         # one contiguous (P, D, N) block and the reshape to (P, D*N) is free.
         offs = np.add(x.T, 1 << (n_bits - 1), order="C")
-        bits = bk.gather(rows, bk.asarray(offs, dtype=bk.int64), axis=0)
-        prod = bk.to_numpy(bk.matmul(bits.reshape(p, d * n_bits), coeff))  # (P, M)
+        bits = np.take(rows, offs, axis=0)
+        prod = bits.reshape(p, d * n_bits) @ coeff  # (P, M)
         ones_signed = np.rint(prod).astype(np.int64)  # exact: integer-valued sums
         out = 2 * ones_signed - const
         if saturate == "final":

@@ -99,17 +99,12 @@ class ParallelConfig:
     policy never changes *what* is computed, only how many times the
     same shards are re-executed.
 
-    ``backend`` is a :mod:`repro.backend` spec string overriding the
-    tensor backend of every dispatched engine for the duration of the
-    call (``None`` = leave engines as constructed).  Only the *string*
-    crosses process boundaries — each worker resolves it locally, so
-    device handles never ride the pickle or shm path.
-
     ``generator`` overrides the SNG family (:mod:`repro.sc.generators`
-    registry key) of every dispatched conventional-SC engine the same
-    way: a spec string, resolved per process, ``None`` = leave engines
-    as constructed.  Engines without a stochastic number source ignore
-    the override.
+    registry key) of every dispatched conventional-SC engine for the
+    duration of the call (``None`` = leave engines as constructed).
+    Only the spec *string* crosses process boundaries — each worker
+    resolves it locally.  Engines without a stochastic number source
+    ignore the override.
     """
 
     workers: int = 0
@@ -118,7 +113,6 @@ class ParallelConfig:
     start_method: str | None = None
     use_cache: bool = True
     retry: RetryPolicy = RetryPolicy()
-    backend: str | None = None
     generator: str | None = None
 
     def __post_init__(self) -> None:
@@ -126,14 +120,10 @@ class ParallelConfig:
             raise ValueError("workers must be >= 0")
         if self.batch_size < 0 or self.tile_size < 0:
             raise ValueError("chunk sizes must be >= 0")
-        if self.backend is not None:
-            # fail fast in the parent, before any pool is spawned
-            from repro.backend import resolve_backend
-
-            resolve_backend(self.backend)
         if self.generator is not None:
-            # same fail-fast contract: an unknown generator spec should
-            # never be discovered inside a pool worker
+            # fail fast in the parent, before any pool is spawned: an
+            # unknown generator spec should never be discovered inside
+            # a pool worker
             from repro.sc.generators import resolve_generator
 
             resolve_generator(self.generator)
@@ -353,7 +343,6 @@ def predict_logits(net, x: np.ndarray, parallelism=None) -> np.ndarray:
             out_spec,
             config.use_cache,
             _share_compiled(pool, config),
-            config.backend,
             config.generator,
         )
 
@@ -446,7 +435,6 @@ def predict_logits_grouped(net, xs, parallelism=None) -> list[np.ndarray]:
             out_spec,
             config.use_cache,
             _share_compiled(pool, config),
-            config.backend,
             config.generator,
         )
 
@@ -493,7 +481,6 @@ def parallel_matmul(engine, w: np.ndarray, x: np.ndarray, parallelism=None) -> n
             out_spec,
             config.use_cache,
             _share_compiled(pool, config),
-            config.backend,
             config.generator,
         )
 
@@ -516,12 +503,11 @@ def _share_compiled(pool: SharedArrayPool, config: ParallelConfig):
 
 
 def _attach_caches_inproc(net, config: ParallelConfig):
-    """Attach the process cache / backend override to a net's engines.
+    """Attach the process cache / generator override to a net's engines.
 
     Returns an undo restoring the previous attributes.  The cache
-    attach is gated on ``use_cache``; the ``config.backend`` override
-    applies regardless (it changes *where* arrays live, not what work
-    is memoized).
+    attach is gated on ``use_cache``; the ``config.generator`` override
+    applies regardless.
     """
     undos = []
     for conv in net.conv_layers:
@@ -529,9 +515,6 @@ def _attach_caches_inproc(net, config: ParallelConfig):
         if config.use_cache and hasattr(engine, "cache"):
             undos.append((engine, "cache", engine.cache))
             engine.cache = get_worker_cache()
-        if config.backend is not None and hasattr(engine, "backend"):
-            undos.append((engine, "backend", engine.backend))
-            engine.backend = config.backend
         if config.generator is not None and hasattr(engine, "generator"):
             undos.append((engine, "generator", engine.generator))
             engine.generator = config.generator
@@ -543,9 +526,6 @@ def _attach_engine_cache_inproc(engine, config: ParallelConfig):
     if config.use_cache and hasattr(engine, "cache"):
         undos.append((engine, "cache", engine.cache))
         engine.cache = get_worker_cache()
-    if config.backend is not None and hasattr(engine, "backend"):
-        undos.append((engine, "backend", engine.backend))
-        engine.backend = config.backend
     if config.generator is not None and hasattr(engine, "generator"):
         undos.append((engine, "generator", engine.generator))
         engine.generator = config.generator

@@ -217,29 +217,11 @@ def _drop_poisonable_state() -> None:
         engine.cache = get_worker_cache()
 
 
-def _apply_backend_override(engines, backend: str | None) -> None:
-    """Point backend-aware engines at ``backend`` (a spec string).
-
-    Resolved once here so an unknown or absent backend fails the
-    initializer loudly (surfacing as a pool-spawn error in the parent)
-    instead of failing shard-by-shard.
-    """
-    if backend is None:
-        return
-    from repro.backend import resolve_backend
-
-    resolve_backend(backend)
-    for engine in engines:
-        if hasattr(engine, "backend"):
-            engine.backend = backend
-
-
 def _apply_generator_override(engines, generator: str | None) -> None:
     """Point SNG-aware engines at ``generator`` (a registry spec string).
 
-    Mirrors :func:`_apply_backend_override`: resolved once, loudly, at
-    worker init, so an unknown family key fails the pool spawn in the
-    parent rather than every shard.
+    Resolved once here, loudly, at worker init, so an unknown family
+    key fails the pool spawn in the parent rather than every shard.
     """
     if generator is None:
         return
@@ -258,7 +240,6 @@ def init_network_worker(
     out_spec: SharedArraySpec,
     use_cache: bool,
     sched_spec: SharedArraySpec | None = None,
-    backend: str | None = None,
     generator: str | None = None,
     fault_plan: FaultPlan | None = None,
     wave: int = 0,
@@ -275,7 +256,6 @@ def init_network_worker(
     _load_weights(skel, weight_specs)
     if use_cache:
         attach_engine_caches(skel)
-    _apply_backend_override((conv.engine for conv in skel.conv_layers), backend)
     _apply_generator_override((conv.engine for conv in skel.conv_layers), generator)
     _STATE["net"] = skel
     _STATE["use_cache"] = use_cache
@@ -318,7 +298,6 @@ def init_matmul_worker(
     out_spec: SharedArraySpec,
     use_cache: bool,
     sched_spec: SharedArraySpec | None = None,
-    backend: str | None = None,
     generator: str | None = None,
     fault_plan: FaultPlan | None = None,
     wave: int = 0,
@@ -331,7 +310,6 @@ def init_matmul_worker(
     _adopt_compiled(sched_spec, use_cache)
     if use_cache and hasattr(engine, "cache"):
         engine.cache = get_worker_cache()
-    _apply_backend_override((engine,), backend)
     _apply_generator_override((engine,), generator)
     _STATE["engine"] = engine
     _STATE["use_cache"] = use_cache

@@ -4,10 +4,10 @@ The paper's accuracy story (Figs. 5/6) hinges on which number source
 feeds the multiplier, yet the three conventional families (LFSR,
 Halton, even-distribution) were historically hard-wired into
 :mod:`repro.analysis.error_stats` and the engines.  This module makes
-the generator a first-class, registry-resolved citizen — mirroring the
-``repro.backend`` spec-string pattern — so new families plug into the
-Fig. 5/6 harnesses, the compiled-schedule artifacts, the serving plane
-(per-request ``generator=``) and the CLI without touching any of them.
+the generator a first-class, registry-resolved citizen — selected by a
+spec string — so new families plug into the Fig. 5/6 harnesses, the
+compiled-schedule artifacts, the serving plane (per-request
+``generator=``) and the CLI without touching any of them.
 
 Registered families
 -------------------

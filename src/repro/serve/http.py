@@ -34,6 +34,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import math
 import signal
 import struct
 import sys
@@ -87,14 +88,11 @@ _KNOWN_ENDPOINTS = ("/v1/predict", "/healthz", "/metrics")
 class ServerConfig:
     """Every knob of one serving process (CLI flags map 1:1).
 
-    ``workers`` and ``backend`` accept either one value applied to
-    every replica or a comma list assigning each replica its own —
-    ``workers="2,0"`` gives replica r0 a two-process pool and runs r1
-    in-process; ``backend="torch,numpy"`` splits the fleet across
-    tensor backends (bit-exact either way, so mixed fleets still pass
-    the parity gate).  :meth:`workers_per_replica` /
-    :meth:`backends_per_replica` expose the broadcast lists; they are
-    also reported per replica in ``/healthz``.
+    ``workers`` accepts either one value applied to every replica or a
+    comma list assigning each replica its own — ``workers="2,0"`` gives
+    replica r0 a two-process pool and runs r1 in-process.
+    :meth:`workers_per_replica` exposes the broadcast list; it is also
+    reported in ``/healthz``.
     """
 
     host: str = "127.0.0.1"
@@ -122,27 +120,16 @@ class ServerConfig:
     #: compile (or load) the schedule artifact before accepting traffic,
     #: so pool workers attach warm instead of rebuilding schedules
     precompile: bool = True
-    #: tensor backend spec per replica: None (numpy), one spec, or a
-    #: comma list (one per replica); see ``repro backends``
-    backend: str | None = None
     #: default SNG generator family for every replica (a
     #: :mod:`repro.sc.generators` registry key; None = engine default).
     #: Requests may override per call with the ``generator`` field.
     generator: str | None = None
 
-    def _broadcast(self, values: list, flag: str) -> list:
-        n = max(1, int(self.replicas))
-        if len(values) == 1:
-            return values * n
-        if len(values) != n:
-            raise ValueError(
-                f"{flag} lists {len(values)} per-replica values "
-                f"but replicas={n}"
-            )
-        return values
-
     def workers_per_replica(self) -> list[int]:
         """Pool size of each replica (length ``replicas``)."""
+        n = int(self.replicas)
+        if n < 1:
+            raise ValueError("replicas must be >= 1")
         if isinstance(self.workers, str):
             try:
                 vals = [int(p.strip()) for p in self.workers.split(",")]
@@ -155,15 +142,13 @@ class ServerConfig:
             vals = [int(self.workers)]
         if any(v < 0 for v in vals):
             raise ValueError("workers must be >= 0")
-        return self._broadcast(vals, "--workers")
-
-    def backends_per_replica(self) -> list[str | None]:
-        """Tensor-backend spec of each replica (length ``replicas``)."""
-        if self.backend is None:
-            vals: list[str | None] = [None]
-        else:
-            vals = [p.strip() or None for p in str(self.backend).split(",")]
-        return self._broadcast(vals, "--backend")
+        if len(vals) == 1:
+            return vals * n
+        if len(vals) != n:
+            raise ValueError(
+                f"--workers lists {len(vals)} per-replica values but replicas={n}"
+            )
+        return vals
 
 
 class _HttpError(Exception):
@@ -238,13 +223,11 @@ def build_engine(config: ServerConfig):
     # as the first replica; _build_replicas hands each replica a config
     # already narrowed to scalars.
     workers = config.workers_per_replica()[0]
-    backend = config.backends_per_replica()[0]
     engine = BatchInferenceEngine(
         model.net,
         ParallelConfig(
             workers=workers,
             batch_size=config.shard_batch,
-            backend=backend,
             generator=config.generator,
             retry=RetryPolicy(
                 max_attempts=config.shard_retries,
@@ -258,7 +241,6 @@ def build_engine(config: ServerConfig):
         "engine": config.engine,
         "n_bits": config.n_bits,
         "workers": workers,
-        "backend": backend or "numpy",
         "generator": config.generator or "lfsr",
         "shard_batch": config.shard_batch,
         "schedule_artifact": schedule_artifact,
@@ -295,20 +277,15 @@ class ServingServer:
         Each call yields an independent engine (its own network object
         and worker pool); the compiled-schedule artifact attach is
         process-global, so every replica shares it.  Input shape and
-        model metadata come from the first replica.  Per-replica
-        ``workers``/``backend`` comma lists are narrowed here: each
-        factory call receives a config whose ``workers`` and
-        ``backend`` are that replica's scalars.
+        model metadata come from the first replica.  A per-replica
+        ``workers`` comma list is narrowed here: each factory call
+        receives a config whose ``workers`` is that replica's scalar.
         """
         import dataclasses
 
-        workers = self.config.workers_per_replica()
-        backends = self.config.backends_per_replica()
         engines, input_shape, meta = [], None, None
-        for w, b in zip(workers, backends):
-            replica_config = dataclasses.replace(
-                self.config, workers=w, backend=b
-            )
+        for w in self.config.workers_per_replica():
+            replica_config = dataclasses.replace(self.config, workers=w)
             engine, shape, engine_meta = self.engine_factory(replica_config)
             if input_shape is None:
                 input_shape, meta = shape, engine_meta
@@ -350,9 +327,6 @@ class ServingServer:
         self.model_meta = dict(meta)
         self.model_meta["replicas"] = pool.size
         self.model_meta["workers_per_replica"] = self.config.workers_per_replica()
-        self.model_meta["backends_per_replica"] = [
-            b or "numpy" for b in self.config.backends_per_replica()
-        ]
         from repro.sc.generators import generator_keys
 
         self.model_meta["generators"] = generator_keys()
@@ -583,13 +557,10 @@ class ServingServer:
             return 400, _json_body({"error": "images must be finite (NaN or Inf pixel)"}), \
                 "application/json", {}
         self.metrics.decode_total.inc(1.0, fmt)
-        deadline = doc.get("deadline_ms")
-        if deadline is None and "x-deadline-ms" in headers:
-            try:
-                deadline = float(headers["x-deadline-ms"])
-            except ValueError:
-                return 400, _json_body({"error": "bad x-deadline-ms header"}), \
-                    "application/json", {}
+        try:
+            deadline = _decode_deadline(doc, headers)
+        except _HttpError as exc:
+            return exc.code, _json_body({"error": str(exc)}), "application/json", {}
         want = doc.get("return", headers.get("x-return", "classes"))
         if want not in ("classes", "logits", "both"):
             return 400, _json_body({"error": f"unknown return mode {want!r}"}), \
@@ -642,6 +613,30 @@ _STATUS_TEXT = {
 
 def _json_body(doc: dict) -> bytes:
     return (json.dumps(doc) + "\n").encode()
+
+
+def _decode_deadline(doc: dict, headers: dict) -> float | None:
+    """The request's deadline in ms (body field, else header), or ``None``.
+
+    Checked here, before admission: a value that is not a finite number
+    > 0 (a bool, a string, NaN, zero, negative) answers 400 instead of
+    failing inside the service after the batcher has taken the request.
+    """
+    value = doc.get("deadline_ms")
+    if value is None and "x-deadline-ms" in headers:
+        try:
+            value = float(headers["x-deadline-ms"])
+        except ValueError:
+            raise _HttpError(400, "bad x-deadline-ms header") from None
+    if value is None:
+        return None
+    ms = math.nan  # anything but a real number is refused below
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond float range
+            ms = float(value)
+    if not 0 < ms < math.inf:
+        raise _HttpError(400, f"deadline_ms must be a finite number > 0, got {value!r}")
+    return ms
 
 
 def _has_buffered_request(reader: asyncio.StreamReader) -> bool:

@@ -422,11 +422,6 @@ class ServiceMetrics:
         )
         # registered last on purpose: families render in registration
         # order, so new families append to the golden exposition file
-        self.backend_info = r.labeled_gauge(
-            "repro_backend_info",
-            "Tensor backend serving each pool replica (value is always 1).",
-            ("replica", "backend"),
-        )
         self.generator_info = r.labeled_gauge(
             "repro_generator_info",
             "SNG generator families servable per request (value is always 1).",
@@ -453,7 +448,7 @@ class ServiceMetrics:
         codes = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
         self.circuit_state.callback = lambda: codes[breaker.state]
 
-    def attach_replica(self, name: str, breaker=None, backend: str | None = None) -> None:
+    def attach_replica(self, name: str, breaker=None) -> None:
         """Pre-declare one pool replica's label set, wiring its breaker."""
         self.replica_dispatch_total.declare(name)
         self.replica_circuit_opened_total.declare(name)
@@ -463,8 +458,6 @@ class ServiceMetrics:
             self.replica_circuit_state.set_callback(
                 lambda: codes[breaker.state], name
             )
-        if backend is not None:
-            self.backend_info.set(1.0, name, backend)
 
     def attach_generators(self, keys) -> None:
         """Advertise the servable SNG generator registry keys."""

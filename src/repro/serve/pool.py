@@ -59,12 +59,6 @@ class EngineReplica:
         self.inflight = 0
         self.dispatches = 0
 
-    @property
-    def backend(self) -> str:
-        """Resolved tensor-backend spec of this replica's engine."""
-        config = getattr(self.engine, "config", None)
-        return getattr(config, "backend", None) or "numpy"
-
     def describe(self) -> dict:
         doc = {
             "replica": self.name,
@@ -74,7 +68,6 @@ class EngineReplica:
         config = getattr(self.engine, "config", None)
         if config is not None:
             doc["workers"] = int(getattr(config, "workers", 0))
-            doc["backend"] = self.backend
         if self.breaker is not None:
             doc["circuit"] = self.breaker.describe()
         return doc
@@ -178,9 +171,7 @@ class EnginePool:
         self._lock = threading.Lock()
         if metrics is not None:
             for replica in self.replicas:
-                metrics.attach_replica(
-                    replica.name, replica.breaker, backend=replica.backend
-                )
+                metrics.attach_replica(replica.name, replica.breaker)
 
     @property
     def size(self) -> int:

@@ -12,33 +12,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.backend import torch_available
 from repro.core.bit_parallel import BitParallelMac
 from repro.core.fsm_generator import FsmMuxGenerator
-from repro.core.kernels import (
-    bit_parallel_mac_kernel,
-    mvm_mac_kernel,
-    select_schedule,
-    stream_matrix,
-    truncated_matmul_kernel,
-)
+from repro.core.kernels import select_schedule, stream_matrix, truncated_matmul_kernel
 from repro.core.multiplier import BiscMultiplierUnsigned, bisc_multiply_unsigned
-from repro.core.mvm import BiscMvm, sc_matmul
+from repro.core.mvm import BiscMvm
 from repro.core.signed import bisc_multiply_signed, exact_product_lsb
 from repro.core.energy_quality import truncated_multiply
 from repro.sc.counters import SaturatingUpDownCounter, saturating_walk
 from repro.sc.lfsr import Lfsr
 from repro.sc.multipliers import ConventionalScMac
 from repro.sc.sng import LfsrSource
-
-#: backend axis of the parity fleet: numpy always, torch when installed
-#: (the CI ``backend-torch`` job is where the torch leg actually runs)
-BACKENDS = [
-    "numpy",
-    pytest.param(
-        "torch", marks=pytest.mark.skipif(not torch_available(), reason="torch not installed")
-    ),
-]
 
 
 def _walk_reference(start, deltas, lo, hi):
@@ -303,72 +287,3 @@ class TestTruncatedKernelParity:
         ref = truncated_multiply(w[:, :, None], x[None, :, :], n, budget, True).sum(axis=1)
         got = truncated_matmul_kernel(w, x, n, budget, True)
         assert np.allclose(ref, got, rtol=1e-12, atol=1e-9)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-class TestBackendAxisParity:
-    """Every backend-dispatched kernel is bit-exact with the numpy path.
-
-    The numpy leg pins that ``backend="numpy"`` is the identity mapping
-    onto the reference implementation; the torch leg (CI only) proves a
-    genuinely foreign tensor library lands on the same integers.
-    """
-
-    def test_select_schedule(self, backend):
-        for n_bits in (1, 3, 5):
-            length = 3 * (1 << n_bits) + 1
-            ref = select_schedule(length, n_bits)
-            assert np.array_equal(ref, select_schedule(length, n_bits, backend=backend))
-
-    def test_stream_matrix(self, backend, rng):
-        for n_bits in (2, 4, 8):
-            values = rng.integers(0, 1 << n_bits, size=(3, 7))
-            length = (1 << n_bits) + 5
-            for start in (1, 4):
-                ref = stream_matrix(values, length, n_bits, start_cycle=start)
-                got = stream_matrix(values, length, n_bits, start_cycle=start, backend=backend)
-                assert np.array_equal(ref, got)
-
-    def test_mvm_mac_kernel(self, backend, rng):
-        n_bits, p = 8, 11
-        lo, hi = -(1 << (n_bits + 1)), (1 << (n_bits + 1)) - 1
-        acc = rng.integers(lo // 2, hi // 2, size=p)
-        offsets = rng.integers(0, 1 << n_bits, size=p)
-        for w_int in (-100, -1, 0, 73, 256):
-            ref = mvm_mac_kernel(acc, w_int, offsets, n_bits, lo, hi)
-            got = mvm_mac_kernel(acc, w_int, offsets, n_bits, lo, hi, backend=backend)
-            assert np.array_equal(ref, got)
-
-    def test_bit_parallel_mac_kernel(self, backend, rng):
-        n_bits, b = 8, 4
-        half = 1 << (n_bits - 1)
-        for _ in range(20):
-            w = int(rng.integers(-half, half))
-            x_off = int(rng.integers(0, 1 << n_bits))
-            assert bit_parallel_mac_kernel(w, x_off, n_bits, b) == bit_parallel_mac_kernel(
-                w, x_off, n_bits, b, backend=backend
-            )
-
-    def test_truncated_matmul_kernel(self, backend, rng):
-        n = 8
-        half = 1 << (n - 1)
-        w = rng.integers(-half, half, size=(6, 10))
-        x = rng.integers(-half, half, size=(10, 7))
-        for budget in (0, 3, half):
-            ref = truncated_matmul_kernel(w, x, n, budget, False)
-            got = truncated_matmul_kernel(w, x, n, budget, False, backend=backend)
-            assert np.array_equal(ref, got)
-            # rescale divides by per-element cycle counts: roundoff-identical
-            ref_r = truncated_matmul_kernel(w, x, n, budget, True)
-            got_r = truncated_matmul_kernel(w, x, n, budget, True, backend=backend)
-            assert np.allclose(ref_r, got_r, rtol=1e-12, atol=1e-9)
-
-    def test_sc_matmul(self, backend, rng):
-        for n_bits in (4, 8):
-            half = 1 << (n_bits - 1)
-            w = rng.integers(-half, half, size=(5, 9))
-            x = rng.integers(-half, half, size=(9, 6))
-            for saturate in ("final", "term", None):
-                ref = sc_matmul(w, x, n_bits, 2, saturate=saturate)
-                got = sc_matmul(w, x, n_bits, 2, saturate=saturate, backend=backend)
-                assert np.array_equal(ref, got)

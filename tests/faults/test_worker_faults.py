@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backend import torch_available
 from repro.faults import FaultPlan, FaultSpec, hooks
 from repro.nn.engines import ProposedScEngine
 from repro.parallel import (
@@ -142,37 +141,19 @@ def test_matmul_shard_faults_recover_bit_exact(rng):
     assert np.array_equal(out, ref)
 
 
-@pytest.mark.parametrize(
-    "backend",
-    [
-        "numpy",
-        pytest.param(
-            "torch",
-            marks=pytest.mark.skipif(not torch_available(), reason="torch not installed"),
-        ),
-    ],
-)
-def test_shard_faults_recover_bit_exact_per_backend(net, images, serial_logits, backend):
-    """Recovery parity holds when workers run a non-default backend.
+def test_corrupt_output_and_raise_recover_bit_exact(net, images, serial_logits):
+    """A corrupted output block plus a raise on another shard.
 
-    A corrupted output block plus a raise on another shard: the retries
-    re-execute through the same backend dispatch, and the recovered
-    logits must equal the undisturbed serial numpy reference — the
-    backend changes where tensors live, never what comes back.
+    Both shards re-execute, and the recovered logits must equal the
+    undisturbed serial reference.
     """
-    cfg = ParallelConfig(
-        workers=2,
-        batch_size=2,
-        backend=backend,
-        retry=RetryPolicy(max_attempts=3, max_pool_respawns=2, backoff_base_s=0.01),
-    )
     with hooks.injected(
         plan_of(
             FaultSpec("worker.shard", "corrupt_output", index=0, attempt=0),
             FaultSpec("worker.shard", "raise", index=1, attempt=0),
         )
     ):
-        out = predict_logits(net, images, cfg)
+        out = predict_logits(net, images, CFG)
     assert np.array_equal(out, serial_logits)
 
 

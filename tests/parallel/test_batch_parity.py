@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import torch_available
 from repro.core.mvm import sc_matmul
 from repro.nn import attach_engines, build_mnist_net
 from repro.nn.calibration import LayerRanges
@@ -31,15 +30,6 @@ from repro.parallel import (
 )
 
 POOL_WORKERS = (1, 2, 4)
-
-#: backend axis: numpy always, torch when installed (CI backend-torch job)
-BACKENDS = [
-    "numpy",
-    pytest.param(
-        "torch", marks=pytest.mark.skipif(not torch_available(), reason="torch not installed")
-    ),
-]
-
 
 def small_net(seed: int = 3):
     net = build_mnist_net(seed=seed, c1=2, c2=3, fc=16)
@@ -321,49 +311,41 @@ def test_pool_without_cache_is_still_exact(net, images):
     assert np.array_equal(expected, predict_logits(net, images, config))
 
 
-# -- backend axis (numpy always; torch in the CI backend-torch job) -------
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_cached_matmul_backend_parity(backend, rng):
-    """ScheduleCache dispatch on any backend == the uncached numpy core."""
+def test_cached_matmul_parity(rng):
+    """ScheduleCache.sc_matmul == the uncached core, cold and warm."""
     cache = ScheduleCache()
     w = rng.integers(-128, 128, size=(6, 14))
-    for _ in range(2):  # second pass exercises the device-array memo
+    for _ in range(2):  # second pass exercises the derived-layout memo
         x = rng.integers(-128, 128, size=(14, 9))
         expected = sc_matmul(w, x, 8, 2)
-        assert np.array_equal(expected, cache.sc_matmul(w, x, 8, 2, backend=backend))
+        assert np.array_equal(expected, cache.sc_matmul(w, x, 8, 2))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_inproc_sharded_backend_parity(backend, rng):
+def test_schedule_cache_derived_layouts_bounded(rng):
+    """The derived-layout memo stays LRU-bounded at 4x ``max_layers``."""
+    cache = ScheduleCache(max_layers=2)
+    for i in range(6):
+        w = rng.integers(-8, 8, size=(3, 5))
+        w[0, 0] = i - 8  # distinct content each loop
+        x = rng.integers(-8, 8, size=(5, 4))
+        assert np.array_equal(sc_matmul(w, x, 4, 2, "final"), cache.sc_matmul(w, x, 4, 2))
+    assert len(cache._derived) <= 4 * cache.max_layers
+
+
+def test_inproc_sharded_matmul_parity(rng):
     engine = ProposedScEngine(n_bits=8)
     w = rng.normal(0.0, 0.3, size=(6, 14))
     x = rng.normal(0.0, 0.3, size=(14, 9))
     expected = engine.matmul(w, x)
-    config = ParallelConfig(workers=0, batch_size=3, tile_size=4, backend=backend)
+    config = ParallelConfig(workers=0, batch_size=3, tile_size=4)
     assert np.array_equal(expected, parallel_matmul(engine, w, x, config))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_pool_network_backend_parity(net, images, backend):
-    """Worker processes resolve the backend spec and stay bit-exact."""
-    expected = serial_logits(net, images, 4)
-    config = ParallelConfig(workers=2, batch_size=4, backend=backend)
-    assert np.array_equal(expected, predict_logits(net, images, config))
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_network_predict_backend_kwarg(net, images, backend):
-    serial = net.predict(images, batch=4)
-    assert np.array_equal(serial, net.predict(images, batch=4, backend=backend))
-
-
-def test_backend_override_leaves_engines_untouched_inproc(net, images):
-    """The in-proc attach must restore engine.backend after the run."""
-    before = [conv.engine.backend for conv in net.conv_layers]
-    predict_logits(net, images, ParallelConfig(workers=0, batch_size=4, backend="numpy"))
-    assert [conv.engine.backend for conv in net.conv_layers] == before
+def test_generator_override_leaves_engines_untouched_inproc(net, images):
+    """The in-proc attach must restore engine.generator after the run."""
+    before = [conv.engine.generator for conv in net.conv_layers]
+    predict_logits(net, images, ParallelConfig(workers=0, generator="halton"))
+    assert [conv.engine.generator for conv in net.conv_layers] == before
 
 
 def test_engine_pickle_drops_cache():

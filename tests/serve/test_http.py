@@ -207,9 +207,18 @@ class TestRoutingAndValidation:
                 # json.dumps writes a bare NaN literal, which json.loads accepts
                 ("POST", "/v1/predict", {"images": [[float("nan"), 0], [0, 0]]}, (), 400),
             ]
+            # a deadline must be a finite number > 0, in the body or the header
+            for deadline in ("soon", [1], True, float("nan"), 0, -5):
+                body = {"images": [[0, 0], [0, 0]], "deadline_ms": deadline}
+                cases.append(("POST", "/v1/predict", body, (), 400))
+            for deadline in ("nan", "-1"):
+                cases.append(("POST", "/v1/predict", {"images": [[0, 0], [0, 0]]},
+                              (("x-deadline-ms", deadline),), 400))
             for method, path, body, headers, expect in cases:
                 status, _, _ = await request(server.port, method, path, body, headers)
-                assert status == expect, (method, path, status)
+                assert status == expect, (method, path, body, headers, status)
+            # every case is refused before admission: nothing reached the batcher
+            assert server.service.accepted == 0
             # Raw garbage on the wire: 400, connection closed.
             reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
             writer.write(b"THIS IS NOT HTTP\r\n\r\n")
@@ -560,3 +569,26 @@ class TestReplicaBoot:
             assert doc["circuit"]["state"] == "closed"
 
         with_server(stub_factory(), check, replicas=2)
+
+
+class TestServeConfigNarrowing:
+    def test_scalar_workers_broadcast(self):
+        config = ServerConfig(replicas=3, workers=2)
+        assert config.workers_per_replica() == [2, 2, 2]
+
+    def test_comma_list_workers(self):
+        config = ServerConfig(replicas=3, workers="2,0,4")
+        assert config.workers_per_replica() == [2, 0, 4]
+
+    def test_comma_list_length_mismatch_raises(self):
+        with pytest.raises(ValueError, match="replicas=3"):
+            ServerConfig(replicas=3, workers="2,0").workers_per_replica()
+
+    def test_negative_workers_rejected(self):
+        with pytest.raises(ValueError):
+            ServerConfig(replicas=2, workers="2,-1").workers_per_replica()
+
+    @pytest.mark.parametrize("replicas", [0, -3])
+    def test_replicas_below_one_rejected(self, replicas):
+        with pytest.raises(ValueError, match="replicas must be >= 1"):
+            ServerConfig(replicas=replicas).workers_per_replica()

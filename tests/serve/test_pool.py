@@ -19,6 +19,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.parallel import ParallelConfig
 from repro.serve import CircuitOpenError, EnginePool, ServiceMetrics
 from repro.serve.breaker import CircuitBreaker
 
@@ -179,6 +180,13 @@ class TestPoolCircuitFacade:
         assert [r["replica"] for r in doc["replicas"]] == ["r0", "r1"]
         assert doc["replicas"][0]["dispatches"] == 1
         assert doc["replicas"][0]["circuit"]["state"] == "closed"
+
+    def test_describe_reports_each_replica_pool_size(self):
+        engines = [FakeEngine(0), FakeEngine(1)]
+        engines[0].config = ParallelConfig(workers=2)
+        engines[1].config = ParallelConfig(workers=0)
+        docs = make_pool(engines).describe()
+        assert [doc["workers"] for doc in docs] == [2, 0]
 
 
 class TestPoolMetrics:
