@@ -24,6 +24,35 @@ domain and the result mapped back as
 ``y = acc_int / 2**(N-1) * w_scale * x_scale``.  This mirrors the
 paper's "scale the input feature map before/after convolution by 128"
 treatment of CIFAR-10.
+
+LFSR-SC weight-row gather
+-------------------------
+:class:`LfsrScEngine` looks each operand pair's up/down count up in a
+``(S, S)`` table, ``S = 2**N + 1``.  Instead of indexing the table pair
+by pair, it derives per layer and per SNG family the weight rows ``R``
+(``M x D*S``): row ``m`` holds ``table[w_off[m, j], :]`` for ``j =
+0..D-1``, laid back to back.  Then ``acc[m, p] = sum_j R[m, j*S +
+x_off[j, p]]`` is one ``np.take`` of ``R`` along its rows with the
+``(D, P)`` index ``x_off + S*arange(D)[:, None]``, shared by all ``M``
+rows, into a contiguous ``(M, D, P)`` block, and one sum over ``D``.
+A block above ``2**24`` elements (32 MiB of int16) is gathered in
+column slabs instead, which no served shape reaches.
+
+* **Dtype rule.**  Counts lie in ``[-2**N, 2**N]``, so ``R`` is int16
+  while ``2**N < 2**15`` (every N <= 14, which covers every table that
+  fits in memory) and int32 beyond.  The sum over ``D`` is int32 while
+  ``D * 2**N < 2**31`` and int64 beyond.  Both follow from the table and
+  the shape; there is no knob.  ``saturate="term"`` takes its terms
+  from the same block and keeps its per-term clip in int64, because
+  that clip depends on order.
+* **Memo.**  ``R`` is kept on the engine next to the table, one entry
+  per family, keyed by what fixes the table (the family spec, or the
+  seed pair for the LFSR default, plus N) and by the weight content.
+  A weight edit or a family switch therefore never serves stale rows,
+  and a warm call builds nothing.  On the digits net with all five
+  families the memo holds 8.7 MB.  Pickling or copying an engine drops
+  it, like the table.
+* There is no ``chunk=`` parameter any more: nothing loops over ``D``.
 """
 
 from __future__ import annotations
@@ -48,6 +77,16 @@ __all__ = [
 
 #: Saturation modes accepted by the integer engines.
 _SAT_MODES = ("term", "final", None)
+
+#: :class:`LfsrScEngine` dtype bounds.  Up/down counts lie in
+#: ``[-2**N, 2**N]``: weight rows are int16 while ``2**N`` is below
+#: ``_I16_ROW_BOUND`` and int32 beyond; a ``D``-term sum is int32 while
+#: ``D * 2**N`` is below ``_I32_SUM_BOUND`` and int64 beyond.
+_I16_ROW_BOUND = 1 << 15
+_I32_SUM_BOUND = 1 << 31
+#: Largest ``(M, D, P)`` gather block, in elements (32 MiB of int16);
+#: larger products are gathered in column slabs of at most this size.
+_BLOCK_BOUND = 1 << 24
 
 
 @dataclass
@@ -181,26 +220,29 @@ class LfsrScEngine(MatmulEngine):
     The table is built lazily on first use and, like
     :class:`ProposedScEngine`'s schedules, is served by the per-worker
     :class:`~repro.parallel.cache.ScheduleCache` when ``cache`` is set —
-    including out of a precompiled artifact.  Neither the cache nor the
-    table survives pickling, so spawning a pool ships only the seeds.
+    including out of a precompiled artifact.  When ``generator`` names
+    a non-default registry family, the table is instead built from that
+    family's stream matrices
+    (:func:`repro.sc.generators.generator_ud_table`).
 
-    When ``generator`` names a non-default registry family, the table
-    is instead built from that family's stream matrices
-    (:func:`repro.sc.generators.generator_ud_table`); the memo carries
-    the generator tag so a per-request or per-worker override rebuilds
-    rather than serving a stale family's table.
+    ``matmul`` never indexes the table pair by pair: it gathers from
+    weight rows derived once per layer and family (module docstring:
+    "LFSR-SC weight-row gather").  The table and the rows are memoized
+    on the engine, keyed by the family spec (or the LFSR seed pair) and
+    N, the rows also by the weight content, so a family switch or an
+    in-place weight edit never serves stale rows.  Neither the cache
+    nor the memos survive pickling or copying, so spawning a pool ships
+    only the seeds.
     """
 
     def __init__(
         self,
         seed_w: int | None = None,
         seed_x: int | None = None,
-        chunk: int = 16,
         cache=None,
         **kwargs,
     ) -> None:
         super().__init__(**kwargs)
-        self.chunk = chunk
         self.name = "lfsr-sc"
         if seed_w is None or seed_x is None:
             auto_w, auto_x = select_low_bias_seeds(self.n_bits)
@@ -209,62 +251,87 @@ class LfsrScEngine(MatmulEngine):
         self.seed_w = int(seed_w)
         self.seed_x = int(seed_x)
         self.cache = cache
-        self._ud_table: np.ndarray | None = None
-        self._ud_table_gen: str | None = None
+        self._ud_table: tuple[tuple, np.ndarray] | None = None
+        self._rows: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
-    def _generator_key(self) -> str | None:
-        """Non-default generator spec, or ``None`` for the LFSR fast path."""
-        return self.generator if self.generator not in (None, "lfsr") else None
+    def _table_key(self) -> tuple:
+        """What fixes the table: family spec or LFSR seed pair, plus N."""
+        if self.generator in (None, "lfsr"):
+            return (None, self.n_bits, self.seed_w, self.seed_x)
+        return (self.generator, self.n_bits)
+
+    def _table(self, key: tuple) -> np.ndarray:
+        """The up/down table of ``key``, built from ``key`` alone."""
+        if self._ud_table is not None and self._ud_table[0] == key:
+            return self._ud_table[1]
+        gen, n = key[0], key[1]
+        if gen is not None:
+            if self.cache is not None:
+                table = self.cache.sng_ud_table(gen, n)
+            else:
+                from repro.sc.generators import generator_ud_table
+
+                table = generator_ud_table(gen, n)
+        elif self.cache is not None:
+            table = self.cache.ud_table(n, *key[2:])
+        else:
+            table = lfsr_ud_table(n, *key[2:])
+        self._ud_table = (key, table)
+        return table
 
     @property
     def ud_table(self) -> np.ndarray:
         """Up/down count per pair == 2 * product in output LSBs (lazy)."""
-        gen = self._generator_key
-        if self._ud_table is None or self._ud_table_gen != gen:
-            if gen is not None:
-                if self.cache is not None:
-                    self._ud_table = self.cache.sng_ud_table(gen, self.n_bits)
-                else:
-                    from repro.sc.generators import generator_ud_table
+        return self._table(self._table_key)
 
-                    self._ud_table = generator_ud_table(gen, self.n_bits)
-            elif self.cache is not None:
-                self._ud_table = self.cache.ud_table(self.n_bits, self.seed_w, self.seed_x)
-            else:
-                self._ud_table = lfsr_ud_table(self.n_bits, self.seed_w, self.seed_x)
-            self._ud_table_gen = gen
-        return self._ud_table
+    def _weight_rows(self, w_off: np.ndarray) -> np.ndarray:
+        """``R`` of ``w_off`` under the current table (memoized)."""
+        key = self._table_key
+        hit = self._rows.get(key)
+        if hit is not None and np.array_equal(hit[0], w_off):
+            return hit[1]
+        table = self._table(key)
+        dtype = np.int16 if 1 << self.n_bits < _I16_ROW_BOUND else np.int32
+        rows = table[w_off].astype(dtype).reshape(w_off.shape[0], w_off.shape[1] * table.shape[1])
+        self._rows[key] = (w_off, rows)
+        return rows
 
     def __getstate__(self):
         state = dict(self.__dict__)
         state["cache"] = None
         state["_ud_table"] = None
-        state["_ud_table_gen"] = None
+        state["_rows"] = {}
         return state
 
     def matmul(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
         w_int, x_int = self._quantize(w, x)
         w_off = to_offset_binary(w_int, self.n_bits)
         x_off = to_offset_binary(x_int, self.n_bits)
-        table = self.ud_table
         m, d = w_off.shape
-        _, p = x_off.shape
+        if x_off.shape[0] != d:
+            raise ValueError(f"shape mismatch: {w_off.shape} @ {x_off.shape}")
+        p = x_off.shape[1]
+        rows = self._weight_rows(w_off)
+        # x_off becomes the gather index: term j reads segment j of R
+        x_off += ((1 << self.n_bits) + 1) * np.arange(d)[:, None]
         # Raw up/down counts are double-scale: widen limits by one bit.
         lo, hi = self._acc_limits
         lo, hi = 2 * lo, 2 * hi
-        acc = np.zeros((m, p), dtype=np.int64)
-        if self.saturate == "term":
-            for j in range(d):
-                term = table[w_off[:, j : j + 1], x_off[j : j + 1, :]]
-                acc = np.clip(acc + term, lo, hi)
-        else:
-            for j0 in range(0, d, self.chunk):
-                j1 = min(j0 + self.chunk, d)
-                terms = table[w_off[:, j0:j1, None], x_off[None, j0:j1, :]]
-                acc = acc + terms.sum(axis=1)
-            if self.saturate == "final":
-                acc = np.clip(acc, lo, hi)
+        wide = self.saturate == "term" or d << self.n_bits >= _I32_SUM_BOUND
+        acc = np.zeros((m, p), dtype=np.int64 if wide else np.int32)
+        step = max(1, _BLOCK_BOUND // max(1, m * d))
+        for p0 in range(0, p, step):
+            block = np.take(rows, x_off[:, p0 : p0 + step], axis=1)
+            out = acc[:, p0 : p0 + step]
+            if self.saturate == "term":
+                # the per-term clip depends on order: add term by term
+                for j in range(d):
+                    np.clip(out + block[:, j], lo, hi, out=out)
+            else:
+                block.sum(axis=1, dtype=acc.dtype, out=out)
+        if self.saturate == "final":
+            acc = np.clip(acc, lo, hi)
         # halve the raw count (hardware drops the counter LSB at readout)
         return self._dequantize(acc) / 2.0
 

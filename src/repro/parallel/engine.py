@@ -50,6 +50,7 @@ against; ``workers>=1`` uses the pool.
 from __future__ import annotations
 
 import multiprocessing
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -552,6 +553,14 @@ class BatchInferenceEngine:
     ``engine.dispatch`` fault-site keys to ``"<key>@<name>"`` so a
     chaos schedule can kill exactly one replica; unnamed engines keep
     the bare ``"grouped"``/``"logits"`` keys.
+
+    Calls on one engine run one at a time.  An in-process run
+    (``workers=0``) sets the generator override and the cache on the
+    net's shared conv engines for its duration, so two overlapping
+    calls would each run under the other's family and restore the
+    wrong one.  The serving pool can hand one replica two groups at
+    once (an open breaker, a failover), so :meth:`logits` and
+    :meth:`logits_grouped` hold a per-engine lock.
     """
 
     def __init__(
@@ -562,6 +571,7 @@ class BatchInferenceEngine:
         self.config = resolve_parallelism(config)
         self.hooks = list(hooks)
         self.name = name
+        self._lock = threading.Lock()
 
     def _dispatch_key(self, kind: str) -> str:
         return f"{kind}@{self.name}" if self.name else kind
@@ -577,9 +587,10 @@ class BatchInferenceEngine:
     def logits(self, x: np.ndarray) -> np.ndarray:
         if _faults.enabled():
             _faults.fire("engine.dispatch", key=self._dispatch_key("logits"))
-        t0 = time.perf_counter()
-        out = predict_logits(self.net, x, self.config)
-        self._notify(int(np.asarray(x).shape[0]), time.perf_counter() - t0)
+        with self._lock:
+            t0 = time.perf_counter()
+            out = predict_logits(self.net, x, self.config)
+            self._notify(int(np.asarray(x).shape[0]), time.perf_counter() - t0)
         return out
 
     def logits_grouped(self, xs, generator: str | None = None) -> list[np.ndarray]:
@@ -588,17 +599,19 @@ class BatchInferenceEngine:
         ``generator`` overrides the SNG family for this one group (the
         serving plane's per-request ``generator=`` field lands here);
         ``None`` keeps the engine's configured family.  The override
-        rides the config copy only — the engine's own config is never
-        mutated, so concurrent groups with different generators are
-        safe.
+        rides a config copy, but an in-process run applies it to the
+        net's shared conv engines while it runs, so overlapping groups
+        are safe only because calls on one engine are serialized (see
+        the class docstring).
         """
         if _faults.enabled():
             _faults.fire("engine.dispatch", key=self._dispatch_key("grouped"))
         config = self.config if generator is None else replace(self.config, generator=generator)
-        t0 = time.perf_counter()
-        out = predict_logits_grouped(self.net, xs, config)
-        n = sum(int(np.asarray(x).shape[0]) for x in xs)
-        self._notify(n, time.perf_counter() - t0)
+        with self._lock:
+            t0 = time.perf_counter()
+            out = predict_logits_grouped(self.net, xs, config)
+            n = sum(int(np.asarray(x).shape[0]) for x in xs)
+            self._notify(n, time.perf_counter() - t0)
         return out
 
     def predict(self, x: np.ndarray) -> np.ndarray:

@@ -1,8 +1,13 @@
 """Tests for the convolution multiply engines."""
 
+import copy
+import functools
+import pickle
+
 import numpy as np
 import pytest
 
+import repro.nn.engines as engines_mod
 from repro.core.mvm import sc_matmul
 from repro.nn.engines import (
     FixedPointEngine,
@@ -11,7 +16,10 @@ from repro.nn.engines import (
     ProposedScEngine,
     make_engine,
 )
+from repro.parallel.cache import ScheduleCache
 from repro.sc.encoding import quantize_signed
+from repro.sc.generators import generator_ud_table
+from repro.sc.multipliers import lfsr_ud_table, select_low_bias_seeds
 
 
 @pytest.fixture
@@ -105,6 +113,159 @@ class TestLfsrEngine:
         a = LfsrScEngine(n_bits=6, seed_w=1, seed_x=5).matmul(w, x)
         b = LfsrScEngine(n_bits=6, seed_w=1, seed_x=9).matmul(w, x)
         assert not np.array_equal(a, b)
+
+
+# -- LFSR-SC parity against an independent oracle ---------------------------
+
+FAMILIES = (None, "lfsr", "halton", "ed", "mip", "parallel")
+
+#: ``(M, D, P)``: the digits net's two conv layers at 8 images, then the
+#: degenerate D = 1, M = 1 and P = 1 products.
+LFSR_SHAPES = {
+    "conv1": (8, 25, 8 * 24 * 24),
+    "conv2": (16, 200, 8 * 8 * 8),
+    "d1": (5, 1, 7),
+    "m1": (1, 30, 9),
+    "p1": (6, 30, 1),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def lfsr_operands(shape: str) -> tuple[np.ndarray, np.ndarray]:
+    m, d, p = LFSR_SHAPES[shape]
+    data = np.random.default_rng(sum(map(ord, shape)))
+    return data.uniform(-1.0, 1.0, size=(m, d)), data.uniform(-1.0, 1.0, size=(d, p))
+
+
+def oracle_table(generator, n_bits: int) -> np.ndarray:
+    if generator in (None, "lfsr"):
+        return lfsr_ud_table(n_bits, *select_low_bias_seeds(n_bits))
+    return generator_ud_table(generator, n_bits)
+
+
+def lfsr_oracle(w, x, n_bits, saturate, generator, w_scale=1.0, x_scale=1.0):
+    """Plain sum of ``table[w_off[m, j], x_off[j, p]]`` over ``j``.
+
+    The counter holds ``N + 2`` bits of double-scale counts and is
+    clipped after every term (``"term"``), once (``"final"``) or never
+    (``None``); the readout halves it.
+    """
+    half = 1 << (n_bits - 1)
+    w_off = quantize_signed(w / w_scale, n_bits) + half
+    x_off = quantize_signed(x / x_scale, n_bits) + half
+    terms = oracle_table(generator, n_bits)[w_off[:, :, None], x_off[None, :, :]]
+    lo, hi = -(1 << (n_bits + 2)), (1 << (n_bits + 2)) - 2
+    if saturate == "term":
+        acc = np.zeros((w.shape[0], x.shape[1]), dtype=np.int64)
+        for j in range(w.shape[1]):
+            acc = np.clip(acc + terms[:, j], lo, hi)
+    else:
+        acc = terms.sum(axis=1)
+        if saturate == "final":
+            acc = np.clip(acc, lo, hi)
+    return acc.astype(np.float64) / half * w_scale * x_scale / 2.0
+
+
+@functools.lru_cache(maxsize=None)
+def cached_oracle(shape, n_bits, saturate, generator):
+    return lfsr_oracle(*lfsr_operands(shape), n_bits, saturate, generator)
+
+
+class TestLfsrEngineParity:
+    """``LfsrScEngine.matmul`` is bit-equal to the pairwise table sum."""
+
+    @pytest.mark.parametrize("cached", (False, True), ids=("no-cache", "cache"))
+    @pytest.mark.parametrize("shape", sorted(LFSR_SHAPES))
+    @pytest.mark.parametrize("n_bits", (3, 5, 8))
+    @pytest.mark.parametrize("saturate", ("final", None, "term"), ids=str)
+    @pytest.mark.parametrize("generator", FAMILIES, ids=str)
+    def test_matches_oracle(self, generator, saturate, n_bits, shape, cached):
+        w, x = lfsr_operands(shape)
+        engine = LfsrScEngine(
+            n_bits=n_bits, saturate=saturate, generator=generator,
+            cache=ScheduleCache() if cached else None,
+        )
+        expected = cached_oracle(shape, n_bits, saturate, generator)
+        for _ in range(2):  # cold, then from the weight-row memo
+            assert np.array_equal(engine.matmul(w, x), expected)
+
+    def test_scales_follow_the_contract(self):
+        w, x = lfsr_operands("m1")
+        engine = LfsrScEngine(n_bits=6, w_scale=0.5, x_scale=4.0)
+        expected = lfsr_oracle(w, x, 6, "final", None, w_scale=0.5, x_scale=4.0)
+        assert np.array_equal(engine.matmul(w, x), expected)
+
+    def test_family_cycle_returns_first_answer(self):
+        w, x = lfsr_operands("conv2")
+        engine = LfsrScEngine(n_bits=5, generator="lfsr")
+        first = engine.matmul(w, x)
+        engine.generator = "mip"
+        assert np.array_equal(engine.matmul(w, x), cached_oracle("conv2", 5, "final", "mip"))
+        engine.generator = "lfsr"
+        assert np.array_equal(engine.matmul(w, x), first)
+
+    def test_inplace_weight_edit_is_never_stale(self):
+        w, x = lfsr_operands("conv1")
+        w = w.copy()
+        engine = LfsrScEngine(n_bits=5, saturate=None)
+        assert np.array_equal(engine.matmul(w, x), lfsr_oracle(w, x, 5, None, None))
+        w[3, 7] = -w[3, 7]
+        w[0] *= 0.5
+        assert np.array_equal(engine.matmul(w, x), lfsr_oracle(w, x, 5, None, None))
+
+    def test_pickle_and_copy_carry_no_memo(self):
+        w, x = lfsr_operands("conv2")
+        engine = LfsrScEngine(n_bits=5, generator="halton", cache=ScheduleCache())
+        first = engine.matmul(w, x)
+        assert engine._rows and engine._ud_table is not None
+        clone = pickle.loads(pickle.dumps(engine))
+        twin = copy.copy(engine)  # how Network.set_conv_engines shares one engine
+        for other in (clone, twin):
+            assert other._rows == {} and other._ud_table is None and other.cache is None
+            assert np.array_equal(other.matmul(w, x), first)
+        assert twin._rows is not engine._rows
+
+    def test_int32_rows_branch(self, monkeypatch):
+        monkeypatch.setattr(engines_mod, "_I16_ROW_BOUND", 1)
+        w, x = lfsr_operands("conv2")
+        for saturate in ("final", "term"):
+            engine = LfsrScEngine(n_bits=5, saturate=saturate, generator="ed")
+            assert np.array_equal(engine.matmul(w, x), cached_oracle("conv2", 5, saturate, "ed"))
+            assert engine._rows[engine._table_key][1].dtype == np.int32
+
+    @pytest.mark.parametrize("bound, dtype", ((None, np.int32), (1, np.int64)))
+    def test_sum_dtype_branches(self, monkeypatch, bound, dtype):
+        if bound is not None:
+            monkeypatch.setattr(engines_mod, "_I32_SUM_BOUND", bound)
+        w, x = lfsr_operands("conv1")
+        engine = LfsrScEngine(n_bits=8, saturate=None)
+        seen = []
+        readout = engine._dequantize
+
+        def dequantize(acc):
+            seen.append(acc.dtype)
+            return readout(acc)
+
+        engine._dequantize = dequantize
+        assert np.array_equal(engine.matmul(w, x), cached_oracle("conv1", 8, None, None))
+        assert seen == [dtype]
+
+    @pytest.mark.parametrize("saturate", ("final", "term"))
+    def test_column_slabs_match_one_block(self, monkeypatch, saturate):
+        # 200 of conv1's 4608 columns per slab: 23 full slabs and a ragged one
+        monkeypatch.setattr(engines_mod, "_BLOCK_BOUND", 200 * 8 * 25)
+        w, x = lfsr_operands("conv1")
+        engine = LfsrScEngine(n_bits=5, saturate=saturate, generator="parallel")
+        expected = cached_oracle("conv1", 5, saturate, "parallel")
+        assert np.array_equal(engine.matmul(w, x), expected)
+
+    def test_inner_dimension_mismatch_raises(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            LfsrScEngine(n_bits=5).matmul(np.zeros((2, 3)), np.zeros((4, 5)))
+
+    def test_chunk_parameter_is_gone(self):
+        with pytest.raises(TypeError):
+            LfsrScEngine(n_bits=5, chunk=16)
 
 
 class TestFactory:

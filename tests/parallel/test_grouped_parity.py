@@ -14,6 +14,9 @@ of the contract; see ``repro.parallel.engine``).
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,3 +152,92 @@ def test_grouped_parity_through_process_pool(net, images, workers):
     serial = [predict_logits(net, x, ParallelConfig(workers=0, batch_size=3)) for x in xs]
     for got, want in zip(grouped, serial):
         assert np.array_equal(got, want)
+
+
+def test_overlapping_groups_on_one_engine_keep_their_generator(images):
+    """Two overlapping tagged groups on one in-process engine.
+
+    An in-process run sets its generator override on the net's shared
+    conv engines, and the serving pool can hand one replica two groups
+    at once.  conv1's matmul is wrapped so the ``mip`` group waits inside
+    it (for at most 1 s) until the ``halton`` group reaches the same
+    matmul; while calls overlap, ``mip`` then runs under ``halton``.
+    Each answer must equal its serial value, and every conv engine must
+    be back on its configured generator.
+    """
+    net = build_mnist_net(seed=3, c1=2, c2=3, fc=16)
+    attach_engines(net, "lfsr-sc", [LayerRanges(1.0, 1.0)] * 2, n_bits=6)
+    engine = BatchInferenceEngine(net, ParallelConfig(workers=0, batch_size=4))
+    xs = [images[:3], images[3:5]]
+    tags = ("mip", "halton")
+    serial = {tag: engine.logits_grouped(xs, generator=tag) for tag in tags}
+
+    conv1 = net.conv_layers[0].engine
+    matmul = conv1.matmul
+    inside = {tag: threading.Event() for tag in tags}
+
+    def overlapping_matmul(w, x):
+        tag = threading.current_thread().name
+        if not inside[tag].is_set():
+            inside[tag].set()
+            if tag == "mip":
+                inside["halton"].wait(timeout=1.0)
+        return matmul(w, x)
+
+    conv1.matmul = overlapping_matmul
+    served = {}
+
+    def run(tag):
+        served[tag] = engine.logits_grouped(xs, generator=tag)
+
+    threads = {tag: threading.Thread(target=run, args=(tag,), name=tag) for tag in tags}
+    threads["mip"].start()
+    assert inside["mip"].wait(timeout=30.0)
+    threads["halton"].start()
+    for thread in threads.values():
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
+    for tag in tags:
+        assert len(served[tag]) == len(serial[tag])
+        for got, want in zip(served[tag], serial[tag]):
+            assert np.array_equal(got, want), f"{tag} group ran under another generator"
+    assert [conv.engine.generator for conv in net.conv_layers] == [None, None]
+
+
+def test_many_threads_on_one_engine_stay_serial_exact(images):
+    """Six threads, more than the cores, share one in-process engine.
+
+    Each sends four tagged groups, cycling through the SNG families,
+    with a short switch interval.  Every answer must equal the serial
+    answer of its own family, and the engines must end untagged.
+    """
+    net = build_mnist_net(seed=3, c1=2, c2=3, fc=16)
+    attach_engines(net, "lfsr-sc", [LayerRanges(1.0, 1.0)] * 2, n_bits=5)
+    engine = BatchInferenceEngine(net, ParallelConfig(workers=0, batch_size=2))
+    tags = (None, "lfsr", "halton", "ed", "mip", "parallel")
+    xs = [images[:2], images[2:3]]
+    serial = {tag: engine.logits_grouped(xs, generator=tag) for tag in tags}
+    mismatches, finished = [], []
+
+    def run(offset):
+        for k in range(4):
+            tag = tags[(offset + k) % len(tags)]
+            for got, want in zip(engine.logits_grouped(xs, generator=tag), serial[tag]):
+                if not np.array_equal(got, want):
+                    mismatches.append(tag)
+        finished.append(offset)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(finished) == list(range(6))
+    assert mismatches == []
+    assert [conv.engine.generator for conv in net.conv_layers] == [None, None]
