@@ -14,14 +14,6 @@ The suites:
   offered load through the HTTP micro-batching service at 1/2/4
   workers, plus a ragged-request parity phase checking served classes
   bit-exactly against serial ``Network.predict``;
-* ``--suite pr6`` — pool cold-start with precompiled schedule
-  artifacts (:mod:`repro.parallel.compiled`) written to
-  ``BENCH_PR6.json``: spawn-to-first-shard-done wall clock of a fresh
-  pool that rebuilds every schedule on demand vs one that attaches the
-  shared read-only artifact, at 1/2/4 workers, each timed run verified
-  bit-exact against the in-process reference.  ``--check`` re-measures
-  and gates against the committed ``BENCH_PR6.json`` (the CI
-  ``coldstart`` job);
 * ``--suite pr8`` — replica-pool scaling (:mod:`repro.serve.pool`)
   written to ``BENCH_PR8.json``: a paced-engine topology leg proving
   dispatch overlap at 1/2/4 replicas, a real-engine leg gated against
@@ -45,11 +37,12 @@ The suites:
 Run from the repo root:
 
     PYTHONPATH=src python benchmarks/snapshot.py
-        [--suite pr2|pr3|pr4|pr6|pr8|pr10] [--repeats N] [--out FILE] [--check]
+        [--suite pr2|pr3|pr4|pr8|pr10] [--repeats N] [--out FILE] [--check]
 
 The PR2 JSON also carries the tier-1 wall-clock numbers (measured with
 ``pytest --durations`` before/after the kernel rewrite) so the speedup
-claim in the PR is pinned to data.
+claim in the PR is pinned to data.  ``BENCH_PR6.json`` (process-pool
+cold start) is kept as history; its suite left with the process pool.
 """
 
 from __future__ import annotations
@@ -251,9 +244,10 @@ def bench_batch_throughput(
 
     The workload is the network-performance benchmark net (digits,
     proposed-sc conv arithmetic at N=8).  ``workers=-1`` is the serial
-    reference path; ``workers=0`` the in-process sharded path with the
-    schedule cache; ``workers>=1`` the process pool.  Every timed run is
-    verified bit-exact against the serial predictions.
+    reference path; ``workers=0`` the inline sharded path with the
+    schedule cache; ``workers>=2`` runs shards on that many threads.
+    Every timed run is verified bit-exact against the serial
+    predictions.
     """
     from repro.experiments.network_performance import throughput_curve
 
@@ -434,190 +428,6 @@ def bench_serving(
         ),
         "config": dict(serve_knobs, duration_s=duration_s),
         **result,
-    }
-
-
-#: PR6 cold-start gate, committed alongside the snapshot: the CI
-#: ``coldstart`` job fails when a fresh measurement violates it.
-PR6_GATE = {
-    # precompiled attach must beat per-worker rebuild by at least this
-    # factor on the headline (lfsr-sc N=10) workload
-    "min_speedup": 3.0,
-    # allowed relative drift of the fresh headline below the committed
-    # one before CI flags a regression (runner-noise budget)
-    "speedup_tolerance": 0.4,
-    # absolute ceiling on warm spawn-to-first-shard, any worker count
-    "warm_budget_s": 2.5,
-}
-
-
-def bench_coldstart(
-    repeats: int,
-    worker_counts: tuple[int, ...] = (1, 2, 4),
-    n_images: int = 16,
-) -> dict:
-    """Cold-start curves: per-worker schedule rebuild vs warm artifact.
-
-    The workload is one full ``predict_logits`` over a single shard
-    (``batch_size == n_images``), so each timed run is exactly pool
-    spawn -> initializer -> first shard done -> teardown.  The rebuild
-    leg detaches the compiled artifact and clears every process-level
-    schedule cache before each run (fork workers inherit parent memory,
-    so a warm parent would silently fake a cold start); the warm leg
-    clears the same state but attaches the artifact, making the shared
-    segment the only source of warmth.  Both legs run against a scratch
-    artifact store so the user's cache directory is untouched, and every
-    timed run's logits are verified bit-exact against the in-process
-    reference afterwards.
-    """
-    import shutil
-    import tempfile
-
-    from repro.experiments.artifacts import ArtifactStore
-    from repro.experiments.common import DIGITS_QUICK_SPEC, get_trained_model
-    from repro.nn import attach_engines
-    from repro.parallel import (
-        ParallelConfig,
-        attach_compiled,
-        detach_compiled,
-        ensure_compiled,
-        predict_logits,
-        schedule_artifact_key,
-    )
-    from repro.parallel.cache import reset_worker_cache
-    from repro.sc import lfsr as _lfsr
-    from repro.sc.multipliers import lfsr_ud_table
-
-    def clear_schedule_state() -> None:
-        # the pool forks on Linux: anything schedule-shaped the parent
-        # holds would leak into "cold" workers as unearned warmth
-        lfsr_ud_table.cache_clear()
-        _lfsr._ORBIT_CACHE.clear()
-        reset_worker_cache()
-
-    def timed(fn, repeats: int) -> tuple[float, np.ndarray]:
-        best, out = float("inf"), None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            out = fn()
-            best = min(best, time.perf_counter() - t0)
-        return best, out
-
-    workloads = (
-        {"engine": "proposed-sc", "n_bits": 8, "kwargs": {}},
-        # the heavy cold start: the N=12 unary-divide table is ~134 MB
-        # and takes ~2 s to build, which is what precompilation is for;
-        # fixed seeds skip the per-engine seed search
-        {"engine": "lfsr-sc", "n_bits": 12, "kwargs": {"seed_w": 1, "seed_x": 1}},
-    )
-    spec = DIGITS_QUICK_SPEC
-    model = get_trained_model(spec)
-    x = model.dataset.x_test[:n_images]
-    scratch = tempfile.mkdtemp(prefix="repro-bench-pr6-")
-    out_workloads = []
-    try:
-        store = ArtifactStore(scratch)
-        for wl in workloads:
-            attach_engines(
-                model.net, wl["engine"], model.ranges, n_bits=wl["n_bits"], **wl["kwargs"]
-            )
-            key = schedule_artifact_key(spec.name, wl["engine"], wl["n_bits"])
-            store.blob_path(key).unlink(missing_ok=True)
-            detach_compiled()
-            clear_schedule_state()
-            t0 = time.perf_counter()
-            compiled = ensure_compiled(model.net, store, key)
-            compile_s = time.perf_counter() - t0
-            detach_compiled()
-            t0 = time.perf_counter()
-            compiled = ensure_compiled(model.net, store, key)
-            artifact_load_s = time.perf_counter() - t0
-
-            curve = []
-            logits_by_leg = {}
-            for workers in worker_counts:
-                cfg = ParallelConfig(workers=workers, batch_size=n_images)
-
-                def rebuild_run(cfg=cfg):
-                    detach_compiled()
-                    clear_schedule_state()
-                    return predict_logits(model.net, x, cfg)
-
-                def warm_run(cfg=cfg, compiled=compiled):
-                    clear_schedule_state()
-                    attach_compiled(compiled)
-                    return predict_logits(model.net, x, cfg)
-
-                rebuild_s, rebuild_logits = timed(rebuild_run, repeats)
-                warm_s, warm_logits = timed(warm_run, repeats)
-                detach_compiled()
-                logits_by_leg[workers] = (rebuild_logits, warm_logits)
-                curve.append(
-                    {
-                        "workers": workers,
-                        "rebuild_s": round(rebuild_s, 6),
-                        "warm_s": round(warm_s, 6),
-                        "speedup": round(rebuild_s / max(warm_s, 1e-12), 2),
-                    }
-                )
-                print(
-                    f"{wl['engine']:12s} N={wl['n_bits']} workers={workers}: "
-                    f"rebuild {rebuild_s:.3f}s -> warm {warm_s:.3f}s "
-                    f"({curve[-1]['speedup']}x)"
-                )
-
-            # parity after every timed leg, against the in-process path
-            clear_schedule_state()
-            reference = predict_logits(model.net, x, ParallelConfig(workers=0))
-            bit_exact = all(
-                np.array_equal(rebuild, reference) and np.array_equal(warm, reference)
-                for rebuild, warm in logits_by_leg.values()
-            )
-            out_workloads.append(
-                {
-                    "engine": wl["engine"],
-                    "n_bits": wl["n_bits"],
-                    "engine_kwargs": wl["kwargs"],
-                    "workload": (
-                        f"{spec.name} / {wl['engine']} N={wl['n_bits']}, "
-                        f"{n_images} images, single shard "
-                        "(spawn -> first shard done)"
-                    ),
-                    "artifact": {
-                        "key": key,
-                        "entries": len(compiled),
-                        "bytes": compiled.nbytes,
-                        "compile_s": round(compile_s, 6),
-                        "load_s": round(artifact_load_s, 6),
-                    },
-                    "curve": curve,
-                    "bit_exact": bit_exact,
-                }
-            )
-    finally:
-        detach_compiled()
-        clear_schedule_state()
-        shutil.rmtree(scratch, ignore_errors=True)
-
-    # Headline = single-worker cold start on the heavy workload: one
-    # worker, one shard, so the measurement is spawn + (rebuild|attach)
-    # + forward with no cross-worker scheduling noise.  The 2/4-worker
-    # points stay in the curve for the record but are not gated — their
-    # rebuild legs are dominated by which worker wins the single shard.
-    headline_wl = out_workloads[-1]
-    w1 = next(p for p in headline_wl["curve"] if p["workers"] == 1)
-    return {
-        "workloads": out_workloads,
-        "headline": {
-            "workload": f"{headline_wl['engine']} N={headline_wl['n_bits']}",
-            "workers": 1,
-            "speedup": w1["speedup"],
-            "rebuild_s": w1["rebuild_s"],
-            "warm_s": w1["warm_s"],
-            "max_warm_s": max(p["warm_s"] for p in headline_wl["curve"]),
-        },
-        "all_bit_exact": all(w["bit_exact"] for w in out_workloads),
-        "gate": dict(PR6_GATE),
     }
 
 
@@ -1155,62 +965,6 @@ def _run_pr8(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _run_pr6(args: argparse.Namespace) -> int:
-    committed = Path(__file__).resolve().parent.parent / "BENCH_PR6.json"
-    result = bench_coldstart(args.repeats)
-    report = {
-        "schema": "bench-pr6/v1",
-        "platform": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "numpy": np.__version__,
-        },
-        "coldstart": result,
-    }
-    failures = []
-    if not result["all_bit_exact"]:
-        failures.append("a timed run diverged from the in-process reference")
-    headline = result["headline"]
-    gate = PR6_GATE
-    if headline["speedup"] < gate["min_speedup"]:
-        failures.append(
-            f"headline speedup {headline['speedup']}x is below the "
-            f"{gate['min_speedup']}x gate"
-        )
-    if headline["max_warm_s"] > gate["warm_budget_s"]:
-        failures.append(
-            f"warm cold-start {headline['max_warm_s']}s exceeds the "
-            f"{gate['warm_budget_s']}s budget"
-        )
-    if args.check:
-        # regression leg: fresh headline vs the committed snapshot
-        if not committed.exists():
-            failures.append(f"--check requires a committed {committed.name}")
-        else:
-            pinned = json.loads(committed.read_text())["coldstart"]["headline"]
-            floor = pinned["speedup"] * (1.0 - gate["speedup_tolerance"])
-            if headline["speedup"] < floor:
-                failures.append(
-                    f"headline speedup {headline['speedup']}x regressed below "
-                    f"{floor:.2f}x (committed {pinned['speedup']}x minus "
-                    f"{gate['speedup_tolerance']:.0%} tolerance)"
-                )
-        out = args.out  # never overwrite the committed snapshot in --check
-    else:
-        out = args.out or committed
-    if out:
-        Path(out).write_text(json.dumps(report, indent=2) + "\n")
-        print(f"wrote {out}")
-    print(
-        f"headline ({headline['workload']}, workers=1): "
-        f"{headline['rebuild_s']}s rebuild -> {headline['warm_s']}s warm "
-        f"({headline['speedup']}x; max warm {headline['max_warm_s']}s)"
-    )
-    for msg in failures:
-        print(f"ERROR: {msg}")
-    return 1 if failures else 0
-
-
 def _run_pr4(args: argparse.Namespace) -> int:
     out = args.out or Path(__file__).resolve().parent.parent / "BENCH_PR4.json"
     result = bench_serving()
@@ -1260,7 +1014,7 @@ def _run_pr3(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--suite", choices=("pr2", "pr3", "pr4", "pr6", "pr8", "pr10"), default="pr2"
+        "--suite", choices=("pr2", "pr3", "pr4", "pr8", "pr10"), default="pr2"
     )
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--tier1-seconds", type=float, default=None,
@@ -1269,8 +1023,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="pr6/pr8/pr10: gate a fresh measurement against the committed "
-        "BENCH_PR6.json / BENCH_PR8.json / BENCH_PR10.json instead of overwriting it",
+        help="pr8/pr10: gate a fresh measurement against the committed "
+        "BENCH_PR8.json / BENCH_PR10.json instead of overwriting it",
     )
     args = parser.parse_args(argv)
 
@@ -1278,8 +1032,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_pr3(args)
     if args.suite == "pr4":
         return _run_pr4(args)
-    if args.suite == "pr6":
-        return _run_pr6(args)
     if args.suite == "pr8":
         return _run_pr8(args)
     if args.suite == "pr10":

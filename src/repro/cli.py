@@ -4,14 +4,14 @@ Commands
 --------
 ``multiply``   one signed BISC multiply with its trace and latency
 ``experiment`` run a named experiment harness (or ``all``)
-``infer``      timed batched SC inference (sharded process-pool engine)
+``infer``      timed batched SC inference (sharded batch engine)
 ``serve``      async HTTP inference service (micro-batching + /metrics)
 ``rtl``        emit the Verilog RTL project
 ``generators`` SNG generator-family registry probe
 ``info``       version, experiment list, benchmark specs
 ``cache``      inspect/verify/clear the checkpoint artifact store;
                ``cache compile``/``cache inspect`` manage the
-               precompiled schedule artifacts pool workers attach to
+               precompiled schedule artifacts the engines serve from
 """
 
 from __future__ import annotations
@@ -20,18 +20,6 @@ import argparse
 import sys
 
 __all__ = ["main", "build_parser"]
-
-def _workers_arg(value: str):
-    """``--workers`` for serve: a plain count, or a per-replica comma list."""
-    if "," in value:
-        return value  # ServerConfig.workers_per_replica parses and validates
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an int or comma list of ints, got {value!r}"
-        ) from None
-
 
 _EXPERIMENT_NAMES = (
     "table1",
@@ -76,10 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="pool size (0 = in-process sharding; omit for the serial reference path)",
+        help="shard threads (0 = shards run inline; omit for the serial reference path)",
     )
     p_inf.add_argument("--batch", type=int, default=16, help="images per shard")
-    p_inf.add_argument("--no-cache", action="store_true", help="disable per-worker caches")
+    p_inf.add_argument("--no-cache", action="store_true", help="disable the schedule cache")
     p_inf.add_argument(
         "--generator",
         default=None,
@@ -99,14 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="engine replicas behind least-loaded dispatch, each with its "
-        "own worker pool and circuit breaker",
+        "own network copy and circuit breaker",
     )
     p_srv.add_argument(
         "--workers",
-        type=_workers_arg,
+        type=int,
         default=0,
-        help="engine pool size (0 = in-process sharding with the schedule "
-        "cache); a comma list like 2,0 sets each replica's pool explicitly",
+        help="shard threads per engine call (0 = shards run inline)",
     )
     p_srv.add_argument(
         "--generator",
@@ -151,23 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds the open circuit refuses traffic before a half-open probe",
     )
     p_srv.add_argument(
-        "--shard-timeout-s",
-        type=float,
-        default=None,
-        help="per-shard attempt timeout; overdue shards are re-dispatched "
-        "to surviving workers (omit for none)",
-    )
-    p_srv.add_argument(
-        "--shard-retries",
-        type=int,
-        default=3,
-        help="attempts per shard before the engine call fails",
-    )
-    p_srv.add_argument(
         "--no-precompile",
         action="store_true",
         help="skip compiling/loading the schedule artifact before serving "
-        "(workers rebuild schedules on demand)",
+        "(the engines build schedules on demand)",
     )
 
     p_rtl = sub.add_parser(
@@ -313,7 +287,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         parallelism = None
         mode = "serial reference"
     else:
-        # --generator alone runs the in-process sharded path (workers=0)
+        # --generator alone runs the sharded path inline (workers=0)
         # so the override has a config to ride on
         workers = args.workers or 0
         parallelism = ParallelConfig(
@@ -370,8 +344,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port_file=args.port_file,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown_s=args.breaker_cooldown_s,
-        shard_timeout_s=args.shard_timeout_s,
-        shard_retries=args.shard_retries,
         precompile=not args.no_precompile,
         generator=args.generator,
     )

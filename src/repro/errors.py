@@ -15,6 +15,6 @@ class ArtifactVersionError(RuntimeError):
     """An artifact declares a format version this build cannot read.
 
     Raised instead of a parse crash so callers (``ensure_compiled``, the
-    serving plane, pool workers) can treat a future-format artifact as a
+    serving plane) can treat a future-format artifact as a
     miss and recompile rather than dying on foreign bytes.
     """

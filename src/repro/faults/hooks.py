@@ -5,14 +5,11 @@ The contract every instrumented call site follows::
     from repro.faults import hooks
 
     if hooks.enabled():                       # one global load + is-check
-        for spec in hooks.fire("worker.shard", index=i, attempt=a):
-            ...apply site-specific actions...
+        hooks.fire("engine.dispatch", key=k)  # may sleep or raise
 
 With no plan installed, :func:`enabled` is a single module-global
 ``is not None`` test and :func:`fire` is never entered — the hooks are
-provably zero-cost in production (the PR's benchmark gate compares the
-serving snapshot suite against ``BENCH_PR4.json`` with hooks compiled
-in but disabled).
+zero-cost in production.
 
 Activation paths:
 
@@ -20,16 +17,7 @@ Activation paths:
   manager — tests and tooling;
 * the ``REPRO_FAULTS`` environment variable (a JSON
   :class:`~repro.faults.plan.FaultPlan`) — read once at import, so CLI
-  runs and *spawn*-start pool workers pick the plan up automatically;
-* pool initializers — the parent forwards its active plan through the
-  worker initargs (:func:`repro.parallel.worker.init_network_worker`),
-  which also covers *fork* workers and keeps the per-worker ``times``
-  budgets fresh.
-
-Generic actions (``crash``, ``delay``, ``raise``) execute inside
-:func:`fire`; site-specific actions are returned for the call site to
-apply, because only it owns the state being faulted (the output block,
-the schedule cache, the shared segment).
+  runs such as ``repro serve`` pick the plan up automatically.
 """
 
 from __future__ import annotations
@@ -37,7 +25,7 @@ from __future__ import annotations
 import os
 import time
 
-from repro.faults.plan import FaultInjected, FaultPlan, FaultSpec
+from repro.faults.plan import FaultInjected, FaultPlan
 
 __all__ = [
     "enabled",
@@ -46,8 +34,6 @@ __all__ = [
     "clear",
     "injected",
     "fire",
-    "set_epoch",
-    "epoch",
     "plan_from_env",
     "ENV_VAR",
 ]
@@ -55,16 +41,7 @@ __all__ = [
 #: Environment variable holding a JSON fault plan (see plan.to_json()).
 ENV_VAR = "REPRO_FAULTS"
 
-#: Exit status of a ``crash`` action — distinguishable from a real
-#: segfault in worker post-mortems.
-CRASH_EXIT_CODE = 117
-
 _PLAN: FaultPlan | None = None
-
-#: Current retry epoch (pool respawn wave).  Sites that cannot see the
-#: attempt number directly (shm attach inside a worker initializer)
-#: inherit it from here; the initializer sets it before attaching.
-_EPOCH = 0
 
 
 def enabled() -> bool:
@@ -83,10 +60,9 @@ def install(plan: FaultPlan | None) -> None:
 
 
 def clear() -> None:
-    """Disable injection and reset the epoch."""
-    global _PLAN, _EPOCH
+    """Disable injection."""
+    global _PLAN
     _PLAN = None
-    _EPOCH = 0
 
 
 class injected:
@@ -103,40 +79,20 @@ class injected:
         clear()
 
 
-def set_epoch(value: int) -> None:
-    """Record the current respawn wave (worker initializers)."""
-    global _EPOCH
-    _EPOCH = int(value)
+def fire(site: str, **ctx) -> None:
+    """Run the faults matching this visit of ``site``.
 
-
-def epoch() -> int:
-    return _EPOCH
-
-
-def fire(site: str, **ctx) -> tuple[FaultSpec, ...]:
-    """Fire matching faults at ``site``; return the site-specific ones.
-
-    Generic actions run here: ``delay`` sleeps, ``raise`` raises
-    :class:`FaultInjected`, ``crash`` terminates the process with
-    ``os._exit`` — no cleanup handlers, the closest a test can get to
-    ``SIGKILL`` while staying portable.  Call only behind
-    :func:`enabled`.
+    ``delay`` sleeps ``spec.seconds``; ``raise`` raises
+    :class:`FaultInjected`.  Call only behind :func:`enabled`.
     """
     plan = _PLAN
     if plan is None:
-        return ()
-    ctx.setdefault("attempt", _EPOCH)
-    out = []
+        return
     for spec in plan.select(site, ctx):
         if spec.action == "delay":
             time.sleep(spec.seconds)
-        elif spec.action == "crash":
-            os._exit(CRASH_EXIT_CODE)
-        elif spec.action == "raise":
-            raise FaultInjected(site, spec)
         else:
-            out.append(spec)
-    return tuple(out)
+            raise FaultInjected(site, spec)
 
 
 def plan_from_env(environ=None) -> FaultPlan | None:
@@ -149,7 +105,7 @@ def plan_from_env(environ=None) -> FaultPlan | None:
 
 
 # Import-time activation: a process started with REPRO_FAULTS set (CLI
-# runs, spawn-start workers) injects without any code changes.
+# runs) injects without any code changes.
 _env_plan = plan_from_env()
 if _env_plan is not None:  # pragma: no cover - exercised via subprocess tests
     _PLAN = _env_plan

@@ -1,30 +1,22 @@
 """Deterministic, seedable fault schedules for chaos testing.
 
 A :class:`FaultPlan` is an ordered list of :class:`FaultSpec` entries.
-Each spec names an injection *site* (a string like ``"worker.shard"``),
-an *action* (``"crash"``, ``"delay"``, ``"raise"``, ...) and a match —
-which visits of that site should fire.  Matching is deliberately
-stateless where it can be: specs select on the context the site
-reports (shard index, attempt/respawn wave, segment key), so the same
-plan fires the same faults no matter which pool worker happens to pick
-up a shard.  The only mutable state is the per-spec ``times`` budget,
-counted per process.
+Each spec names an injection *site* (a string like
+``"engine.dispatch"``), an *action* (``"delay"`` or ``"raise"``) and a
+match — which visits of that site should fire.  Matching is stateless:
+specs select on the context the site reports (such as the per-replica
+dispatch key), so the same plan fires the same faults on every run.
+The only mutable state is the per-spec ``times`` budget.
 
 Plans are JSON round-trippable (:meth:`FaultPlan.to_json` /
 :meth:`FaultPlan.from_json`) so a failing chaos schedule can be
 uploaded as a CI artifact and replayed locally via the
 ``REPRO_FAULTS`` environment variable — see ``docs/testing.md``.
-
-:func:`random_plan` derives a schedule deterministically from a single
-integer seed; equal seeds always produce equal plans, which is what
-makes the nightly randomized chaos run reproducible from its logged
-seed alone.
 """
 
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import asdict, dataclass, field
 
 __all__ = [
@@ -33,33 +25,19 @@ __all__ = [
     "FaultInjected",
     "FaultSpec",
     "FaultPlan",
-    "random_plan",
 ]
 
 #: Injection sites wired through the stack (see docs/testing.md).
 SITES = (
-    "worker.shard",  # per shard attempt, inside the pool worker
-    "worker.init",  # pool-worker initializer, once per spawn wave
-    "shm.attach",  # SharedArrayView attach, per segment
-    "cache.attach",  # compiled-schedule artifact attach, per worker init
-    "engine.dispatch",  # parent-side, once per engine dispatch
+    "engine.dispatch",  # once per BatchInferenceEngine call
     "serve.request",  # admission layer, once per accepted request
 )
 
-#: Known actions.  ``crash``/``delay``/``raise`` are generic and run
-#: inside :func:`repro.faults.hooks.fire`; the rest are site-specific
-#: and returned to the call site, which knows how to apply them.
+#: Known actions; :func:`repro.faults.hooks.fire` runs them.
 ACTIONS = (
-    "crash",  # os._exit: a SIGKILL-grade worker death
-    "delay",  # sleep spec.seconds (slow shard / hung worker)
+    "delay",  # sleep spec.seconds (a slow engine or request)
     "raise",  # raise FaultInjected
-    "poison_cache",  # scribble over the worker's ScheduleCache entries
-    "corrupt_output",  # tear the shard's output block, then fail
-    "truncate",  # shm: segment smaller than its spec
-    "bitflip",  # shm: flip a byte of the attached segment
 )
-
-_GENERIC_ACTIONS = frozenset({"crash", "delay", "raise"})
 
 
 class FaultInjected(RuntimeError):
@@ -74,30 +52,20 @@ class FaultInjected(RuntimeError):
         self.site = site
         self.spec = spec
 
-    def __reduce__(self):
-        # pool workers pickle raised exceptions back to the parent; the
-        # default Exception reduce would replay __init__ with the
-        # formatted message instead of (site, spec)
-        return (FaultInjected, (self.site, self.spec))
-
 
 @dataclass(frozen=True)
 class FaultSpec:
     """One fault: where it fires, what it does, and which visits match.
 
-    ``index`` matches the site's reported index (shard index, dispatch
-    or request number); ``attempt`` matches the retry attempt / pool
-    respawn wave (``0`` = only the first try, ``None`` = every try —
-    the latter makes a fault *persistent*, which is how the repeated
-    crash → circuit-open scenario is scripted).  ``key`` matches string
-    context such as a shared-segment label.  ``times`` caps total
-    firings per process (``None`` = unlimited).
+    ``key`` matches the key a site reports, the per-replica dispatch
+    key of ``engine.dispatch`` (``"grouped@r1"``); ``None`` matches
+    every visit.  ``times`` caps total firings (``None`` = unlimited,
+    which makes a fault *persistent* — how the repeated failure →
+    circuit-open scenario is scripted).
     """
 
     site: str
     action: str
-    index: int | None = None
-    attempt: int | None = 0
     key: str | None = None
     times: int | None = 1
     seconds: float = 0.0
@@ -112,26 +80,12 @@ class FaultSpec:
         if self.times is not None and self.times < 1:
             raise ValueError("times must be >= 1 (or None for unlimited)")
 
-    @property
-    def generic(self) -> bool:
-        """True when :func:`repro.faults.hooks.fire` executes the action."""
-        return self.action in _GENERIC_ACTIONS
-
     def matches(self, ctx: dict) -> bool:
         """Does this spec select the visit described by ``ctx``?"""
-        if self.index is not None and ctx.get("index") != self.index:
-            return False
-        if self.attempt is not None and ctx.get("attempt", 0) != self.attempt:
-            return False
-        if self.key is not None and ctx.get("key") != self.key:
-            return False
-        return True
+        return self.key is None or ctx.get("key") == self.key
 
     def describe(self) -> str:
         parts = [f"{self.action}@{self.site}"]
-        if self.index is not None:
-            parts.append(f"index={self.index}")
-        parts.append("attempt=any" if self.attempt is None else f"attempt={self.attempt}")
         if self.key is not None:
             parts.append(f"key={self.key}")
         if self.times != 1:
@@ -143,15 +97,11 @@ class FaultSpec:
 
 @dataclass
 class FaultPlan:
-    """An ordered fault schedule plus its per-process firing budgets.
+    """An ordered fault schedule plus its firing budgets.
 
-    The plan is picklable (it travels to pool workers in the
-    initializer args) and JSON round-trippable (CI artifacts, the
-    ``REPRO_FAULTS`` env var).  ``_fired`` is process-local bookkeeping
-    for the ``times`` budgets and is reset on pickle/unpickle, so each
-    worker process gets a fresh budget — deterministic because specs
-    that must fire exactly once across the whole run select on
-    ``index``/``attempt`` instead of relying on ``times``.
+    The plan is JSON round-trippable (CI artifacts, the
+    ``REPRO_FAULTS`` env var).  ``_fired`` is the bookkeeping of the
+    ``times`` budgets.
     """
 
     specs: tuple[FaultSpec, ...] = ()
@@ -162,14 +112,6 @@ class FaultPlan:
         self.specs = tuple(
             s if isinstance(s, FaultSpec) else FaultSpec(**s) for s in self.specs
         )
-
-    def __getstate__(self) -> dict:
-        return {"specs": self.specs, "seed": self.seed}
-
-    def __setstate__(self, state: dict) -> None:
-        self.specs = state["specs"]
-        self.seed = state["seed"]
-        self._fired = {}
 
     def select(self, site: str, ctx: dict) -> list[FaultSpec]:
         """Specs firing for this visit, consuming their ``times`` budget."""
@@ -184,10 +126,6 @@ class FaultPlan:
                 self._fired[pos] = used + 1
             out.append(spec)
         return out
-
-    def reset(self) -> None:
-        """Forget per-process firing counts (fresh budgets)."""
-        self._fired.clear()
 
     # -- JSON round trip ---------------------------------------------------
     def to_json(self) -> str:
@@ -214,36 +152,3 @@ class FaultPlan:
         lines += [f"  {s.describe()}" for s in self.specs]
         return "\n".join(lines)
 
-
-def random_plan(
-    seed: int,
-    n_shards: int = 8,
-    max_faults: int = 4,
-    delay_s: float = 0.05,
-    sites: tuple[str, ...] = ("worker.shard",),
-    actions: tuple[str, ...] = ("crash", "delay", "raise", "corrupt_output", "poison_cache"),
-) -> FaultPlan:
-    """Deterministic randomized schedule: ``seed`` fully determines it.
-
-    Faults select concrete shard indices and fire on the first attempt
-    only, so every schedule this generates is *recoverable* — the retry
-    and respawn paths must converge to the bit-exact result.  The
-    nightly chaos job draws a fresh seed per run and logs it; replaying
-    the same seed reproduces the identical schedule.
-    """
-    rng = random.Random(seed)
-    n = rng.randint(1, max(1, max_faults))
-    specs = []
-    for _ in range(n):
-        site = rng.choice(sites)
-        action = rng.choice(actions)
-        specs.append(
-            FaultSpec(
-                site=site,
-                action=action,
-                index=rng.randrange(max(1, n_shards)),
-                attempt=0,
-                seconds=delay_s if action == "delay" else 0.0,
-            )
-        )
-    return FaultPlan(specs=tuple(specs), seed=seed)

@@ -95,9 +95,9 @@ class MatmulEngine:
 
     ``generator`` selects the SNG family (:mod:`repro.sc.generators`
     registry key) feeding the conventional SC path.  It is a *spec
-    string*, so it pickles with the engine and travels to pool workers
-    inside the network skeleton; each process resolves it locally.
-    ``None`` and ``"lfsr"`` both keep the shared-LFSR fast path
+    string*, so it pickles and copies with the engine and is resolved
+    where the table is built.  ``None`` and ``"lfsr"`` both keep the
+    shared-LFSR fast path
     byte-identical.  Engines without stochastic number sources
     (float/fixed/proposed — the proposed multiplier is deterministic by
     construction) carry the field but ignore it.
@@ -119,8 +119,8 @@ class MatmulEngine:
         if self.w_scale <= 0 or self.x_scale <= 0:
             raise ValueError("scales must be positive")
         if self.generator is not None:
-            # fail fast in the parent process: an unknown generator
-            # should never be discovered inside a pool worker
+            # fail fast at construction: an unknown generator should
+            # never be discovered at the first matmul
             from repro.sc.generators import resolve_generator
 
             resolve_generator(self.generator)
@@ -218,7 +218,7 @@ class LfsrScEngine(MatmulEngine):
     the product in output LSBs; accumulation halves at readout.
 
     The table is built lazily on first use and, like
-    :class:`ProposedScEngine`'s schedules, is served by the per-worker
+    :class:`ProposedScEngine`'s schedules, is served by the process
     :class:`~repro.parallel.cache.ScheduleCache` when ``cache`` is set —
     including out of a precompiled artifact.  When ``generator`` names
     a non-default registry family, the table is instead built from that
@@ -231,8 +231,8 @@ class LfsrScEngine(MatmulEngine):
     on the engine, keyed by the family spec (or the LFSR seed pair) and
     N, the rows also by the weight content, so a family switch or an
     in-place weight edit never serves stale rows.  Neither the cache
-    nor the memos survive pickling or copying, so spawning a pool ships
-    only the seeds.
+    nor the memos survive pickling or copying, so a copy carries only
+    the seeds.
     """
 
     def __init__(
@@ -343,9 +343,9 @@ class ProposedScEngine(MatmulEngine):
     :class:`repro.parallel.cache.ScheduleCache`; when set, the matmul
     goes through the cached fast path (bit-exact with
     :func:`repro.core.mvm.sc_matmul` — the parity fleet pins this).
-    The batched inference engine installs one cache per worker process;
-    the attribute is dropped on pickling so a cache is never shipped
-    across process boundaries.
+    The batched inference engine attaches the process cache for the
+    duration of each call; the attribute is dropped on pickling, so a
+    cache never travels with a pickled engine.
     """
 
     def __init__(self, cache=None, **kwargs) -> None:

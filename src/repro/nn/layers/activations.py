@@ -17,8 +17,10 @@ class ReLU(Layer):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        # Shard threads share this layer: read the local mask, never the
+        # attribute another thread's forward may just have replaced.
+        mask = self._mask = x > 0
+        return np.where(mask, x, 0.0)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._mask is None:

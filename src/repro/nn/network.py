@@ -51,7 +51,7 @@ class Network:
         """Predicted class indices, evaluated in batches.
 
         ``parallelism`` opts into the sharded batched engine: ``None``
-        keeps the serial reference path, an ``int`` is a worker count,
+        keeps the serial reference path, an ``int`` is a shard-thread count,
         and a :class:`repro.parallel.ParallelConfig` sets every knob.
         At a fixed batch size, results are bit-exact across worker
         counts (see :mod:`repro.parallel.engine` for the contract).

@@ -1,10 +1,11 @@
 """Sharded batched inference over the SC-CNN engines.
 
-Public surface of the parallel engine: the scheduler that chunks the
-(images x output-tiles) work grid, the shared-memory plumbing, the
-per-worker schedule caches, and the pool-backed predict/matmul entry
-points.  See ``docs/testing.md`` for the bit-exactness guarantee, the
-fault-tolerance contract, and the test fleets that enforce both.
+Public surface of the parallel engine: the shard planner
+(:func:`group_shards`), the run loop that executes shards inline or on
+threads of this process, the process schedule cache and its compiled
+artifacts, and the batched predict entry points.  See
+``docs/testing.md`` for the bit-exactness guarantee and the test fleets
+that enforce it.
 """
 
 from repro.parallel.cache import (
@@ -29,39 +30,16 @@ from repro.parallel.compiled import (
 from repro.parallel.engine import (
     BatchInferenceEngine,
     ParallelConfig,
-    PoolRespawnError,
-    ShardFailedError,
+    Shard,
     group_shards,
-    parallel_matmul,
     predict_batched,
     predict_logits,
     predict_logits_grouped,
     resolve_parallelism,
 )
-from repro.parallel.scheduler import BatchScheduler, RetryPolicy, Shard
-from repro.parallel.shm import (
-    SegmentCorruptError,
-    SegmentError,
-    SegmentTruncatedError,
-    SharedArrayPool,
-    SharedArraySpec,
-    SharedArrayView,
-    live_segments,
-    sweep_segments,
-)
 
 __all__ = [
-    "BatchScheduler",
-    "RetryPolicy",
     "Shard",
-    "SegmentError",
-    "SegmentTruncatedError",
-    "SegmentCorruptError",
-    "SharedArrayPool",
-    "SharedArraySpec",
-    "SharedArrayView",
-    "live_segments",
-    "sweep_segments",
     "CachePoisonedError",
     "ScheduleCache",
     "get_worker_cache",
@@ -78,13 +56,10 @@ __all__ = [
     "schedule_manifest",
     "serialize_schedules",
     "ParallelConfig",
-    "ShardFailedError",
-    "PoolRespawnError",
     "resolve_parallelism",
     "predict_logits",
     "predict_batched",
     "predict_logits_grouped",
     "group_shards",
-    "parallel_matmul",
     "BatchInferenceEngine",
 ]

@@ -1,11 +1,12 @@
-"""Per-worker caches of FSM/MUX schedules and weight coefficient loads.
+"""The process cache of FSM/MUX schedules and weight coefficient loads.
 
 Inference reuses the same conv weights for every batch, but the serial
 reference engine rebuilds the whole FSM bookkeeping — appearance-count
 coefficients (the per-select-line totals implied by the weight's
 down-counter load) and the operand bit expansion — on every call.  For
-a worker process that serves thousands of batches this is the dominant
-redundant cost, so each worker keeps one :class:`ScheduleCache`:
+a process that serves thousands of batches this is the dominant
+redundant cost, so the process keeps one :class:`ScheduleCache`, shared
+by every engine call and shard thread:
 
 * ``bit_table(n_bits)`` — the ``(N, 2**N)`` MSB-first bit matrix of
   every representable offset word (the compiled-artifact format).  Its
@@ -35,21 +36,26 @@ it once per layer, so no per-batch transposing copy of the ``N``-fold
 bit expansion is ever made.  Both derived layouts are memoized under
 ``("rows", N, dtype)`` and ``("layer", digest, shape, N, dtype)``, in
 an LRU bounded at four times ``max_layers``; steady-state inference
-derives each once, and a cache drop (fault recovery) drops them with
-the entries they were derived from.
+derives each once, and dropping the cache drops them with the entries
+they were derived from.
 
-Since PR 6 the cache is a *thin view* over an optional compiled
-artifact (:mod:`repro.parallel.compiled`): every lookup first checks
-the read-only precompiled entry set shared by all workers, and only
-falls back to an on-demand build — counted in ``stats()["rebuilds"]`` —
-on artifact miss.  Compiled entries are served directly from the
-artifact buffer (zero copies into the local dicts), so poisoning the
-local cache can never corrupt them and dropping the cache after a fault
-re-attaches warm.
+The cache is a *thin view* over an optional compiled artifact
+(:mod:`repro.parallel.compiled`): every lookup first checks the
+read-only precompiled entry set attached process-wide, and only falls
+back to an on-demand build — counted in ``stats()["rebuilds"]`` — on
+artifact miss.  Compiled entries are served directly from the artifact
+buffer (zero copies into the local dicts), so poisoning the local cache
+can never corrupt them and a dropped cache comes back warm.
+
+Shard threads share one cache, so one lock per cache guards the memo
+bookkeeping: lookups, inserts, LRU evictions and the counters.  The
+gather and the GEMM of :meth:`ScheduleCache.sc_matmul` run outside it.
 """
 
 from __future__ import annotations
 
+import functools
+import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -93,14 +99,25 @@ def _d_major(coeff_t: np.ndarray, n_bits: int) -> np.ndarray:
     return np.ascontiguousarray(by_line.transpose(2, 1, 0)).reshape(nd, m)
 
 
+def _locked(method):
+    """Run a memo method under its cache's lock."""
+
+    @functools.wraps(method)
+    def locked(self, *args, **kwargs):
+        with self._lock:
+            return method(self, *args, **kwargs)
+
+    return locked
+
+
 class CachePoisonedError(RuntimeError):
     """A cached schedule failed validation and must not be served.
 
-    Raised either because :meth:`ScheduleCache.poison` was called (the
-    fault-injection ``poison_cache`` action) or because a cached layer
-    entry no longer has the shape its key promises.  The worker-side
-    recovery path treats this like any other shard failure: drop the
-    cache, rebuild from the shared weights, re-execute the shard.
+    Raised either because :meth:`ScheduleCache.poison` was called
+    (fault injection in tests) or because a cached layer entry no
+    longer has the shape its key promises.  The call fails loudly
+    instead of computing on garbage; :func:`reset_worker_cache` drops
+    the cache, and the next call rebuilds from the weights.
     """
 
 
@@ -112,7 +129,10 @@ class ScheduleCache:
     precompiled read-only artifact before building anything.  Entries
     served from the artifact count as hits (plus ``compiled_hits``);
     every on-demand build increments ``rebuilds`` — the counter the
-    respawn-warm tests and the cold-start benchmark watch.
+    compiled-path tests and the benchmark's traced runs watch.  The
+    memo methods hold ``_lock`` for their bookkeeping, so threads may
+    share one cache; layer entries and derived layouts are built outside
+    it, so no lookup waits on another thread's build.
     """
 
     def __init__(self, max_layers: int = 32, hook=None, compiled=None) -> None:
@@ -127,6 +147,7 @@ class ScheduleCache:
         #: ``("layer", ...)`` content keys; see :meth:`sc_matmul`.
         self._derived: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self._poisoned = False
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.rebuilds = 0
@@ -141,7 +162,7 @@ class ScheduleCache:
 
         Shape/dtype mismatch is treated as a miss rather than an error:
         a foreign or stale entry must degrade to an on-demand build, not
-        poison-loop the worker.
+        fail every call.
         """
         if self.compiled is None:
             return None
@@ -151,6 +172,7 @@ class ScheduleCache:
         return entry
 
     # -- small schedule memos ---------------------------------------------
+    @_locked
     def bit_table(self, n_bits: int) -> np.ndarray:
         """``(N, 2**N)`` float32 matrix: row ``n`` = MSB-first bit ``n``."""
         table = self._bit_tables.get(n_bits)
@@ -168,6 +190,7 @@ class ScheduleCache:
         self._bit_tables[n_bits] = table
         return table
 
+    @_locked
     def select(self, k: int, n_bits: int) -> np.ndarray:
         """MUX select schedule for a ``(k, N)`` down-counter load."""
         key = (int(k), int(n_bits))
@@ -184,6 +207,7 @@ class ScheduleCache:
         self._selects[key] = sched
         return sched
 
+    @_locked
     def ud_table(self, n_bits: int, seed_w: int, seed_x: int) -> np.ndarray:
         """Shared-LFSR XNOR up/down table for a conventional SC multiply.
 
@@ -221,6 +245,7 @@ class ScheduleCache:
         self._ud_tables[key] = table
         return table
 
+    @_locked
     def sng_ud_table(self, generator: str, n_bits: int) -> np.ndarray:
         """Generator-built XNOR up/down table (non-default SNG families).
 
@@ -270,35 +295,40 @@ class ScheduleCache:
         return self._layer_lookup(np.asarray(w_int), n_bits)[1]
 
     def _layer_lookup(self, w_int: np.ndarray, n_bits: int) -> tuple[tuple, tuple]:
-        """:meth:`layer_coeff` plus the content key (derived-layout memo)."""
-        if self._poisoned:
-            raise CachePoisonedError("schedule cache was poisoned; drop and rebuild")
+        """:meth:`layer_coeff` plus the content key (derived-layout memo).
+
+        The lock covers the lookup and the insert; a miss builds the
+        entry between them, so other threads' lookups never wait on it.
+        """
         w = np.ascontiguousarray(np.asarray(w_int, dtype=np.int64))
         digest = layer_digest(w, n_bits)
         key = (digest, w.shape, int(n_bits))
-        cached = self._layers.get(key)
-        if cached is not None:
-            self._validate_entry(key, cached)
-            self._layers.move_to_end(key)
-            self.hits += 1
-            if self.hook is not None:
-                self.hook("hit")
-            return key, cached
-        m, d = w.shape
-        if self.compiled is not None:
-            coeff_t = self.compiled.get(f"{digest}/coeff")
-            const = self.compiled.get(f"{digest}/const")
-            entry = (coeff_t, const) if coeff_t is not None and const is not None else None
-            if entry is not None and self._entry_ok(key, entry):
+        with self._lock:
+            if self._poisoned:
+                raise CachePoisonedError("schedule cache was poisoned; drop and rebuild")
+            cached = self._layers.get(key)
+            if cached is not None:
+                self._validate_entry(key, cached)
+                self._layers.move_to_end(key)
                 self.hits += 1
-                self.compiled_hits += 1
                 if self.hook is not None:
                     self.hook("hit")
-                return key, entry
-        self.misses += 1
-        self.rebuilds += 1
-        if self.hook is not None:
-            self.hook("miss")
+                return key, cached
+            if self.compiled is not None:
+                coeff_t = self.compiled.get(f"{digest}/coeff")
+                const = self.compiled.get(f"{digest}/const")
+                entry = (coeff_t, const) if coeff_t is not None and const is not None else None
+                if entry is not None and self._entry_ok(key, entry):
+                    self.hits += 1
+                    self.compiled_hits += 1
+                    if self.hook is not None:
+                        self.hook("hit")
+                    return key, entry
+            self.misses += 1
+            self.rebuilds += 1
+            if self.hook is not None:
+                self.hook("miss")
+        m, d = w.shape
         k = np.abs(w)
         sign = np.where(w < 0, -1, 1).astype(np.int64)
         coeff = coefficient_vector(k, n_bits) * sign[:, :, None]  # (M, D, N)
@@ -312,9 +342,10 @@ class ScheduleCache:
         const = (sign * k).sum(axis=1)
         const.setflags(write=False)
         entry = (coeff_t, const)
-        self._layers[key] = entry
-        while len(self._layers) > self.max_layers:
-            self._layers.popitem(last=False)
+        with self._lock:
+            self._layers[key] = entry
+            while len(self._layers) > self.max_layers:
+                self._layers.popitem(last=False)
         return key, entry
 
     def _derived_array(self, key: tuple, build) -> np.ndarray:
@@ -322,16 +353,19 @@ class ScheduleCache:
 
         Keyed by the source entry's *content* key, so an evicted-and-
         rebuilt entry maps back to the same derived array.  LRU-bounded
-        at four times the layer bound.
+        at four times the layer bound.  Built outside the lock, like a
+        layer entry.
         """
-        hit = self._derived.get(key)
-        if hit is not None:
-            self._derived.move_to_end(key)
-            return hit
+        with self._lock:
+            hit = self._derived.get(key)
+            if hit is not None:
+                self._derived.move_to_end(key)
+                return hit
         arr = build()
-        self._derived[key] = arr
-        while len(self._derived) > 4 * self.max_layers:
-            self._derived.popitem(last=False)
+        with self._lock:
+            self._derived[key] = arr
+            while len(self._derived) > 4 * self.max_layers:
+                self._derived.popitem(last=False)
         return arr
 
     @staticmethod
@@ -355,21 +389,22 @@ class ScheduleCache:
         detected the moment it would be served — never silently folded
         into a result.  (Compiled-artifact entries are instead checked
         with :meth:`_entry_ok` and treated as a *miss* on mismatch — a
-        foreign artifact must degrade, not poison-loop.)
+        foreign artifact must degrade, not fail every call.)
         """
         if not cls._entry_ok(key, entry):
             raise CachePoisonedError(
                 f"cached schedule for layer {key[0][:12]} failed shape validation"
             )
 
+    @_locked
     def poison(self) -> None:
         """Deliberately corrupt the cache (fault injection only).
 
         Every cached layer entry is replaced with garbage and a sticky
         flag makes the next lookup raise :class:`CachePoisonedError`
         even if the cache is empty — the poisoning is always
-        *detectable*, so recovery (cache drop + re-execution) is always
-        triggered rather than a wrong result served.
+        *detectable*, so a call fails loudly rather than serving a
+        wrong result.
         """
         for key in list(self._layers):
             self._layers[key] = ("poisoned", "poisoned")
@@ -436,6 +471,7 @@ class ScheduleCache:
             out = np.clip(out, -(1 << (width - 1)), (1 << (width - 1)) - 1)
         return out.T
 
+    @_locked
     def stats(self) -> dict[str, int]:
         """Cache effectiveness counters (for logs and tests)."""
         return {
@@ -451,16 +487,16 @@ class ScheduleCache:
 
 _WORKER_CACHE: ScheduleCache | None = None
 
-#: Process-global compiled artifact.  Survives worker cache drops (the
-#: poison-recovery path resets only ``_WORKER_CACHE``), so a recovered
-#: worker re-attaches warm instead of rebuilding schedules.
+#: Process-global compiled artifact.  Survives cache drops
+#: (:func:`reset_worker_cache` resets only ``_WORKER_CACHE``), so a
+#: fresh cache serves from it instead of rebuilding schedules.
 _PROCESS_COMPILED = None
 
 
 def attach_compiled(compiled) -> None:
     """Install a compiled schedule artifact for this process.
 
-    The live worker cache (if any) starts viewing it immediately, and
+    The live process cache (if any) starts viewing it immediately, and
     any precompiled LFSR orbits are adopted into the
     :mod:`repro.sc.lfsr` orbit cache so sequence generation gathers
     instead of stepping.
@@ -490,11 +526,11 @@ def active_compiled():
 
 
 def get_worker_cache() -> ScheduleCache:
-    """The process-global cache (one per pool worker).
+    """The process-global cache, shared by every call and shard thread.
 
-    Created lazily with whatever compiled artifact is attached, so the
-    drop-and-rebuild fault recovery path comes back *warm*: the cache is
-    disposable, the artifact is not.
+    Created lazily with whatever compiled artifact is attached, so a
+    dropped cache comes back *warm*: the cache is disposable, the
+    artifact is not.
     """
     global _WORKER_CACHE
     if _WORKER_CACHE is None:
@@ -503,6 +539,6 @@ def get_worker_cache() -> ScheduleCache:
 
 
 def reset_worker_cache() -> None:
-    """Drop the process-global cache (tests, fault recovery)."""
+    """Drop the process-global cache (tests, a poisoned cache)."""
     global _WORKER_CACHE
     _WORKER_CACHE = None

@@ -3,11 +3,11 @@
 Every schedule the BISC-MVM engines need — FSM select/bit schedules,
 signed appearance-count coefficient matrices, LFSR up/down tables and
 state orbits — is a pure function of the model weights and engine
-parameters, identical for every worker process.  This module compiles
-all of them **once** at model-load time into one versioned binary
-artifact, persisted through the PR 1 artifact store (atomic rename +
-SHA-256 sidecar) and shared with pool workers as a read-only
-``multiprocessing.shared_memory`` segment.  The per-worker
+parameters, identical for every call.  This module compiles all of
+them **once** at model-load time into one versioned binary artifact,
+persisted through the PR 1 artifact store (atomic rename + SHA-256
+sidecar) and attached process-wide as a read-only buffer
+(:func:`~repro.parallel.cache.attach_compiled`).  The process
 :class:`~repro.parallel.cache.ScheduleCache` then degrades to a thin
 view: artifact hit → zero build work, artifact miss → the old on-demand
 build (counted in ``stats()["rebuilds"]``).
@@ -28,7 +28,7 @@ A wrong magic/bounds/CRC raises :class:`ScheduleArtifactError`; a
 :class:`~repro.errors.ArtifactVersionError` so callers recompile
 instead of crashing on bytes they cannot interpret.  Entry payloads are
 exposed as zero-copy read-only views into the backing buffer (a
-``memmap`` from the store, or a shared-memory segment in workers).
+``memmap`` from the store, or in-memory bytes).
 """
 
 from __future__ import annotations
@@ -153,8 +153,8 @@ def serialize_schedules(
 class CompiledSchedules:
     """Read-only parsed view over one schedule artifact buffer.
 
-    The buffer may be ``bytes``, a ``uint8`` memmap from the artifact
-    store, or a shared-memory-backed array in a pool worker; entry
+    The buffer may be ``bytes`` or a ``uint8`` memmap from the artifact
+    store; entry
     arrays are zero-copy views into it, so the instance keeps the
     buffer alive for as long as any entry is referenced.
     """
@@ -266,7 +266,7 @@ class CompiledSchedules:
 
     @property
     def blob(self) -> np.ndarray:
-        """The whole artifact as a 1-D ``uint8`` array (for sharing)."""
+        """The whole artifact as a 1-D ``uint8`` array."""
         return self._buf
 
     @property

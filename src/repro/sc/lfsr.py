@@ -220,10 +220,11 @@ def orbit_table(n_bits: int, taps: tuple[int, ...]) -> np.ndarray | None:
     """The full cyclic state sequence through state 1, or ``None``.
 
     This is the exportable form of the orbit cache: the compiled
-    schedule artifact stores this array once and every worker process
-    adopts it via :func:`adopt_orbit` instead of re-stepping the
-    register ``2**n`` times.  ``None`` when the width is beyond the
-    cache limit or the taps do not close a cycle through state 1.
+    schedule artifact stores this array once and the process that
+    attaches it adopts it via :func:`adopt_orbit` instead of
+    re-stepping the register ``2**n`` times.  ``None`` when the width
+    is beyond the cache limit or the taps do not close a cycle through
+    state 1.
     """
     cached = Lfsr(n_bits, seed=1, taps=tuple(taps))._orbit()
     return None if cached is None else cached[0]
@@ -240,8 +241,8 @@ def adopt_orbit(n_bits: int, taps: tuple[int, ...], orbit: np.ndarray) -> None:
     """
     if n_bits > _ORBIT_CACHE_MAX_BITS:
         return
-    # Copy: the input may view a shared-memory segment that outlives us
-    # in the parent but is unmapped on worker fault recovery.
+    # Copy: the input may view an artifact buffer that is later
+    # detached or replaced.
     arr = np.array(orbit, dtype=np.int64)
     if arr.ndim != 1 or arr.size == 0:
         return

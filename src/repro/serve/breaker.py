@@ -1,7 +1,7 @@
 """Circuit breaker for the serving plane's engine path.
 
-A run of engine failures means the backend is sick — a broken pool
-that cannot be respawned, a model artifact gone bad — and hammering it
+A run of engine failures means the backend is sick — an engine that
+fails every call, a model artifact gone bad — and hammering it
 with more traffic only piles latency onto guaranteed 500s.  The
 breaker turns that failure mode into fast, honest refusals:
 

@@ -86,21 +86,14 @@ _KNOWN_ENDPOINTS = ("/v1/predict", "/healthz", "/metrics")
 
 @dataclass
 class ServerConfig:
-    """Every knob of one serving process (CLI flags map 1:1).
-
-    ``workers`` accepts either one value applied to every replica or a
-    comma list assigning each replica its own — ``workers="2,0"`` gives
-    replica r0 a two-process pool and runs r1 in-process.
-    :meth:`workers_per_replica` exposes the broadcast list; it is also
-    reported in ``/healthz``.
-    """
+    """Every knob of one serving process (CLI flags map 1:1)."""
 
     host: str = "127.0.0.1"
     port: int = 8080
     #: engine replicas behind least-loaded dispatch (1 = single engine)
     replicas: int = 1
-    #: pool size per replica: an int, or a comma list (one per replica)
-    workers: int | str = 0
+    #: shard threads per engine call, on every replica (0 = inline)
+    workers: int = 0
     max_batch: int = 32
     max_wait_ms: float = 5.0
     queue_depth: int = 64
@@ -113,42 +106,19 @@ class ServerConfig:
     #: consecutive engine failures before the circuit opens (0 = no breaker)
     breaker_threshold: int = 5
     breaker_cooldown_s: float = 5.0
-    #: per-shard attempt timeout in the pool dispatcher (None = no timeout);
-    #: an overdue shard is re-dispatched instead of failing the request
-    shard_timeout_s: float | None = None
-    shard_retries: int = 3
     #: compile (or load) the schedule artifact before accepting traffic,
-    #: so pool workers attach warm instead of rebuilding schedules
+    #: so the engines serve from it instead of rebuilding schedules
     precompile: bool = True
     #: default SNG generator family for every replica (a
     #: :mod:`repro.sc.generators` registry key; None = engine default).
     #: Requests may override per call with the ``generator`` field.
     generator: str | None = None
 
-    def workers_per_replica(self) -> list[int]:
-        """Pool size of each replica (length ``replicas``)."""
-        n = int(self.replicas)
-        if n < 1:
+    def __post_init__(self) -> None:
+        if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if isinstance(self.workers, str):
-            try:
-                vals = [int(p.strip()) for p in self.workers.split(",")]
-            except ValueError:
-                raise ValueError(
-                    f"--workers must be an int or comma list of ints, "
-                    f"got {self.workers!r}"
-                ) from None
-        else:
-            vals = [int(self.workers)]
-        if any(v < 0 for v in vals):
+        if self.workers < 0:
             raise ValueError("workers must be >= 0")
-        if len(vals) == 1:
-            return vals * n
-        if len(vals) != n:
-            raise ValueError(
-                f"--workers lists {len(vals)} per-replica values but replicas={n}"
-            )
-        return vals
 
 
 class _HttpError(Exception):
@@ -186,7 +156,6 @@ def build_engine(config: ServerConfig):
     from repro.parallel import (
         BatchInferenceEngine,
         ParallelConfig,
-        RetryPolicy,
         attach_compiled,
         ensure_compiled,
         schedule_artifact_key,
@@ -206,9 +175,9 @@ def build_engine(config: ServerConfig):
                 conv.engine.generator = config.generator
     schedule_artifact = None
     if config.precompile:
-        # Compile-or-load before the first request: workers then attach
-        # the artifact read-only instead of rebuilding schedules, which
-        # is what makes pool cold starts sub-second.
+        # Compile-or-load before the first request: the engines then
+        # serve schedules from the read-only artifact instead of
+        # building them on the first requests.
         key = schedule_artifact_key(
             spec.name, config.engine, config.n_bits, config.generator
         )
@@ -219,20 +188,12 @@ def build_engine(config: ServerConfig):
             "entries": len(compiled),
             "bytes": compiled.nbytes,
         }
-    # When called directly with an un-split config (comma lists), act
-    # as the first replica; _build_replicas hands each replica a config
-    # already narrowed to scalars.
-    workers = config.workers_per_replica()[0]
     engine = BatchInferenceEngine(
         model.net,
         ParallelConfig(
-            workers=workers,
+            workers=config.workers,
             batch_size=config.shard_batch,
             generator=config.generator,
-            retry=RetryPolicy(
-                max_attempts=config.shard_retries,
-                shard_timeout_s=config.shard_timeout_s,
-            ),
         ),
     )
     meta = {
@@ -240,7 +201,7 @@ def build_engine(config: ServerConfig):
         "dataset": spec.dataset,
         "engine": config.engine,
         "n_bits": config.n_bits,
-        "workers": workers,
+        "workers": config.workers,
         "generator": config.generator or "lfsr",
         "shard_batch": config.shard_batch,
         "schedule_artifact": schedule_artifact,
@@ -274,19 +235,14 @@ class ServingServer:
     def _build_replicas(self):
         """Call the engine factory once per replica (synchronous).
 
-        Each call yields an independent engine (its own network object
-        and worker pool); the compiled-schedule artifact attach is
-        process-global, so every replica shares it.  Input shape and
-        model metadata come from the first replica.  A per-replica
-        ``workers`` comma list is narrowed here: each factory call
-        receives a config whose ``workers`` is that replica's scalar.
+        Each call yields an independent engine (its own network object);
+        the compiled-schedule artifact attach and the schedule cache are
+        process-global, so every replica shares them.  Input shape and
+        model metadata come from the first replica.
         """
-        import dataclasses
-
         engines, input_shape, meta = [], None, None
-        for w in self.config.workers_per_replica():
-            replica_config = dataclasses.replace(self.config, workers=w)
-            engine, shape, engine_meta = self.engine_factory(replica_config)
+        for _ in range(self.config.replicas):
+            engine, shape, engine_meta = self.engine_factory(self.config)
             if input_shape is None:
                 input_shape, meta = shape, engine_meta
             engines.append(engine)
@@ -302,7 +258,7 @@ class ServingServer:
         )
         for engine in engines:
             engine.add_hook(self.metrics.engine_hook)
-        if engines[0].config.workers == 0 and engines[0].config.use_cache:
+        if engines[0].config.use_cache:
             from repro.parallel.cache import get_worker_cache
 
             self.metrics.attach_schedule_cache(get_worker_cache())
@@ -326,7 +282,6 @@ class ServingServer:
         self.n_outputs = int(warm.shape[1])
         self.model_meta = dict(meta)
         self.model_meta["replicas"] = pool.size
-        self.model_meta["workers_per_replica"] = self.config.workers_per_replica()
         from repro.sc.generators import generator_keys
 
         self.model_meta["generators"] = generator_keys()

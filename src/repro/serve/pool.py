@@ -4,9 +4,9 @@ One :class:`~repro.parallel.engine.BatchInferenceEngine` saturates well
 below what the admission layer can accept (BENCH_PR4: ~39 rps flat
 regardless of offered load), because every coalesced group serializes
 behind a single engine.  The pool stands up N engines — each with its
-own worker pool, all sharing the process-global compiled-schedule
-artifact attach — and routes each group to the least-loaded healthy
-replica:
+own network copy, all sharing the process-global compiled-schedule
+artifact and schedule cache — and routes each group to the
+least-loaded healthy replica:
 
 * **least-loaded dispatch** — the replica with the fewest in-flight
   groups wins; ties break deterministically on the lowest replica

@@ -1,7 +1,7 @@
 """Engine-reuse regressions: no state leaks across batches.
 
 The batched inference engine reuses one engine object for many shards
-and one worker-process cache for many layers, so these tests pin the
+and one process cache for many layers, so these tests pin the
 reuse semantics of every stateful unit:
 
 * a second batch through the same object equals the same batch through
@@ -153,7 +153,7 @@ class TestCachedEngineReuse:
         assert np.array_equal(cache.sc_matmul(w, x, 8, 2), sc_matmul(w, x, 8, 2, "final"))
 
     def test_shared_cache_across_engines_is_safe(self, rng):
-        """One worker cache serves every layer engine of the net."""
+        """One process cache serves every layer engine of the net."""
         cache = ScheduleCache()
         e1 = ProposedScEngine(n_bits=8, cache=cache)
         e2 = ProposedScEngine(n_bits=6, cache=cache)

@@ -1,17 +1,12 @@
-"""Fixtures of the chaos fleet: nets, parity references, leak sentries.
+"""Fixtures of the chaos fleet: nets, parity references, plan hygiene.
 
 Every test in this package runs under ``@pytest.mark.chaos`` (applied
 via ``pytestmark`` in each module) and therefore outside tier 1; the CI
 ``chaos`` job runs them with fixed seeds on every PR, the nightly job
 with a randomized seed.
 
-The fixtures here enforce the fleet's three invariants *around* every
-test, not just inside the ones that remember to check:
-
-* ``faults_clear`` — no fault plan leaks into the next test;
-* ``shm_sentry`` — the test must not leave segments in this process's
-  ledger, nor strays in ``/dev/shm``;
-* ``orphan_sentry`` — the test must not leave live child processes.
+``faults_clear`` runs around every test, so no fault plan leaks into
+the next one.
 
 ``chaos_seeds`` reads ``REPRO_CHAOS_SEEDS`` (comma-separated ints) so
 CI can pin the per-PR seeds and the nightly job can inject a fresh one;
@@ -29,7 +24,7 @@ import pytest
 from repro.faults import hooks
 from repro.nn import attach_engines, build_mnist_net
 from repro.nn.calibration import LayerRanges
-from repro.parallel import ParallelConfig, live_segments, predict_logits
+from repro.parallel import ParallelConfig, predict_logits
 
 #: Default chaos seeds (per-PR CI runs these three); override with
 #: REPRO_CHAOS_SEEDS="1,2,3" (the nightly job injects a random one).
@@ -74,52 +69,6 @@ def faults_clear():
     hooks.clear()
     yield
     hooks.clear()
-
-
-def _shm_strays() -> list[str]:
-    try:
-        return [n for n in os.listdir("/dev/shm") if n.startswith("psm_")]
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return []
-
-
-@pytest.fixture(autouse=True)
-def shm_sentry():
-    """The test must leak no shared-memory segments, system-wide."""
-    before = set(_shm_strays())
-    yield
-    assert live_segments() == frozenset(), (
-        f"test left owned segments in the ledger: {sorted(live_segments())}"
-    )
-    strays = sorted(set(_shm_strays()) - before)
-    assert not strays, f"test leaked /dev/shm segments: {strays}"
-
-
-@pytest.fixture(autouse=True)
-def orphan_sentry():
-    """The test must leave no live child processes behind.
-
-    A short grace poll absorbs the reap race — a pool worker that was
-    just SIGTERMed can report ``is_alive()`` for an instant before the
-    parent waits on it — while a genuinely leaked worker stays alive
-    past the deadline and still fails the test.
-    """
-    import multiprocessing
-    import time
-
-    yield
-    deadline = time.monotonic() + 2.0
-    while True:
-        leftover = [p for p in multiprocessing.active_children() if p.is_alive()]
-        if not leftover or time.monotonic() >= deadline:
-            break
-        time.sleep(0.05)
-    for p in leftover:  # clean up so one failure doesn't cascade
-        p.terminate()
-        p.join(timeout=5)
-    assert not leftover, (
-        f"test left orphaned workers: {[p.pid for p in leftover]}"
-    )
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -1,6 +1,8 @@
-"""Unit tests of the fault schedule model (no processes involved)."""
+"""Unit tests of the fault schedule model (no engines involved)."""
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -11,73 +13,53 @@ from repro.faults import (
     FaultPlan,
     FaultSpec,
     hooks,
-    random_plan,
 )
 
 pytestmark = pytest.mark.chaos
 
 
+def test_sites_and_actions_are_the_in_process_ones():
+    assert SITES == ("engine.dispatch", "serve.request")
+    assert ACTIONS == ("delay", "raise")
+
+
 def test_spec_validates_site_and_action():
     with pytest.raises(ValueError, match="unknown fault site"):
-        FaultSpec("nowhere", "crash")
+        FaultSpec("nowhere", "raise")
+    with pytest.raises(ValueError, match="unknown fault site"):
+        FaultSpec("worker.shard", "raise")
     with pytest.raises(ValueError, match="unknown fault action"):
-        FaultSpec("worker.shard", "explode")
+        FaultSpec("engine.dispatch", "explode")
+    with pytest.raises(ValueError, match="unknown fault action"):
+        FaultSpec("engine.dispatch", "crash")
     with pytest.raises(ValueError, match="times"):
-        FaultSpec("worker.shard", "raise", times=0)
+        FaultSpec("engine.dispatch", "raise", times=0)
     with pytest.raises(ValueError, match="seconds"):
-        FaultSpec("worker.shard", "delay", seconds=-1.0)
+        FaultSpec("engine.dispatch", "delay", seconds=-1.0)
 
 
-def test_spec_matching_on_index_attempt_key():
-    spec = FaultSpec("worker.shard", "raise", index=2, attempt=0)
-    assert spec.matches({"index": 2, "attempt": 0})
-    assert not spec.matches({"index": 1, "attempt": 0})
-    assert not spec.matches({"index": 2, "attempt": 1})
-    # attempt=None means every retry
-    persistent = FaultSpec("worker.shard", "raise", index=2, attempt=None, times=None)
-    assert persistent.matches({"index": 2, "attempt": 5})
-    keyed = FaultSpec("shm.attach", "bitflip", key="w0")
-    assert keyed.matches({"key": "w0", "attempt": 0})
-    assert not keyed.matches({"key": "x", "attempt": 0})
+def test_spec_matching_on_key():
+    anywhere = FaultSpec("engine.dispatch", "raise", times=None)
+    assert anywhere.matches({"key": "grouped@r0"})
+    assert anywhere.matches({})
+    keyed = FaultSpec("engine.dispatch", "raise", key="grouped@r1")
+    assert keyed.matches({"key": "grouped@r1"})
+    assert not keyed.matches({"key": "grouped@r0"})
 
 
 def test_plan_select_consumes_times_budget():
-    plan = FaultPlan(specs=(FaultSpec("worker.shard", "raise", index=None, times=2),))
-    assert len(plan.select("worker.shard", {"index": 0, "attempt": 0})) == 1
-    assert len(plan.select("worker.shard", {"index": 1, "attempt": 0})) == 1
-    assert plan.select("worker.shard", {"index": 2, "attempt": 0}) == []
-    plan.reset()
-    assert len(plan.select("worker.shard", {"index": 0, "attempt": 0})) == 1
-
-
-def test_fault_injected_pickles_round_trip():
-    """Regression: pool workers pickle the raised exception back to the
-    parent; a bad reduce turns every injected raise into a broken pool."""
-    import pickle
-
-    exc = FaultInjected("worker.shard", FaultSpec("worker.shard", "raise", index=1))
-    clone = pickle.loads(pickle.dumps(exc))
-    assert isinstance(clone, FaultInjected)
-    assert clone.site == exc.site and clone.spec == exc.spec
-    assert str(clone) == str(exc)
-
-
-def test_plan_pickle_resets_budgets():
-    import pickle
-
-    plan = FaultPlan(specs=(FaultSpec("worker.shard", "raise", times=1),))
-    plan.select("worker.shard", {"index": 0, "attempt": 0})
-    clone = pickle.loads(pickle.dumps(plan))
-    assert clone.specs == plan.specs
-    assert len(clone.select("worker.shard", {"index": 0, "attempt": 0})) == 1
+    plan = FaultPlan(specs=(FaultSpec("engine.dispatch", "raise", times=2),))
+    assert len(plan.select("engine.dispatch", {"key": "grouped"})) == 1
+    assert len(plan.select("engine.dispatch", {"key": "grouped"})) == 1
+    assert plan.select("engine.dispatch", {"key": "grouped"}) == []
 
 
 def test_plan_json_round_trip():
     plan = FaultPlan(
         specs=(
-            FaultSpec("worker.shard", "crash", index=3),
-            FaultSpec("shm.attach", "bitflip", key="w1", attempt=None, times=None),
-            FaultSpec("worker.shard", "delay", index=0, seconds=0.25),
+            FaultSpec("engine.dispatch", "raise", key="grouped@r1", times=None),
+            FaultSpec("engine.dispatch", "delay", key="grouped@r0", seconds=0.25),
+            FaultSpec("serve.request", "raise", times=3),
         ),
         seed=42,
     )
@@ -87,46 +69,30 @@ def test_plan_json_round_trip():
     assert clone.to_json() == plan.to_json()
 
 
-def test_random_plan_is_deterministic_and_recoverable():
-    a, b = random_plan(99, n_shards=6), random_plan(99, n_shards=6)
-    assert a.specs == b.specs and a.seed == b.seed == 99
-    assert a.specs != random_plan(100, n_shards=6).specs or True  # seeds may collide, plans rarely
-    for spec in a.specs:
-        assert spec.site in SITES and spec.action in ACTIONS
-        assert spec.attempt == 0, "random plans must be recoverable (first attempt only)"
-        assert spec.index is not None and 0 <= spec.index < 6
-
-
 def test_hooks_disabled_is_inert_and_cheap():
     hooks.clear()
     assert not hooks.enabled()
-    assert hooks.fire("worker.shard", index=0, attempt=0) == ()
+    assert hooks.fire("engine.dispatch", key="grouped") is None
 
 
-def test_hooks_fire_generic_raise_and_returns_site_specific():
+def test_hooks_fire_delay_and_raise():
     plan = FaultPlan(
         specs=(
-            FaultSpec("worker.shard", "raise", index=1),
-            FaultSpec("worker.shard", "corrupt_output", index=2),
+            FaultSpec("engine.dispatch", "delay", key="grouped@r0", seconds=0.05),
+            FaultSpec("engine.dispatch", "raise", key="grouped@r1"),
         )
     )
     with hooks.injected(plan):
-        assert hooks.fire("worker.shard", index=0, attempt=0) == ()
-        with pytest.raises(FaultInjected):
-            hooks.fire("worker.shard", index=1, attempt=0)
-        fired = hooks.fire("worker.shard", index=2, attempt=0)
-        assert [f.action for f in fired] == ["corrupt_output"]
+        hooks.fire("engine.dispatch", key="grouped@r2")  # no match: free
+        t0 = time.perf_counter()
+        hooks.fire("engine.dispatch", key="grouped@r0")
+        assert time.perf_counter() - t0 >= 0.05
+        with pytest.raises(FaultInjected) as excinfo:
+            hooks.fire("engine.dispatch", key="grouped@r1")
+        assert excinfo.value.site == "engine.dispatch"
+        assert excinfo.value.spec is plan.specs[1]
+        hooks.fire("engine.dispatch", key="grouped@r1")  # budget of 1 spent
     assert not hooks.enabled()
-
-
-def test_hooks_epoch_feeds_default_attempt():
-    plan = FaultPlan(specs=(FaultSpec("worker.init", "raise", attempt=1),))
-    with hooks.injected(plan):
-        hooks.fire("worker.init")  # epoch 0: no match
-        hooks.set_epoch(1)
-        with pytest.raises(FaultInjected):
-            hooks.fire("worker.init")
-    assert hooks.epoch() == 0  # clear() resets
 
 
 def test_env_round_trip(monkeypatch):

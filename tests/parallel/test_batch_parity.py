@@ -2,12 +2,14 @@
 
 Every test here asserts *bit-exact* equality (``np.array_equal``, no
 tolerances) between the serial engine and the batched one, across the
-axes the engine shards over: worker counts, batch/tile chunking, ragged
+axes the engine shards over: worker counts, batch chunking, ragged
 final batches and empty batches.  The hypothesis properties drive the
-in-process paths; fixed-seed tests cover the actual process pool.
+inline paths; fixed-seed tests cover shards running on threads.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,12 +21,10 @@ from repro.nn import attach_engines, build_mnist_net
 from repro.nn.calibration import LayerRanges
 from repro.nn.engines import FixedPointEngine, ProposedScEngine
 from repro.parallel import (
-    BatchScheduler,
     ParallelConfig,
     ScheduleCache,
-    SharedArrayPool,
-    SharedArrayView,
-    parallel_matmul,
+    get_worker_cache,
+    group_shards,
     predict_logits,
     resolve_parallelism,
 )
@@ -49,42 +49,41 @@ def images():
     return rng.normal(0.0, 0.5, size=(11, 1, 28, 28))
 
 
-# -- scheduler ------------------------------------------------------------
+# -- scheduler: group_shards on one request (predict_logits' shard plan) ---
 
 
 def test_scheduler_partitions_grid_exactly():
-    sched = BatchScheduler(10, 7, batch_size=3, tile_size=2)
-    shards = sched.shards()
-    assert len(shards) == len(sched) == 4 * 4
-    covered = np.zeros((7, 10), dtype=int)
+    shards = group_shards([10], batch_size=3)
+    assert len(shards) == 4
+    covered = np.zeros(10, dtype=int)
     for shard in shards:
-        covered[shard.tile_slice, shard.image_slice] += 1
-    assert np.array_equal(covered, np.ones((7, 10), dtype=int))
+        covered[shard.image_slice] += 1
+    assert np.array_equal(covered, np.ones(10, dtype=int))
     assert [s.index for s in shards] == list(range(len(shards)))
 
 
 def test_scheduler_zero_chunk_means_whole_axis():
-    shards = BatchScheduler(10, 4, batch_size=0, tile_size=0).shards()
+    shards = group_shards([10], batch_size=0)
     assert len(shards) == 1
     assert shards[0].image_slice == slice(0, 10)
-    assert shards[0].tile_slice == slice(0, 4)
 
 
 def test_scheduler_ragged_final_shard():
-    shards = BatchScheduler(10, 1, batch_size=4).shards()
+    shards = group_shards([10], batch_size=4)
     assert [s.n_images for s in shards] == [4, 4, 2]
 
 
 def test_scheduler_empty_grid():
-    assert BatchScheduler(0, 5, batch_size=4).shards() == []
-    assert BatchScheduler(5, 0, batch_size=4).shards() == []
+    assert group_shards([0], batch_size=4) == []
+    assert group_shards([0], batch_size=0) == []
+    assert group_shards([], batch_size=4) == []
 
 
 def test_scheduler_rejects_negative_sizes():
     with pytest.raises(ValueError):
-        BatchScheduler(-1, 1)
+        group_shards([-1], batch_size=0)
     with pytest.raises(ValueError):
-        BatchScheduler(1, 1, batch_size=-2)
+        group_shards([1], batch_size=-2)
 
 
 # -- config ---------------------------------------------------------------
@@ -224,7 +223,36 @@ def test_schedule_cache_warm_call_makes_no_transposing_copy():
     assert peak < 1.75 * bit_matrix, f"peak {peak / 1e6:.2f} MB"
 
 
-# -- in-process sharding (hypothesis-driven) ------------------------------
+# -- block independence of engine matmuls (hypothesis-driven) ------------
+
+
+def blocked_matmul(engine, w, x, tile_size, batch_size, workers=0):
+    """``engine.matmul(w, x)`` computed block by block over (rows, columns).
+
+    Image sharding is bit-exact because an engine's output element never
+    depends on another row or column of the product.  ``workers`` runs
+    the blocks on that many threads, all calling the one engine.
+    """
+    m, p = w.shape[0], x.shape[1]
+    tile, batch = tile_size or max(m, 1), batch_size or max(p, 1)
+    blocks = [
+        (slice(r, r + tile), slice(c, c + batch))
+        for r in range(0, m, tile)
+        for c in range(0, p, batch)
+    ]
+    out = np.zeros((m, p), dtype=np.float64)
+
+    def run(block):
+        rows, cols = block
+        out[rows, cols] = engine.matmul(w[rows], x[:, cols])
+
+    if workers:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, blocks))
+    else:
+        for block in blocks:
+            run(block)
+    return out
 
 
 @given(
@@ -240,10 +268,8 @@ def test_sharded_matmul_matches_serial_inproc(n_bits, batch_size, tile_size, use
     w = rng.normal(0.0, 0.3, size=(6, 14))
     x = rng.normal(0.0, 0.3, size=(14, 9))
     expected = engine.matmul(w, x)
-    config = ParallelConfig(
-        workers=0, batch_size=batch_size, tile_size=tile_size, use_cache=use_cache
-    )
-    assert np.array_equal(expected, parallel_matmul(engine, w, x, config))
+    engine.cache = ScheduleCache() if use_cache else None
+    assert np.array_equal(expected, blocked_matmul(engine, w, x, tile_size, batch_size))
 
 
 def serial_logits(net, x, batch):
@@ -270,7 +296,7 @@ def test_network_logits_whole_set_matches_forward():
     assert np.array_equal(net.forward(x), got)
 
 
-# -- process pool ---------------------------------------------------------
+# -- thread shards --------------------------------------------------------
 
 
 @pytest.mark.parametrize("workers", POOL_WORKERS)
@@ -296,13 +322,15 @@ def test_pool_empty_batch(net, images):
 
 @pytest.mark.parametrize("engine_factory", [ProposedScEngine, FixedPointEngine])
 def test_pool_matmul_parity(engine_factory):
+    """Two threads share one engine (and the process cache) block by block."""
     rng = np.random.default_rng(11)
     engine = engine_factory(n_bits=8)
     w = rng.normal(0.0, 0.3, size=(9, 20))
     x = rng.normal(0.0, 0.3, size=(20, 13))
     expected = engine.matmul(w, x)
-    config = ParallelConfig(workers=2, batch_size=5, tile_size=4)
-    assert np.array_equal(expected, parallel_matmul(engine, w, x, config))
+    if hasattr(engine, "cache"):
+        engine.cache = get_worker_cache()
+    assert np.array_equal(expected, blocked_matmul(engine, w, x, 4, 5, workers=2))
 
 
 def test_pool_without_cache_is_still_exact(net, images):
@@ -337,8 +365,8 @@ def test_inproc_sharded_matmul_parity(rng):
     w = rng.normal(0.0, 0.3, size=(6, 14))
     x = rng.normal(0.0, 0.3, size=(14, 9))
     expected = engine.matmul(w, x)
-    config = ParallelConfig(workers=0, batch_size=3, tile_size=4)
-    assert np.array_equal(expected, parallel_matmul(engine, w, x, config))
+    engine.cache = ScheduleCache()
+    assert np.array_equal(expected, blocked_matmul(engine, w, x, 4, 3))
 
 
 def test_generator_override_leaves_engines_untouched_inproc(net, images):
@@ -361,36 +389,6 @@ def test_serial_path_leaves_engine_cache_untouched(net, images):
     caches_before = [conv.engine.cache for conv in net.conv_layers]
     predict_logits(net, images, ParallelConfig(workers=0, batch_size=4))
     assert [conv.engine.cache for conv in net.conv_layers] == caches_before
-
-
-# -- shared memory plumbing ----------------------------------------------
-
-
-def test_shared_array_roundtrip():
-    rng = np.random.default_rng(2)
-    data = rng.normal(size=(5, 7))
-    with SharedArrayPool() as pool:
-        spec = pool.share("a", data)
-        view = SharedArrayView(spec)
-        assert np.array_equal(view.array, data)
-        view.close()
-        assert view.shm is None
-
-
-def test_shared_array_zero_size():
-    with SharedArrayPool() as pool:
-        spec = pool.share("empty", np.empty((0, 4)))
-        assert spec.name == ""
-        view = SharedArrayView(spec)
-        assert view.array.shape == (0, 4)
-        view.close()
-
-
-def test_shared_array_duplicate_key_rejected():
-    with SharedArrayPool() as pool:
-        pool.alloc("a", (2, 2), np.float64)
-        with pytest.raises(ValueError):
-            pool.alloc("a", (2, 2), np.float64)
 
 
 # -- larger fleet (nightly) ----------------------------------------------
@@ -417,5 +415,5 @@ def test_pool_matmul_parity_large(workers):
     w = rng.normal(0.0, 0.3, size=(48, 120))
     x = rng.normal(0.0, 0.3, size=(120, 96))
     expected = engine.matmul(w, x)
-    config = ParallelConfig(workers=workers, batch_size=17, tile_size=13)
-    assert np.array_equal(expected, parallel_matmul(engine, w, x, config))
+    engine.cache = get_worker_cache()
+    assert np.array_equal(expected, blocked_matmul(engine, w, x, 13, 17, workers=workers))

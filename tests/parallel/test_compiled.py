@@ -1,30 +1,25 @@
-"""Compiled schedule artifacts: format, thin-view cache, pool parity.
+"""Compiled schedule artifacts: format, thin-view cache, thread-shard parity.
 
 The contract under test: the precompiled-artifact path must be
 *bit-exact* against the on-demand ScheduleCache path across worker
 counts, the artifact format must reject what it cannot read with typed
-errors (never crash, never compute on garbage), and a pool that
-attaches a warm artifact must do zero schedule builds — including the
-respawned waves after a worker death.
+errors (never crash, never compute on garbage), and an engine that
+serves from a warm artifact must do zero schedule builds.
 """
 
 from __future__ import annotations
 
-import json
 import logging
-import multiprocessing
 
 import numpy as np
 import pytest
 
 from repro.errors import ArtifactVersionError
-from repro.faults import FaultPlan, FaultSpec, hooks
 from repro.nn import attach_engines, build_mnist_net
 from repro.nn.calibration import LayerRanges
 from repro.parallel import (
     CompiledSchedules,
     ParallelConfig,
-    RetryPolicy,
     ScheduleArtifactError,
     ScheduleCache,
     ScheduleEntry,
@@ -192,18 +187,22 @@ class TestCompileNetwork:
 
 
 class TestThinView:
-    def test_compiled_path_serves_with_zero_rebuilds(self, images):
-        net = small_net()
-        compiled = compiled_for(net)
+    @pytest.mark.parametrize("engine", ["proposed-sc", "lfsr-sc"])
+    def test_compiled_path_serves_with_zero_rebuilds(self, images, engine):
+        """A boot from a compiled artifact builds nothing.
+
+        Each leg gets a fresh net: ``LfsrScEngine`` memoizes its table
+        on the engine, so a reused net would never ask the cache again.
+        """
         cfg = ParallelConfig(workers=0, batch_size=3)
 
         reset_worker_cache()
-        on_demand = predict_logits(net, images, cfg)
+        on_demand = predict_logits(small_net(engine=engine), images, cfg)
         assert get_worker_cache().stats()["rebuilds"] > 0
 
-        attach_compiled(compiled)
+        attach_compiled(compiled_for(small_net(engine=engine)))
         reset_worker_cache()
-        from_artifact = predict_logits(net, images, cfg)
+        from_artifact = predict_logits(small_net(engine=engine), images, cfg)
         stats = get_worker_cache().stats()
         assert stats["rebuilds"] == 0
         assert stats["compiled_hits"] > 0
@@ -224,10 +223,12 @@ class TestThinView:
         assert np.array_equal(got, expected)
 
 
-# -- pool parity ----------------------------------------------------------
+# -- thread-shard parity ---------------------------------------------------
 
 
 class TestPoolParity:
+    """Shard threads all serve from the one attached artifact."""
+
     @pytest.mark.parametrize("workers", POOL_WORKERS)
     def test_artifact_path_bit_exact_across_worker_counts(self, workers, images):
         net = small_net()
@@ -235,8 +236,10 @@ class TestPoolParity:
         serial = predict_logits(net, images, ParallelConfig(workers=0, batch_size=2))
 
         attach_compiled(compiled_for(net))
+        reset_worker_cache()
         out = predict_logits(net, images, ParallelConfig(workers=workers, batch_size=2))
         assert np.array_equal(out, serial)
+        assert get_worker_cache().stats()["rebuilds"] == 0
 
     def test_grouped_dispatch_bit_exact_with_artifact(self, images):
         net = small_net()
@@ -245,43 +248,15 @@ class TestPoolParity:
         expected = [predict_logits(net, images[:2], cfg0), predict_logits(net, images[2:], cfg0)]
 
         attach_compiled(compiled_for(net))
+        reset_worker_cache()
         got = predict_logits_grouped(
             net, [images[:2], images[2:]], ParallelConfig(workers=2, batch_size=2)
         )
         for g, e in zip(got, expected):
             assert np.array_equal(g, e)
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="stats via inherited env require fork",
-    )
-    def test_respawned_waves_attach_warm(self, images, tmp_path, monkeypatch):
-        """Post-crash waves re-attach the artifact: zero rebuilds, ever."""
-        monkeypatch.setenv("REPRO_SCHED_STATS_DIR", str(tmp_path))
-        net = small_net()
-        reset_worker_cache()
-        serial = predict_logits(net, images, ParallelConfig(workers=0, batch_size=2))
-
-        attach_compiled(compiled_for(net))
-        cfg = ParallelConfig(
-            workers=2,
-            batch_size=2,
-            retry=RetryPolicy(max_attempts=3, max_pool_respawns=2, backoff_base_s=0.01),
-        )
-        plan = FaultPlan(specs=(FaultSpec("worker.shard", "crash", index=0, attempt=0),))
-        with hooks.injected(plan):
-            out = predict_logits(net, images, cfg)
-        assert np.array_equal(out, serial)
-
-        records = [
-            json.loads(line)
-            for path in tmp_path.glob("*.jsonl")
-            for line in path.read_text().splitlines()
-        ]
-        assert len(records) >= 3  # shards 0..2, shard 0 via the respawned wave
-        assert {r["shard"] for r in records} == {0, 1, 2}
-        assert all(r["rebuilds"] == 0 for r in records), records
-        assert any(r["compiled_hits"] > 0 for r in records)
+        stats = get_worker_cache().stats()
+        assert stats["rebuilds"] == 0
+        assert stats["compiled_hits"] > 0
 
 
 # -- ensure_compiled (store flow) -----------------------------------------

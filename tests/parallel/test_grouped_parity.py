@@ -143,9 +143,8 @@ def test_engine_hooks_observe_grouped_dispatch(net, images):
     assert events == [(5, 0)]
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("workers", (1, 2))
-def test_grouped_parity_through_process_pool(net, images, workers):
+def test_grouped_parity_on_thread_shards(net, images, workers):
     config = ParallelConfig(workers=workers, batch_size=3)
     xs = [images[:4], images[4:5], images[5:12]]
     grouped = predict_logits_grouped(net, xs, config)
@@ -154,58 +153,67 @@ def test_grouped_parity_through_process_pool(net, images, workers):
         assert np.array_equal(got, want)
 
 
-def test_overlapping_groups_on_one_engine_keep_their_generator(images):
-    """Two overlapping tagged groups on one in-process engine.
+def _check_overlapping_groups(images, workers):
+    """Two overlapping tagged groups on one engine keep their generator.
 
-    An in-process run sets its generator override on the net's shared
-    conv engines, and the serving pool can hand one replica two groups
-    at once.  conv1's matmul is wrapped so the ``mip`` group waits inside
-    it (for at most 1 s) until the ``halton`` group reaches the same
-    matmul; while calls overlap, ``mip`` then runs under ``halton``.
-    Each answer must equal its serial value, and every conv engine must
-    be back on its configured generator.
+    A call sets its generator override on the net's shared conv
+    engines, and the serving pool can hand one replica two groups at
+    once.  The net's forward is wrapped so that the ``mip`` group waits
+    inside it (for at most 1 s) until the ``halton`` group reaches its
+    own forward; while calls overlap, ``mip`` then runs under
+    ``halton``.  The groups send different images, which is how the
+    wrapper tells them apart on any shard thread.  Each answer must
+    equal its serial value, and every conv engine must be back on its
+    configured generator.
     """
     net = build_mnist_net(seed=3, c1=2, c2=3, fc=16)
     attach_engines(net, "lfsr-sc", [LayerRanges(1.0, 1.0)] * 2, n_bits=6)
-    engine = BatchInferenceEngine(net, ParallelConfig(workers=0, batch_size=4))
-    xs = [images[:3], images[3:5]]
-    tags = ("mip", "halton")
-    serial = {tag: engine.logits_grouped(xs, generator=tag) for tag in tags}
+    engine = BatchInferenceEngine(net, ParallelConfig(workers=workers, batch_size=4))
+    groups = {"mip": [images[:3], images[3:5]], "halton": [images[5:8], images[8:10]]}
+    serial = {tag: engine.logits_grouped(xs, generator=tag) for tag, xs in groups.items()}
+    owner = {x[0].tobytes(): tag for tag, xs in groups.items() for x in xs}
 
-    conv1 = net.conv_layers[0].engine
-    matmul = conv1.matmul
-    inside = {tag: threading.Event() for tag in tags}
+    forward = net.forward
+    inside = {tag: threading.Event() for tag in groups}
 
-    def overlapping_matmul(w, x):
-        tag = threading.current_thread().name
+    def overlapping_forward(x):
+        tag = owner[x[0].tobytes()]
         if not inside[tag].is_set():
             inside[tag].set()
             if tag == "mip":
                 inside["halton"].wait(timeout=1.0)
-        return matmul(w, x)
+        return forward(x)
 
-    conv1.matmul = overlapping_matmul
+    net.forward = overlapping_forward
     served = {}
 
     def run(tag):
-        served[tag] = engine.logits_grouped(xs, generator=tag)
+        served[tag] = engine.logits_grouped(groups[tag], generator=tag)
 
-    threads = {tag: threading.Thread(target=run, args=(tag,), name=tag) for tag in tags}
+    threads = {tag: threading.Thread(target=run, args=(tag,)) for tag in groups}
     threads["mip"].start()
     assert inside["mip"].wait(timeout=30.0)
     threads["halton"].start()
     for thread in threads.values():
         thread.join(timeout=60.0)
         assert not thread.is_alive()
-    for tag in tags:
+    for tag in groups:
         assert len(served[tag]) == len(serial[tag])
         for got, want in zip(served[tag], serial[tag]):
             assert np.array_equal(got, want), f"{tag} group ran under another generator"
     assert [conv.engine.generator for conv in net.conv_layers] == [None, None]
 
 
-def test_many_threads_on_one_engine_stay_serial_exact(images):
-    """Six threads, more than the cores, share one in-process engine.
+def test_overlapping_groups_on_one_engine_keep_their_generator(images):
+    _check_overlapping_groups(images, workers=0)
+
+
+def test_overlapping_thread_shard_groups_keep_their_generator(images):
+    _check_overlapping_groups(images, workers=2)
+
+
+def _check_many_threads_on_one_engine(images, workers):
+    """Six threads, more than the cores, share one engine.
 
     Each sends four tagged groups, cycling through the SNG families,
     with a short switch interval.  Every answer must equal the serial
@@ -213,7 +221,7 @@ def test_many_threads_on_one_engine_stay_serial_exact(images):
     """
     net = build_mnist_net(seed=3, c1=2, c2=3, fc=16)
     attach_engines(net, "lfsr-sc", [LayerRanges(1.0, 1.0)] * 2, n_bits=5)
-    engine = BatchInferenceEngine(net, ParallelConfig(workers=0, batch_size=2))
+    engine = BatchInferenceEngine(net, ParallelConfig(workers=workers, batch_size=2))
     tags = (None, "lfsr", "halton", "ed", "mip", "parallel")
     xs = [images[:2], images[2:3]]
     serial = {tag: engine.logits_grouped(xs, generator=tag) for tag in tags}
@@ -241,3 +249,11 @@ def test_many_threads_on_one_engine_stay_serial_exact(images):
     assert sorted(finished) == list(range(6))
     assert mismatches == []
     assert [conv.engine.generator for conv in net.conv_layers] == [None, None]
+
+
+def test_many_threads_on_one_engine_stay_serial_exact(images):
+    _check_many_threads_on_one_engine(images, workers=0)
+
+
+def test_many_threads_on_a_thread_shard_engine_stay_serial_exact(images):
+    _check_many_threads_on_one_engine(images, workers=2)

@@ -1,0 +1,208 @@
+"""Thread shards: ``workers=N`` runs a call's shards on N threads.
+
+Every shard thread of a call runs the same network under the same
+cache/generator attach and writes its own rows of one output array, so
+the answer must be bit-identical to the inline run (``workers=0``) for
+every engine, SNG family and request geometry.  The fleet runs with a
+1 µs switch interval so the threads interleave as often as CPython
+allows.  The process :class:`~repro.parallel.ScheduleCache` is shared
+by every shard thread, so its memo bookkeeping is stress-tested here
+too.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from repro.core.mvm import sc_matmul
+from repro.nn import attach_engines, build_mnist_net
+from repro.nn.calibration import LayerRanges
+from repro.parallel import ParallelConfig, ScheduleCache, predict_logits_grouped
+
+N_BITS = 5
+BATCH = 2
+THREADS = (2, 3)
+FAMILIES = (None, "lfsr", "halton", "ed", "mip", "parallel")
+
+#: (engine kind, generator, use_cache)
+CASES = [
+    ("float", None, True),
+    ("fixed", None, True),
+    ("truncated-sc", None, True),
+    ("proposed-sc", None, True),
+    ("proposed-sc", None, False),
+] + [("lfsr-sc", family, True) for family in FAMILIES]
+
+
+def _case_id(case) -> str:
+    kind, family, use_cache = case
+    if kind == "lfsr-sc":
+        return f"lfsr-sc-{family}"
+    if kind == "proposed-sc":
+        return f"proposed-sc-{'cache' if use_cache else 'nocache'}"
+    return kind
+
+
+@pytest.fixture(scope="module")
+def images():
+    return np.random.default_rng(31).normal(0.0, 0.5, size=(13, 1, 28, 28))
+
+
+def fresh_net(kind: str):
+    net = build_mnist_net(seed=3, c1=2, c2=3, fc=16)
+    attach_engines(net, kind, [LayerRanges(1.0, 1.0)] * 2, n_bits=N_BITS)
+    return net
+
+
+@contextlib.contextmanager
+def fast_switching():
+    """Switch threads every microsecond inside the block."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _assert_groups_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+# -- bit-exact parity -----------------------------------------------------
+
+
+@pytest.mark.parametrize("workers", THREADS)
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_thread_shards_match_inline(images, case, workers):
+    """Ragged requests with a zero-size one in the middle, twice over."""
+    kind, family, use_cache = case
+    net = fresh_net(kind)
+    xs = [images[:5], images[5:5], images[5:6], images[6:13]]
+    inline = ParallelConfig(workers=0, batch_size=BATCH, use_cache=use_cache, generator=family)
+    expected = predict_logits_grouped(net, xs, inline)
+    threaded = ParallelConfig(
+        workers=workers, batch_size=BATCH, use_cache=use_cache, generator=family
+    )
+    with fast_switching():
+        for _ in range(2):
+            _assert_groups_equal(predict_logits_grouped(net, xs, threaded), expected)
+
+
+@pytest.mark.parametrize("workers", THREADS)
+def test_thread_shards_empty_and_zero_size_requests(images, workers):
+    net = fresh_net("proposed-sc")
+    config = ParallelConfig(workers=workers, batch_size=BATCH)
+    with fast_switching():
+        for _ in range(2):
+            assert predict_logits_grouped(net, [], config) == []
+            empty = predict_logits_grouped(net, [images[:0], images[:0]], config)
+            assert [e.shape for e in empty] == [(0, 10), (0, 10)]
+
+
+# -- a raising shard ------------------------------------------------------
+
+
+class ShardBoom(RuntimeError):
+    pass
+
+
+def test_a_raising_shard_fails_the_call_after_every_shard_returned(images):
+    """One shard raises inside a ``workers=2`` call.
+
+    The other shard is still inside its forward pass when the first one
+    raises.  The call must raise that very exception, only after every
+    shard returned, with every conv engine's generator and cache
+    restored; the next call must be bit-exact.
+    """
+    net = fresh_net("lfsr-sc")
+    config = ParallelConfig(workers=2, batch_size=BATCH, generator="halton")
+    xs = [images[:4]]
+    expected = predict_logits_grouped(net, xs, config)
+    before = [(conv.engine.generator, conv.engine.cache) for conv in net.conv_layers]
+
+    boom = ShardBoom("shard 0 failed")
+    forward = net.forward
+    lock = threading.Lock()
+    running = []
+    started = threading.Event()
+
+    def flaky_forward(x):
+        with lock:
+            running.append(x[0].tobytes())
+        try:
+            if x[0].tobytes() == images[0].tobytes():
+                started.wait(timeout=5.0)  # the other shard is running
+                raise boom
+            started.set()
+            time.sleep(0.2)
+            return forward(x)
+        finally:
+            with lock:
+                running.remove(x[0].tobytes())
+
+    net.forward = flaky_forward
+    try:
+        with pytest.raises(ShardBoom) as excinfo:
+            predict_logits_grouped(net, xs, config)
+        assert excinfo.value is boom
+        assert running == []
+        assert not [t for t in threading.enumerate() if t.name.startswith("repro-shard")]
+    finally:
+        del net.forward
+    after = [(conv.engine.generator, conv.engine.cache) for conv in net.conv_layers]
+    assert after == before
+    _assert_groups_equal(predict_logits_grouped(net, xs, config), expected)
+
+
+# -- the shared ScheduleCache ---------------------------------------------
+
+
+def test_schedule_cache_shared_by_threads_keeps_its_books():
+    """Three threads hammer one small cache: no KeyError, exact counters.
+
+    Sixteen weight matrices cycle through a ``max_layers=4`` LRU, so
+    lookups hit entries that other threads are evicting.  Without the
+    cache lock a hit's ``move_to_end`` races another thread's
+    ``popitem`` and raises ``KeyError``.
+    """
+    rng = np.random.default_rng(0)
+    ws = [rng.integers(-8, 8, size=(2, 3)) for _ in range(16)]
+    x = rng.integers(-8, 8, size=(3, 2))
+    expected = [sc_matmul(w, x, 4, 2) for w in ws]
+    cache = ScheduleCache(max_layers=4)
+    calls, errors = 4000, []
+    products = {offset: [] for offset in (0, 2, 4)}
+    start = threading.Barrier(len(products))
+
+    def run(offset):
+        start.wait()
+        try:
+            for k in range(calls):
+                products[offset].append(cache.sc_matmul(ws[(offset + k) % len(ws)], x, 4, 2))
+        except Exception as exc:
+            errors.append(repr(exc))
+
+    threads = [threading.Thread(target=run, args=(offset,)) for offset in products]
+    with fast_switching():
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    for offset, got in products.items():
+        for k, product in enumerate(got):
+            assert np.array_equal(product, expected[(offset + k) % len(ws)])
+    stats = cache.stats()
+    assert stats["hits"] + stats["misses"] == len(products) * calls
+    assert stats["layers"] <= 4

@@ -573,22 +573,23 @@ class TestReplicaBoot:
 
 class TestServeConfigNarrowing:
     def test_scalar_workers_broadcast(self):
-        config = ServerConfig(replicas=3, workers=2)
-        assert config.workers_per_replica() == [2, 2, 2]
+        """One ``workers`` value configures every replica's engine."""
+        seen = []
 
-    def test_comma_list_workers(self):
-        config = ServerConfig(replicas=3, workers="2,0,4")
-        assert config.workers_per_replica() == [2, 0, 4]
+        def factory(config):
+            seen.append(config.workers)
+            return StubEngine(), (1, 28, 28), {"benchmark": "stub"}
 
-    def test_comma_list_length_mismatch_raises(self):
-        with pytest.raises(ValueError, match="replicas=3"):
-            ServerConfig(replicas=3, workers="2,0").workers_per_replica()
+        server = ServingServer(ServerConfig(replicas=3, workers=2), engine_factory=factory)
+        engines, _, _ = server._build_replicas()
+        assert len(engines) == 3
+        assert seen == [2, 2, 2]
 
     def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError):
-            ServerConfig(replicas=2, workers="2,-1").workers_per_replica()
+        with pytest.raises(ValueError, match="workers must be >= 0"):
+            ServerConfig(replicas=2, workers=-1)
 
     @pytest.mark.parametrize("replicas", [0, -3])
     def test_replicas_below_one_rejected(self, replicas):
         with pytest.raises(ValueError, match="replicas must be >= 1"):
-            ServerConfig(replicas=replicas).workers_per_replica()
+            ServerConfig(replicas=replicas)

@@ -77,6 +77,15 @@ class TestServeCommand:
             "digits", "proposed-sc", 8, 16
         )
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--workers", "2,0"], ["--shard-timeout-s", "1"], ["--shard-retries", "2"]],
+    )
+    def test_process_pool_flags_are_gone(self, flags, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", *flags])
+        assert "error" in capsys.readouterr().err
+
     def test_flags_plumb_into_server_config(self, monkeypatch):
         import repro.serve
 
