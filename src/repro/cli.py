@@ -67,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard threads (0 = shards run inline; omit for the serial reference path)",
     )
     p_inf.add_argument("--batch", type=int, default=16, help="images per shard")
-    p_inf.add_argument("--no-cache", action="store_true", help="disable the schedule cache")
     p_inf.add_argument(
         "--generator",
         default=None,
@@ -291,12 +290,9 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         # so the override has a config to ride on
         workers = args.workers or 0
         parallelism = ParallelConfig(
-            workers=workers,
-            batch_size=args.batch,
-            use_cache=not args.no_cache,
-            generator=args.generator,
+            workers=workers, batch_size=args.batch, generator=args.generator
         )
-        mode = f"workers={workers} batch={args.batch} cache={not args.no_cache}"
+        mode = f"workers={workers} batch={args.batch}"
         if args.generator:
             mode += f" generator={args.generator}"
     result = measure_throughput(

@@ -70,7 +70,6 @@ class ThroughputResult:
     n_images: int
     workers: int
     batch_size: int
-    use_cache: bool
     seconds: float
     images_per_sec: float
     bit_exact: bool | None = None
@@ -151,23 +150,21 @@ def measure_throughput(
 ) -> ThroughputResult:
     """Images/second of batched inference under ``parallelism``.
 
-    ``parallelism=None`` times the serial reference path
-    (``Network.predict``).  ``check=True`` additionally verifies the
-    timed run's predictions bit-exactly against the serial path at the
-    same batch chunking (the parity claim the benchmark snapshot
-    records; see :mod:`repro.parallel.engine` for why chunk sizes are
-    part of the contract).
+    ``parallelism=None`` times ``Network.predict`` at its default
+    chunking, inline on the calling thread.  ``check=True`` additionally
+    verifies the timed run's predictions bit-exactly against an inline
+    run at the same batch chunking (the parity claim the benchmark
+    snapshot records; see :mod:`repro.parallel.engine` for why chunk
+    sizes are part of the contract).
     """
     from repro.parallel import resolve_parallelism
 
     model, x = _workload(spec, engine, n_bits, n_images)
     if parallelism is None:
-        workers, batch_size, use_cache = -1, 0, False
-        generator = None
+        workers, batch_size, generator = -1, 0, None
     else:
         config = resolve_parallelism(parallelism)
-        workers, batch_size, use_cache = config.workers, config.batch_size, config.use_cache
-        generator = config.generator
+        workers, batch_size, generator = config.workers, config.batch_size, config.generator
     best = float("inf")
     pred = None
     for _ in range(max(1, repeats)):
@@ -177,8 +174,8 @@ def measure_throughput(
     bit_exact = None
     mismatch = None
     if check:
-        # The parity claim is "sharded == serial at the same arithmetic":
-        # a generator override changes the arithmetic, so the serial
+        # The parity claim is "sharded == inline at the same arithmetic":
+        # a generator override changes the arithmetic, so the inline
         # reference must run under the very same SNG family.
         serial = model.net.predict(
             x, batch=batch_size or x.shape[0] or 1, generator=generator
@@ -193,7 +190,6 @@ def measure_throughput(
         n_images=n_images,
         workers=workers,
         batch_size=batch_size,
-        use_cache=use_cache,
         seconds=best,
         images_per_sec=n_images / best if best > 0 else float("inf"),
         bit_exact=bit_exact,
@@ -211,10 +207,11 @@ def throughput_curve(
     batch_size: int = 16,
     repeats: int = 1,
 ) -> list[ThroughputResult]:
-    """Scaling curve: serial reference first, then each worker count.
+    """Scaling curve: the inline reference first, then each worker count.
 
-    ``workers=-1`` in the output marks the serial (uncached) reference
-    run every speedup in the snapshot is measured against.
+    ``workers=-1`` in the output marks the reference run, one inline
+    ``Network.predict`` at its default chunking, that every speedup in
+    the snapshot is measured against.
     """
     from repro.parallel import ParallelConfig
 

@@ -77,29 +77,6 @@ class NetworkProfile:
         return self.energy_binary_nj / self.energy_proposed_nj
 
 
-def _conv_geometry(net: Network, input_shape: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Input H/W seen by each conv layer, found with one dummy forward."""
-    convs = net.conv_layers
-    seen: dict[int, tuple[int, int]] = {}
-    originals = {id(c): c.forward for c in convs}
-
-    def wrap(conv):
-        def hooked(x):
-            seen[id(conv)] = (x.shape[2], x.shape[3])
-            return originals[id(conv)](x)
-
-        return hooked
-
-    for conv in convs:
-        conv.forward = wrap(conv)
-    try:
-        net.forward(np.zeros((1, *input_shape)))
-    finally:
-        for conv in convs:
-            conv.forward = originals[id(conv)]
-    return [seen[id(c)] for c in convs]
-
-
 def profile_network(
     net: Network,
     input_shape: tuple[int, int, int],
@@ -127,7 +104,8 @@ def profile_network(
     if len(w_scales) != len(convs):
         raise ValueError("one w_scale per conv layer required")
 
-    geoms = _conv_geometry(net, input_shape)
+    # input H/W seen by each conv layer, from one dummy forward
+    geoms = [x.shape[2:] for x in net.conv_inputs(np.zeros((1, *input_shape)))]
     layers: list[LayerProfile] = []
     for i, (conv, (in_h, in_w), scale) in enumerate(zip(convs, geoms, w_scales)):
         out_h, out_w = conv_output_shape(in_h, in_w, conv.kernel, conv.stride, conv.pad)

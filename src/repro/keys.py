@@ -1,7 +1,7 @@
 """Canonical content keys for schedule state.
 
 Every piece of content-keyed schedule state — per-layer appearance-count
-coefficient matrices, FSM select/bit schedules, LFSR up/down tables and
+coefficient matrices, operand bit tables, LFSR up/down tables and
 state orbits — is addressed by one string key produced here, so the
 ahead-of-time compiled artifact (:mod:`repro.parallel.compiled`), the
 in-process :class:`~repro.parallel.cache.ScheduleCache` and the orbit
@@ -26,7 +26,6 @@ __all__ = [
     "content_key",
     "layer_digest",
     "bit_table_key",
-    "select_key",
     "ud_table_key",
     "sng_ud_table_key",
     "orbit_key",
@@ -70,11 +69,6 @@ def layer_digest(w_int: np.ndarray, n_bits: int) -> str:
 def bit_table_key(n_bits: int) -> str:
     """Key of the ``(N, 2**N)`` MSB-first offset-word bit matrix."""
     return content_key("bit-table", int(n_bits))
-
-
-def select_key(k: int, n_bits: int) -> str:
-    """Key of the MUX select schedule for a ``(k, N)`` counter load."""
-    return content_key("select", int(k), int(n_bits))
 
 
 def ud_table_key(

@@ -59,28 +59,12 @@ def calibrate_conv_ranges(
     scale and halve the resolution of *every* quantized engine (the
     out-of-range tail is saturated by the quantizer instead).
     """
-    convs = net.conv_layers
-    max_in = {id(c): 0.0 for c in convs}
-    originals = {id(c): c.forward for c in convs}
-
-    def wrap(conv):
-        def hooked(x):
-            hi = float(np.percentile(np.abs(x), percentile))
-            max_in[id(conv)] = max(max_in[id(conv)], hi)
-            return originals[id(conv)](x)
-
-        return hooked
-
-    for conv in convs:
-        conv.forward = wrap(conv)
-    try:
-        net.forward(x_calib)
-    finally:
-        for conv in convs:
-            conv.forward = originals[id(conv)]
     return [
-        LayerRanges(max_abs_input=max_in[id(c)], max_abs_weight=float(np.abs(c.weight.value).max()))
-        for c in convs
+        LayerRanges(
+            max_abs_input=float(np.percentile(np.abs(x), percentile)),
+            max_abs_weight=float(np.abs(c.weight.value).max()),
+        )
+        for c, x in zip(net.conv_layers, net.conv_inputs(x_calib))
     ]
 
 

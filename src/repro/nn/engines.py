@@ -45,14 +45,25 @@ column slabs instead, which no served shape reaches.
   the shape; there is no knob.  ``saturate="term"`` takes its terms
   from the same block and keeps its per-term clip in int64, because
   that clip depends on order.
-* **Memo.**  ``R`` is kept on the engine next to the table, one entry
-  per family, keyed by what fixes the table (the family spec, or the
-  seed pair for the LFSR default, plus N) and by the weight content.
-  A weight edit or a family switch therefore never serves stale rows,
-  and a warm call builds nothing.  On the digits net with all five
-  families the memo holds 8.7 MB.  Pickling or copying an engine drops
-  it, like the table.
+* **Memo.**  ``R`` is kept on the engine, one entry per family, keyed
+  by what fixes the table (the family spec, or the seed pair for the
+  LFSR default, plus N) and by the weight content.  A weight edit or a
+  family switch therefore never serves stale rows, and a warm call
+  builds nothing.  On the digits net with all five families the memo
+  holds 8.7 MB.  Pickling or copying an engine drops it.
 * There is no ``chunk=`` parameter any more: nothing loops over ``D``.
+
+Stateless calls
+---------------
+``matmul(w, x, generator=None)`` takes the SNG family as an argument
+(``None`` = the engine's ``generator``); no caller sets and restores an
+engine attribute, so calls on one engine may overlap.  Schedules and
+up/down tables come from the process
+:class:`~repro.parallel.cache.ScheduleCache` (``get_worker_cache()``),
+including out of a precompiled artifact.  The one memo on an engine,
+the LFSR-SC weight rows, is replaced whole under its family's key, so
+an overlapping call reads either the old entry or the new one and
+checks its own weights against it either way.
 """
 
 from __future__ import annotations
@@ -61,9 +72,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.mvm import sc_matmul
+from repro.parallel.cache import get_worker_cache
 from repro.sc.encoding import quantize_signed, to_offset_binary
-from repro.sc.multipliers import lfsr_ud_table, select_low_bias_seeds
+from repro.sc.multipliers import lfsr_ud_table  # noqa: F401 - perfbench/tracing.py patches it
+from repro.sc.multipliers import select_low_bias_seeds
 
 __all__ = [
     "MatmulEngine",
@@ -93,14 +105,14 @@ _BLOCK_BOUND = 1 << 24
 class MatmulEngine:
     """Base class carrying the common quantization parameters.
 
-    ``generator`` selects the SNG family (:mod:`repro.sc.generators`
-    registry key) feeding the conventional SC path.  It is a *spec
-    string*, so it pickles and copies with the engine and is resolved
-    where the table is built.  ``None`` and ``"lfsr"`` both keep the
-    shared-LFSR fast path
-    byte-identical.  Engines without stochastic number sources
-    (float/fixed/proposed — the proposed multiplier is deterministic by
-    construction) carry the field but ignore it.
+    ``generator`` selects the default SNG family (:mod:`repro.sc.generators`
+    registry key) feeding the conventional SC path; a ``matmul`` call
+    may name another.  It is a *spec string*, so it pickles and copies
+    with the engine and is resolved where the table is built.  ``None``
+    and ``"lfsr"`` both keep the shared-LFSR fast path byte-identical.
+    Engines without stochastic number sources (float/fixed/proposed —
+    the proposed multiplier is deterministic by construction) carry the
+    field but ignore it.
     """
 
     n_bits: int = 8
@@ -139,8 +151,12 @@ class MatmulEngine:
         width = self.n_bits + self.acc_bits
         return -(1 << (width - 1)), (1 << (width - 1)) - 1
 
-    def matmul(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Compute ``W @ X`` under this engine's arithmetic."""
+    def matmul(self, w: np.ndarray, x: np.ndarray, generator: str | None = None) -> np.ndarray:
+        """Compute ``W @ X`` under this engine's arithmetic.
+
+        ``generator`` names the SNG family of this call (``None`` = the
+        engine's own ``generator``); only :class:`LfsrScEngine` reads it.
+        """
         raise NotImplementedError
 
 
@@ -151,7 +167,7 @@ class FloatEngine(MatmulEngine):
         super().__init__(**kwargs)
         self.name = "float"
 
-    def matmul(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def matmul(self, w: np.ndarray, x: np.ndarray, generator: str | None = None) -> np.ndarray:
         return np.asarray(w, dtype=np.float64) @ np.asarray(x, dtype=np.float64)
 
 
@@ -187,7 +203,7 @@ class FixedPointEngine(MatmulEngine):
             return np.sign(prod) * (np.abs(prod) >> shift)
         return prod >> shift
 
-    def matmul(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def matmul(self, w: np.ndarray, x: np.ndarray, generator: str | None = None) -> np.ndarray:
         w_int, x_int = self._quantize(w, x)
         m, d = w_int.shape
         _, p = x_int.shape
@@ -217,29 +233,26 @@ class LfsrScEngine(MatmulEngine):
     accuracy-vs-cost trade-off of Section 1).  The raw count is twice
     the product in output LSBs; accumulation halves at readout.
 
-    The table is built lazily on first use and, like
-    :class:`ProposedScEngine`'s schedules, is served by the process
-    :class:`~repro.parallel.cache.ScheduleCache` when ``cache`` is set —
-    including out of a precompiled artifact.  When ``generator`` names
-    a non-default registry family, the table is instead built from that
-    family's stream matrices
+    The table comes from the process
+    :class:`~repro.parallel.cache.ScheduleCache`, including out of a
+    precompiled artifact.  When the call's family (``matmul``'s
+    ``generator``, else the engine's) is a non-default registry family,
+    the table is built from that family's stream matrices
     (:func:`repro.sc.generators.generator_ud_table`).
 
     ``matmul`` never indexes the table pair by pair: it gathers from
     weight rows derived once per layer and family (module docstring:
-    "LFSR-SC weight-row gather").  The table and the rows are memoized
-    on the engine, keyed by the family spec (or the LFSR seed pair) and
-    N, the rows also by the weight content, so a family switch or an
-    in-place weight edit never serves stale rows.  Neither the cache
-    nor the memos survive pickling or copying, so a copy carries only
-    the seeds.
+    "LFSR-SC weight-row gather").  The rows are memoized on the engine,
+    keyed by the family spec (or the LFSR seed pair) and N, and by the
+    weight content, so a family switch or an in-place weight edit never
+    serves stale rows.  The memo does not survive pickling or copying,
+    so a copy carries only the seeds.
     """
 
     def __init__(
         self,
         seed_w: int | None = None,
         seed_x: int | None = None,
-        cache=None,
         **kwargs,
     ) -> None:
         super().__init__(**kwargs)
@@ -250,44 +263,29 @@ class LfsrScEngine(MatmulEngine):
             seed_x = auto_x if seed_x is None else seed_x
         self.seed_w = int(seed_w)
         self.seed_x = int(seed_x)
-        self.cache = cache
-        self._ud_table: tuple[tuple, np.ndarray] | None = None
         self._rows: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
-    @property
-    def _table_key(self) -> tuple:
+    def _table_key(self, generator: str | None) -> tuple:
         """What fixes the table: family spec or LFSR seed pair, plus N."""
-        if self.generator in (None, "lfsr"):
+        if generator in (None, "lfsr"):
             return (None, self.n_bits, self.seed_w, self.seed_x)
-        return (self.generator, self.n_bits)
+        return (generator, self.n_bits)
 
-    def _table(self, key: tuple) -> np.ndarray:
-        """The up/down table of ``key``, built from ``key`` alone."""
-        if self._ud_table is not None and self._ud_table[0] == key:
-            return self._ud_table[1]
-        gen, n = key[0], key[1]
-        if gen is not None:
-            if self.cache is not None:
-                table = self.cache.sng_ud_table(gen, n)
-            else:
-                from repro.sc.generators import generator_ud_table
-
-                table = generator_ud_table(gen, n)
-        elif self.cache is not None:
-            table = self.cache.ud_table(n, *key[2:])
-        else:
-            table = lfsr_ud_table(n, *key[2:])
-        self._ud_table = (key, table)
-        return table
+    @staticmethod
+    def _table(key: tuple) -> np.ndarray:
+        """The up/down table of ``key``, from the process cache."""
+        generator, n_bits, *seeds = key
+        if generator is not None:
+            return get_worker_cache().sng_ud_table(generator, n_bits)
+        return get_worker_cache().ud_table(n_bits, *seeds)
 
     @property
     def ud_table(self) -> np.ndarray:
-        """Up/down count per pair == 2 * product in output LSBs (lazy)."""
-        return self._table(self._table_key)
+        """Up/down count per pair == 2 * product in output LSBs."""
+        return self._table(self._table_key(self.generator))
 
-    def _weight_rows(self, w_off: np.ndarray) -> np.ndarray:
-        """``R`` of ``w_off`` under the current table (memoized)."""
-        key = self._table_key
+    def _weight_rows(self, w_off: np.ndarray, key: tuple) -> np.ndarray:
+        """``R`` of ``w_off`` under the table of ``key`` (memoized)."""
         hit = self._rows.get(key)
         if hit is not None and np.array_equal(hit[0], w_off):
             return hit[1]
@@ -299,12 +297,10 @@ class LfsrScEngine(MatmulEngine):
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        state["cache"] = None
-        state["_ud_table"] = None
         state["_rows"] = {}
         return state
 
-    def matmul(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def matmul(self, w: np.ndarray, x: np.ndarray, generator: str | None = None) -> np.ndarray:
         w_int, x_int = self._quantize(w, x)
         w_off = to_offset_binary(w_int, self.n_bits)
         x_off = to_offset_binary(x_int, self.n_bits)
@@ -312,7 +308,8 @@ class LfsrScEngine(MatmulEngine):
         if x_off.shape[0] != d:
             raise ValueError(f"shape mismatch: {w_off.shape} @ {x_off.shape}")
         p = x_off.shape[1]
-        rows = self._weight_rows(w_off)
+        family = self.generator if generator is None else generator
+        rows = self._weight_rows(w_off, self._table_key(family))
         # x_off becomes the gather index: term j reads segment j of R
         x_off += ((1 << self.n_bits) + 1) * np.arange(d)[:, None]
         # Raw up/down counts are double-scale: widen limits by one bit.
@@ -339,33 +336,21 @@ class LfsrScEngine(MatmulEngine):
 class ProposedScEngine(MatmulEngine):
     """The paper's BISC-MVM (deterministic, low-discrepancy SC).
 
-    ``cache`` optionally points at a
-    :class:`repro.parallel.cache.ScheduleCache`; when set, the matmul
-    goes through the cached fast path (bit-exact with
-    :func:`repro.core.mvm.sc_matmul` — the parity fleet pins this).
-    The batched inference engine attaches the process cache for the
-    duration of each call; the attribute is dropped on pickling, so a
-    cache never travels with a pickled engine.
+    The product runs on the process
+    :class:`~repro.parallel.cache.ScheduleCache`'s gather-and-GEMM
+    kernel, bit-exact with :func:`repro.core.mvm.sc_matmul` (the parity
+    fleet pins this); ``saturate="term"`` delegates to that reference.
     """
 
-    def __init__(self, cache=None, **kwargs) -> None:
+    def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
         self.name = "proposed-sc"
-        self.cache = cache
 
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state["cache"] = None
-        return state
-
-    def matmul(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def matmul(self, w: np.ndarray, x: np.ndarray, generator: str | None = None) -> np.ndarray:
         w_int, x_int = self._quantize(w, x)
-        if self.cache is not None:
-            acc = self.cache.sc_matmul(
-                w_int, x_int, self.n_bits, self.acc_bits, saturate=self.saturate
-            )
-        else:
-            acc = sc_matmul(w_int, x_int, self.n_bits, self.acc_bits, saturate=self.saturate)
+        acc = get_worker_cache().sc_matmul(
+            w_int, x_int, self.n_bits, self.acc_bits, saturate=self.saturate
+        )
         return self._dequantize(acc)
 
 
@@ -387,7 +372,7 @@ class TruncatedScEngine(MatmulEngine):
         self.rescale = rescale
         self.name = f"truncated-sc-{cycle_budget}"
 
-    def matmul(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def matmul(self, w: np.ndarray, x: np.ndarray, generator: str | None = None) -> np.ndarray:
         from repro.core.kernels import truncated_matmul_kernel
 
         w_int, x_int = self._quantize(w, x)

@@ -66,11 +66,16 @@ class Conv2D(Layer):
     def out_channels(self) -> int:
         return self.weight.value.shape[0]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, generator: str | None = None) -> np.ndarray:
+        """Convolve ``x``; ``generator`` is the SNG family of this call.
+
+        ``None`` keeps the engine's configured family; only a
+        conventional-SC engine reads it (:meth:`MatmulEngine.matmul`).
+        """
         n = x.shape[0]
         cols, (oh, ow) = im2col(x, self.kernel, self.stride, self.pad)
         w2d = self.weight.value.reshape(self.out_channels, -1)
-        y2d = self.engine.matmul(w2d, cols) + self.bias.value[:, None]
+        y2d = self.engine.matmul(w2d, cols, generator=generator) + self.bias.value[:, None]
         y = y2d.reshape(self.out_channels, n, oh, ow).transpose(1, 0, 2, 3)
         self._cache = (x.shape, cols)
         return y

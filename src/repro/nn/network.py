@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 import numpy as np
 
 from repro.nn.layers.base import Layer
 from repro.nn.layers.conv import Conv2D
 from repro.nn.layers.softmax import SoftmaxCrossEntropy
+from repro.parallel import ParallelConfig, predict_batched, resolve_parallelism
 
 __all__ = ["Network"]
 
@@ -27,10 +29,29 @@ class Network:
         self.loss_fn = SoftmaxCrossEntropy()
 
     # -- forward / backward ------------------------------------------------
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, generator: str | None = None) -> np.ndarray:
+        """Logits of ``x``.
+
+        ``generator`` names the SNG family (:mod:`repro.sc.generators`
+        registry key) of this pass's conventional-SC conv layers;
+        ``None`` keeps each engine's configured family.  It travels as
+        an argument, so passes under different families may overlap.
+        """
         for layer in self.layers:
-            x = layer.forward(x)
+            if isinstance(layer, Conv2D):
+                x = layer.forward(x, generator=generator)
+            else:
+                x = layer.forward(x)
         return x
+
+    def conv_inputs(self, x: np.ndarray) -> list[np.ndarray]:
+        """The input of every conv layer, in order, on one pass of ``x``."""
+        inputs = []
+        for layer in self.layers:
+            if isinstance(layer, Conv2D):
+                inputs.append(x)
+            x = layer.forward(x)
+        return inputs
 
     def loss(self, x: np.ndarray, labels: np.ndarray) -> float:
         return self.loss_fn.forward(self.forward(x), labels)
@@ -48,41 +69,30 @@ class Network:
     def predict(
         self, x: np.ndarray, batch: int = 256, parallelism=None, generator=None
     ) -> np.ndarray:
-        """Predicted class indices, evaluated in batches.
+        """Predicted class indices, evaluated in batches of ``batch``.
 
-        ``parallelism`` opts into the sharded batched engine: ``None``
-        keeps the serial reference path, an ``int`` is a shard-thread count,
-        and a :class:`repro.parallel.ParallelConfig` sets every knob.
-        At a fixed batch size, results are bit-exact across worker
-        counts (see :mod:`repro.parallel.engine` for the contract).
+        ``parallelism`` sets the sharded batched engine's knobs: ``None``
+        runs the ``batch``-image chunks inline, an ``int`` is a
+        shard-thread count, and a :class:`repro.parallel.ParallelConfig`
+        sets every knob.  At a fixed batch size, results are bit-exact
+        across worker counts (see :mod:`repro.parallel.engine` for the
+        contract).
 
         ``generator`` selects the SNG family (a
         :mod:`repro.sc.generators` registry key like ``"mip"``) the
         conventional-SC engines draw their bitstreams from for this
-        call; ``None`` keeps each engine's configured family.
+        call; ``None`` keeps each engine's configured family.  An
+        unknown family is rejected before any image runs.
         """
-        if generator is not None:
-            import dataclasses
-
-            from repro.parallel import ParallelConfig, resolve_parallelism
-
-            if parallelism is None:
-                # preserve the serial path's chunking: the float dense
-                # head is summation-order-sensitive to the batch size
-                parallelism = ParallelConfig(workers=0, batch_size=batch, generator=generator)
-            else:
-                parallelism = dataclasses.replace(
-                    resolve_parallelism(parallelism), generator=generator
-                )
-        if parallelism is not None:
-            from repro.parallel import predict_batched
-
-            return predict_batched(self, x, parallelism)
-        out = [np.empty(0, dtype=np.int64)]
-        for i in range(0, x.shape[0], batch):
-            logits = self.forward(x[i : i + batch])
-            out.append(logits.argmax(axis=1))
-        return np.concatenate(out)
+        if parallelism is None:
+            # the float dense head is summation-order-sensitive to the
+            # chunk size, so the chunks are exactly ``batch`` images
+            config = ParallelConfig(workers=0, batch_size=batch, generator=generator)
+        else:
+            config = resolve_parallelism(parallelism)
+            if generator is not None:
+                config = dataclasses.replace(config, generator=generator)
+        return predict_batched(self, x, config)
 
     def accuracy(
         self, x: np.ndarray, labels: np.ndarray, batch: int = 256,

@@ -1,20 +1,21 @@
-"""The process cache of FSM/MUX schedules and weight coefficient loads.
+"""The process cache of schedules, up/down tables and weight coefficient loads.
 
-Inference reuses the same conv weights for every batch, but the serial
-reference engine rebuilds the whole FSM bookkeeping — appearance-count
-coefficients (the per-select-line totals implied by the weight's
-down-counter load) and the operand bit expansion — on every call.  For
-a process that serves thousands of batches this is the dominant
-redundant cost, so the process keeps one :class:`ScheduleCache`, shared
-by every engine call and shard thread:
+Inference reuses the same conv weights for every batch, but the
+reference kernel (:func:`repro.core.mvm.sc_matmul`) rebuilds the whole
+FSM bookkeeping — appearance-count coefficients (the per-select-line
+totals implied by the weight's down-counter load) and the operand bit
+expansion — on every call.  For a process that serves thousands of
+batches this is the dominant redundant cost, so the process keeps one
+:class:`ScheduleCache` (:func:`get_worker_cache`), from which every
+proposed-SC and conventional-SC engine call draws, on any thread:
 
 * ``bit_table(n_bits)`` — the ``(N, 2**N)`` MSB-first bit matrix of
   every representable offset word (the compiled-artifact format).  Its
   transpose, one contiguous ``N``-wide bit row per word, is what the
   kernel gathers from, so expanding a batch is one row gather instead
   of ``N`` shifted masks over int64 temporaries;
-* ``select(k, n_bits)`` — memoized MUX select schedules keyed by the
-  down-counter load ``(k, N)``, for the cycle-accurate paths;
+* ``ud_table`` / ``sng_ud_table`` — the conventional-SC up/down tables
+  of the shared-LFSR pair and of the registry SNG families;
 * ``layer_coeff(w_int, n_bits)`` — the sign-folded coefficient matrix
   of a whole weight matrix, keyed by *content* (SHA-1 of the weight
   bytes) so that mutating weights in place — fine-tuning — can never
@@ -50,6 +51,8 @@ can never corrupt them and a dropped cache comes back warm.
 Shard threads share one cache, so one lock per cache guards the memo
 bookkeeping: lookups, inserts, LRU evictions and the counters.  The
 gather and the GEMM of :meth:`ScheduleCache.sc_matmul` run outside it.
+A module lock guards creating and dropping the process cache itself, so
+threads that start on a dropped cache all get the same new one.
 """
 
 from __future__ import annotations
@@ -62,12 +65,10 @@ import numpy as np
 
 from repro.core.accumulator import check_acc_bits
 from repro.core.fsm_generator import coefficient_vector
-from repro.core.kernels import select_schedule
 from repro.core.mvm import sc_matmul
 from repro.keys import (
     bit_table_key,
     layer_digest,
-    select_key,
     sng_ud_table_key,
     ud_table_key,
 )
@@ -139,7 +140,6 @@ class ScheduleCache:
         self.max_layers = max_layers
         self.compiled = compiled
         self._bit_tables: dict[int, np.ndarray] = {}
-        self._selects: dict[tuple[int, int], np.ndarray] = {}
         self._layers: OrderedDict[tuple, tuple] = OrderedDict()
         self._ud_tables: dict[str, np.ndarray] = {}
         #: derived layouts of cached arrays (the bit-row table, the
@@ -189,23 +189,6 @@ class ScheduleCache:
         table = np.ascontiguousarray(bits_msb_first(words, n_bits).T.astype(np.float32))
         self._bit_tables[n_bits] = table
         return table
-
-    @_locked
-    def select(self, k: int, n_bits: int) -> np.ndarray:
-        """MUX select schedule for a ``(k, N)`` down-counter load."""
-        key = (int(k), int(n_bits))
-        sched = self._selects.get(key)
-        if sched is not None:
-            return sched
-        sched = self._compiled_get(select_key(key[0], key[1]), (key[0],), np.int64)
-        if sched is not None:
-            self.compiled_hits += 1
-            return sched
-        self.rebuilds += 1
-        sched = select_schedule(key[0], key[1])
-        sched.setflags(write=False)
-        self._selects[key] = sched
-        return sched
 
     @_locked
     def ud_table(self, n_bits: int, seed_w: int, seed_x: int) -> np.ndarray:
@@ -479,13 +462,15 @@ class ScheduleCache:
             "misses": self.misses,
             "layers": len(self._layers),
             "bit_tables": len(self._bit_tables),
-            "selects": len(self._selects),
             "rebuilds": self.rebuilds,
             "compiled_hits": self.compiled_hits,
         }
 
 
 _WORKER_CACHE: ScheduleCache | None = None
+#: Serializes creating, dropping and re-pointing ``_WORKER_CACHE``, so
+#: shard threads that start on a dropped cache all get the same one.
+_WORKER_CACHE_LOCK = threading.Lock()
 
 #: Process-global compiled artifact.  Survives cache drops
 #: (:func:`reset_worker_cache` resets only ``_WORKER_CACHE``), so a
@@ -502,9 +487,10 @@ def attach_compiled(compiled) -> None:
     instead of stepping.
     """
     global _PROCESS_COMPILED
-    _PROCESS_COMPILED = compiled
-    if _WORKER_CACHE is not None:
-        _WORKER_CACHE.compiled = compiled
+    with _WORKER_CACHE_LOCK:
+        _PROCESS_COMPILED = compiled
+        if _WORKER_CACHE is not None:
+            _WORKER_CACHE.compiled = compiled
     if compiled is not None:
         from repro.sc.lfsr import adopt_orbit
 
@@ -515,9 +501,10 @@ def attach_compiled(compiled) -> None:
 def detach_compiled() -> None:
     """Drop the process-global compiled artifact (fallback/tests)."""
     global _PROCESS_COMPILED
-    _PROCESS_COMPILED = None
-    if _WORKER_CACHE is not None:
-        _WORKER_CACHE.compiled = None
+    with _WORKER_CACHE_LOCK:
+        _PROCESS_COMPILED = None
+        if _WORKER_CACHE is not None:
+            _WORKER_CACHE.compiled = None
 
 
 def active_compiled():
@@ -533,12 +520,17 @@ def get_worker_cache() -> ScheduleCache:
     artifact is not.
     """
     global _WORKER_CACHE
-    if _WORKER_CACHE is None:
-        _WORKER_CACHE = ScheduleCache(compiled=_PROCESS_COMPILED)
-    return _WORKER_CACHE
+    cache = _WORKER_CACHE
+    if cache is None:
+        with _WORKER_CACHE_LOCK:
+            if _WORKER_CACHE is None:
+                _WORKER_CACHE = ScheduleCache(compiled=_PROCESS_COMPILED)
+            cache = _WORKER_CACHE
+    return cache
 
 
 def reset_worker_cache() -> None:
     """Drop the process-global cache (tests, a poisoned cache)."""
     global _WORKER_CACHE
-    _WORKER_CACHE = None
+    with _WORKER_CACHE_LOCK:
+        _WORKER_CACHE = None

@@ -1,8 +1,8 @@
 """Ahead-of-time compiled schedule artifacts.
 
-Every schedule the BISC-MVM engines need — FSM select/bit schedules,
-signed appearance-count coefficient matrices, LFSR up/down tables and
-state orbits — is a pure function of the model weights and engine
+Every schedule the BISC-MVM engines need — operand bit tables, signed
+appearance-count coefficient matrices, LFSR up/down tables and state
+orbits — is a pure function of the model weights and engine
 parameters, identical for every call.  This module compiles all of
 them **once** at model-load time into one versioned binary artifact,
 persisted through the PR 1 artifact store (atomic rename + SHA-256
@@ -47,7 +47,6 @@ from repro.keys import (
     bit_table_key,
     layer_digest,
     orbit_key,
-    select_key,
     sng_ud_table_key,
     ud_table_key,
 )
@@ -98,7 +97,7 @@ class ScheduleEntry:
     """One compiled array: content key, kind tag, params, payload."""
 
     key: str
-    kind: str  #: "layer-coeff", "layer-const", "bit-table", "select", "ud-table", "orbit"
+    kind: str  #: "layer-coeff", "layer-const", "bit-table", "ud-table", "orbit"
     params: dict[str, Any] = field(default_factory=dict)
     array: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
@@ -218,14 +217,6 @@ class CompiledSchedules:
         """The entry array for ``key`` (read-only view), or ``None``."""
         return self._arrays.get(key)
 
-    def layer(self, digest: str) -> tuple[np.ndarray, np.ndarray] | None:
-        """``(coeff_t, const)`` of one layer digest, or ``None``."""
-        coeff = self._arrays.get(f"{digest}/coeff")
-        const = self._arrays.get(f"{digest}/const")
-        if coeff is None or const is None:
-            return None
-        return coeff, const
-
     def orbit_entries(self) -> list[tuple[int, tuple[int, ...], np.ndarray]]:
         """All precompiled LFSR orbits as ``(n_bits, taps, orbit)``."""
         out = []
@@ -272,10 +263,6 @@ class CompiledSchedules:
     @property
     def nbytes(self) -> int:
         return int(self._buf.size)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "CompiledSchedules":
-        return cls(data)
 
     def describe(self) -> dict[str, Any]:
         """Summary for ``repro cache inspect``."""
@@ -349,24 +336,25 @@ def schedule_manifest(net) -> tuple[list[str], dict[str, Any]]:
     be decided before deciding to recompile: the artifact is fresh iff
     the manifest keys are a subset of its entry keys.
     """
+    from repro.nn.engines import LfsrScEngine, ProposedScEngine
+
     needed: list[str] = []
     layers: list[dict[str, Any]] = []
     engines: set[str] = set()
     for w2d, engine in _iter_engines(net):
         engines.add(getattr(engine, "name", type(engine).__name__))
-        if hasattr(engine, "seed_w"):  # conventional-SC: table + orbits
+        if isinstance(engine, LfsrScEngine):  # table + orbits
             gen = _engine_generator(engine)
             keys = _sng_keys(engine, gen) if gen else _lfsr_keys(engine)
             needed.extend(key for key, _, _ in keys)
             continue
-        if not hasattr(engine, "cache"):  # float/fixed: nothing to compile
+        if not isinstance(engine, ProposedScEngine):  # nothing to compile
             continue
         n = int(engine.n_bits)
         w_int = _quantized_weights(w2d, engine)
         digest = layer_digest(w_int, n)
         needed.extend([f"{digest}/coeff", f"{digest}/const"])
         needed.append(bit_table_key(n))
-        needed.append(select_key(1 << n, n))
         layers.append({"digest": digest, "shape": list(w_int.shape), "n_bits": n})
     meta = {"engines": sorted(engines), "layers": layers}
     return needed, meta
@@ -375,15 +363,17 @@ def schedule_manifest(net) -> tuple[list[str], dict[str, Any]]:
 def compile_network_schedules(net) -> tuple[list[ScheduleEntry], dict[str, Any]]:
     """Build every schedule ``net`` needs as artifact entries.
 
-    Uses a scratch :class:`ScheduleCache` for the coefficient/bit/select
+    Uses a scratch :class:`ScheduleCache` for the coefficient/bit-table
     builds, so the compiled bytes come from the exact same code path the
     on-demand fallback uses — bit-identical by construction.
     """
+    from repro.nn.engines import LfsrScEngine, ProposedScEngine
+
     scratch = ScheduleCache(max_layers=1 << 30)
     entries: list[ScheduleEntry] = []
     for w2d, engine in _iter_engines(net):
         n = int(engine.n_bits)
-        if hasattr(engine, "seed_w"):
+        if isinstance(engine, LfsrScEngine):
             gen = _engine_generator(engine)
             if gen:
                 from repro.sc.generators import generator_ud_table
@@ -408,7 +398,7 @@ def compile_network_schedules(net) -> tuple[list[ScheduleEntry], dict[str, Any]]
                 if orbit is not None:
                     entries.append(ScheduleEntry(key, kind, params, orbit))
             continue
-        if not hasattr(engine, "cache"):
+        if not isinstance(engine, ProposedScEngine):
             continue
         w_int = _quantized_weights(w2d, engine)
         digest = layer_digest(w_int, n)
@@ -418,14 +408,6 @@ def compile_network_schedules(net) -> tuple[list[ScheduleEntry], dict[str, Any]]
         entries.append(ScheduleEntry(f"{digest}/const", "layer-const", params, const))
         entries.append(
             ScheduleEntry(bit_table_key(n), "bit-table", {"n_bits": n}, scratch.bit_table(n))
-        )
-        entries.append(
-            ScheduleEntry(
-                select_key(1 << n, n),
-                "select",
-                {"k": 1 << n, "n_bits": n},
-                scratch.select(1 << n, n),
-            )
         )
     _, meta = schedule_manifest(net)
     return entries, meta

@@ -12,13 +12,15 @@ The entry points mirror the serial API so callers opt in with one
   network and configuration for repeated batches.
 
 The run loop: :func:`group_shards` chunks the request into image
-shards; the call's cache and generator override are attached to the
-net's conv engines once, on the calling thread, and undone when the
-call returns; the shards then run inline (``workers`` 0 or 1) or split
-over ``min(workers, shards)`` threads, each writing its own rows of one
-output array.  The per-layer work of an SC conv layer is one numpy
-gather and one GEMM (or one gather and one sum), both of which release
-the GIL, so shard threads use several cores.
+shards, which run inline (``workers`` 0 or 1) or split over
+``min(workers, shards)`` threads, each writing its own rows of one
+output array.  Every shard is one ``net.forward(x, generator=...)``:
+the call's SNG family travels down as an argument instead of being set
+on the shared conv engines, and the engines draw their schedules from
+the process cache, so calls on one network may overlap.
+The per-layer work of an SC conv layer is one numpy gather and one GEMM
+(or one gather and one sum), both of which release the GIL, so shard
+threads use several cores.
 
 Bit-exactness contract: for a fixed ``batch_size`` the result is
 identical for any ``workers``, for ragged final shards and for empty
@@ -34,7 +36,6 @@ fleet in ``tests/parallel`` enforces the contract.
 
 from __future__ import annotations
 
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -42,7 +43,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.faults import hooks as _faults
-from repro.parallel.cache import get_worker_cache
 
 __all__ = [
     "Shard",
@@ -79,20 +79,15 @@ class ParallelConfig:
     ``workers=N`` runs a call's shards on ``N`` threads of this
     process; ``0`` and ``1`` run them inline on the calling thread.
     ``batch_size`` chunks the image axis (0 = one shard per request).
-    ``use_cache`` points every cache-aware conv engine at the process
-    :class:`~repro.parallel.cache.ScheduleCache` for the call;
-    disabling it reproduces the uncached serial engine's work profile
-    exactly.
 
-    ``generator`` overrides the SNG family (:mod:`repro.sc.generators`
-    registry key) of every conventional-SC conv engine for the duration
-    of the call (``None`` = leave engines as constructed).  Engines
-    without a stochastic number source ignore the override.
+    ``generator`` is the SNG family (:mod:`repro.sc.generators`
+    registry key) the call passes down ``net.forward`` to every
+    conventional-SC conv engine (``None`` = each engine's configured
+    family).  Engines without a stochastic number source ignore it.
     """
 
     workers: int = 0
     batch_size: int = 64
-    use_cache: bool = True
     generator: str | None = None
 
     def __post_init__(self) -> None:
@@ -155,26 +150,7 @@ def group_shards(counts, batch_size: int) -> list[Shard]:
     return shards
 
 
-def _attach_caches_inproc(net, config: ParallelConfig):
-    """Attach the process cache / generator override to a net's engines.
-
-    Returns an undo restoring the previous attributes.  The cache
-    attach is gated on ``use_cache``; the ``config.generator`` override
-    applies regardless.
-    """
-    undos = []
-    for conv in net.conv_layers:
-        engine = conv.engine
-        if config.use_cache and hasattr(engine, "cache"):
-            undos.append((engine, "cache", engine.cache))
-            engine.cache = get_worker_cache()
-        if config.generator is not None and hasattr(engine, "generator"):
-            undos.append((engine, "generator", engine.generator))
-            engine.generator = config.generator
-    return lambda: [setattr(e, attr, prev) for e, attr, prev in undos]
-
-
-def _run_shards(net, x: np.ndarray, out: np.ndarray, shards, workers: int) -> None:
+def _run_shards(net, x: np.ndarray, out: np.ndarray, shards, config: ParallelConfig) -> None:
     """Forward every shard of ``x`` into its rows of ``out``.
 
     Inline when at most one thread would run; otherwise the shards are
@@ -184,9 +160,9 @@ def _run_shards(net, x: np.ndarray, out: np.ndarray, shards, workers: int) -> No
     """
 
     def run(shard: Shard) -> None:
-        out[shard.image_slice] = net.forward(x[shard.image_slice])
+        out[shard.image_slice] = net.forward(x[shard.image_slice], generator=config.generator)
 
-    threads = min(workers, len(shards))
+    threads = min(config.workers, len(shards))
     if threads <= 1:
         for shard in shards:
             run(shard)
@@ -215,8 +191,8 @@ def predict_logits_grouped(net, xs, parallelism=None) -> list[np.ndarray]:
     """Logits for a group of request batches in one engine call.
 
     ``xs`` is a list of per-request image arrays.  The group runs as
-    one call (one cache/generator attach, one output array) but is
-    sharded at request boundaries, so
+    one call (one output array) but is sharded at request boundaries,
+    so
 
         predict_logits_grouped(net, [a, b], cfg)
             == [predict_logits(net, a, cfg), predict_logits(net, b, cfg)]
@@ -238,11 +214,7 @@ def predict_logits_grouped(net, xs, parallelism=None) -> list[np.ndarray]:
     shards = group_shards(counts, config.batch_size)
     if shards:
         x = np.concatenate(xs) if len(xs) > 1 else xs[0]
-        restore = _attach_caches_inproc(net, config)
-        try:
-            _run_shards(net, x, out, shards, config.workers)
-        finally:
-            restore()
+        _run_shards(net, x, out, shards, config)
     return [out[lo:hi].copy() for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
@@ -267,13 +239,10 @@ class BatchInferenceEngine:
     chaos schedule can kill exactly one replica; unnamed engines keep
     the bare ``"grouped"``/``"logits"`` keys.
 
-    Calls on one engine run one at a time.  A call sets the generator
-    override and the cache on the net's shared conv engines for its
-    duration, so two overlapping calls would each run under the other's
-    family and restore the wrong one.  The serving pool can hand one
-    replica two groups at once (an open breaker, a failover), so
-    :meth:`logits` and :meth:`logits_grouped` hold a per-engine lock.
-    The shard threads of one call all run under that call's attach.
+    Calls on one engine may overlap: a call carries its SNG family as
+    an argument instead of setting it on the shared conv engines, so
+    two groups the serving pool hands one replica at once (an open
+    breaker, a failover) each run under their own family.
     """
 
     def __init__(
@@ -284,7 +253,6 @@ class BatchInferenceEngine:
         self.config = resolve_parallelism(config)
         self.hooks = list(hooks)
         self.name = name
-        self._lock = threading.Lock()
 
     def _dispatch_key(self, kind: str) -> str:
         return f"{kind}@{self.name}" if self.name else kind
@@ -300,10 +268,9 @@ class BatchInferenceEngine:
     def logits(self, x: np.ndarray) -> np.ndarray:
         if _faults.enabled():
             _faults.fire("engine.dispatch", key=self._dispatch_key("logits"))
-        with self._lock:
-            t0 = time.perf_counter()
-            out = predict_logits(self.net, x, self.config)
-            self._notify(int(np.asarray(x).shape[0]), time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        out = predict_logits(self.net, x, self.config)
+        self._notify(int(np.asarray(x).shape[0]), time.perf_counter() - t0)
         return out
 
     def logits_grouped(self, xs, generator: str | None = None) -> list[np.ndarray]:
@@ -312,19 +279,16 @@ class BatchInferenceEngine:
         ``generator`` overrides the SNG family for this one group (the
         serving plane's per-request ``generator=`` field lands here);
         ``None`` keeps the engine's configured family.  The override
-        rides a config copy, but a call applies it to the net's shared
-        conv engines while it runs, so overlapping groups are safe only
-        because calls on one engine are serialized (see the class
-        docstring).
+        rides a config copy down to the conv engines, so overlapping
+        groups each keep their own.
         """
         if _faults.enabled():
             _faults.fire("engine.dispatch", key=self._dispatch_key("grouped"))
         config = self.config if generator is None else replace(self.config, generator=generator)
-        with self._lock:
-            t0 = time.perf_counter()
-            out = predict_logits_grouped(self.net, xs, config)
-            n = sum(int(np.asarray(x).shape[0]) for x in xs)
-            self._notify(n, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        out = predict_logits_grouped(self.net, xs, config)
+        n = sum(int(np.asarray(x).shape[0]) for x in xs)
+        self._notify(n, time.perf_counter() - t0)
         return out
 
     def predict(self, x: np.ndarray) -> np.ndarray:

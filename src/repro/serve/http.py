@@ -258,10 +258,9 @@ class ServingServer:
         )
         for engine in engines:
             engine.add_hook(self.metrics.engine_hook)
-        if engines[0].config.use_cache:
-            from repro.parallel.cache import get_worker_cache
+        from repro.parallel.cache import get_worker_cache
 
-            self.metrics.attach_schedule_cache(get_worker_cache())
+        self.metrics.attach_schedule_cache(get_worker_cache())
         breaker_factory = None
         if self.config.breaker_threshold > 0:
             breaker_factory = lambda: CircuitBreaker(  # noqa: E731

@@ -19,8 +19,9 @@ import pytest
 
 from repro.core.mvm import BiscMvm, sc_matmul
 from repro.nn.engines import ProposedScEngine
-from repro.parallel import ScheduleCache
+from repro.parallel import ScheduleCache, get_worker_cache, reset_worker_cache
 from repro.sc.counters import SaturatingUpDownCounter
+from repro.sc.encoding import quantize_signed
 from repro.sc.multipliers import ConventionalScMac
 from repro.sc.sng import LfsrSource
 
@@ -132,15 +133,26 @@ class TestConventionalScMacReuse:
         assert mac.cycles == 5 * (1 << 6)
 
 
+def _reference(w, x, n_bits):
+    """The uncached reference kernel on the engine's quantized operands."""
+    acc = sc_matmul(quantize_signed(w, n_bits), quantize_signed(x, n_bits), n_bits, 2, "final")
+    return acc / (1 << (n_bits - 1))
+
+
 class TestCachedEngineReuse:
+    @pytest.fixture(autouse=True)
+    def _fresh_process_cache(self):
+        reset_worker_cache()
+        yield
+        reset_worker_cache()
+
     def test_engine_reuse_across_two_batches_matches_uncached(self, rng):
-        cached = ProposedScEngine(n_bits=8, cache=ScheduleCache())
-        uncached = ProposedScEngine(n_bits=8)
+        engine = ProposedScEngine(n_bits=8)
         w = rng.normal(0.0, 0.3, size=(6, 14))
         for _ in range(2):
             x = rng.normal(0.0, 0.3, size=(14, 9))
-            assert np.array_equal(cached.matmul(w, x), uncached.matmul(w, x))
-        stats = cached.cache.stats()
+            assert np.array_equal(engine.matmul(w, x), _reference(w, x, 8))
+        stats = get_worker_cache().stats()
         assert stats["hits"] >= 1  # second batch reused the schedule
 
     def test_inplace_weight_mutation_invalidates_cache(self, rng):
@@ -154,16 +166,15 @@ class TestCachedEngineReuse:
 
     def test_shared_cache_across_engines_is_safe(self, rng):
         """One process cache serves every layer engine of the net."""
-        cache = ScheduleCache()
-        e1 = ProposedScEngine(n_bits=8, cache=cache)
-        e2 = ProposedScEngine(n_bits=6, cache=cache)
+        e1 = ProposedScEngine(n_bits=8)
+        e2 = ProposedScEngine(n_bits=6)
         w1 = rng.normal(0.0, 0.3, size=(3, 10))
         w2 = rng.normal(0.0, 0.3, size=(5, 8))
         x1 = rng.normal(0.0, 0.3, size=(10, 4))
         x2 = rng.normal(0.0, 0.3, size=(8, 6))
-        assert np.array_equal(e1.matmul(w1, x1), ProposedScEngine(n_bits=8).matmul(w1, x1))
-        assert np.array_equal(e2.matmul(w2, x2), ProposedScEngine(n_bits=6).matmul(w2, x2))
-        assert cache.stats()["layers"] == 2
+        assert np.array_equal(e1.matmul(w1, x1), _reference(w1, x1, 8))
+        assert np.array_equal(e2.matmul(w2, x2), _reference(w2, x2, 6))
+        assert get_worker_cache().stats()["layers"] == 2
 
     def test_cache_eviction_keeps_results_exact(self, rng):
         cache = ScheduleCache(max_layers=2)

@@ -46,6 +46,7 @@ class TestProfile:
         before = [c.forward for c in net.conv_layers]
         profile_network(net, (1, 28, 28))
         assert [c.forward for c in net.conv_layers] == before
+        assert not any("forward" in vars(c) for c in net.conv_layers)
 
 
 class TestCifarNet:

@@ -1,5 +1,6 @@
 """Tests for range calibration and engine wiring."""
 
+import numpy as np
 import pytest
 
 from repro.nn import (
@@ -41,6 +42,22 @@ class TestCalibration:
         before = [c.forward for c in net.conv_layers]
         calibrate_conv_ranges(net, x)
         assert [c.forward for c in net.conv_layers] == before
+
+    def test_leaves_no_forward_on_the_instance(self, rng):
+        """A bound method stored on a layer would pin what its copies run."""
+        net = build_mnist_net(seed=0)
+        calibrate_conv_ranges(net, rng.normal(size=(4, 1, 28, 28)))
+        assert not any("forward" in vars(c) for c in net.conv_layers)
+
+    def test_ranges_are_the_conv_inputs_percentile(self, rng):
+        net = build_mnist_net(seed=0)
+        x = rng.normal(size=(4, 1, 28, 28))
+        ranges = calibrate_conv_ranges(net, x, percentile=97.0)
+        inputs = net.conv_inputs(x)
+        assert [r.max_abs_input for r in ranges] == [
+            float(np.percentile(np.abs(i), 97.0)) for i in inputs
+        ]
+        assert ranges[0].max_abs_input == float(np.percentile(np.abs(x), 97.0))
 
     def test_percentile_below_max(self, rng):
         net = build_mnist_net(seed=0)

@@ -16,7 +16,7 @@ from repro.nn.engines import (
     ProposedScEngine,
     make_engine,
 )
-from repro.parallel.cache import ScheduleCache
+from repro.parallel.cache import get_worker_cache, reset_worker_cache
 from repro.sc.encoding import quantize_signed
 from repro.sc.generators import generator_ud_table
 from repro.sc.multipliers import lfsr_ud_table, select_low_bias_seeds
@@ -72,14 +72,20 @@ class TestFixedPointEngine:
 
 class TestProposedEngine:
     def test_matches_sc_matmul(self, operands):
+        """The process-cache kernel equals the reference on the quantized operands."""
         w, x = operands
         n = 8
-        eng = ProposedScEngine(n_bits=n, acc_bits=6, saturate=None)
-        got = eng.matmul(w, x)
         w_int = quantize_signed(w, n)
         x_int = quantize_signed(x, n)
-        expected = sc_matmul(w_int, x_int, n, saturate=None) / (1 << (n - 1))
-        assert np.allclose(got, expected)
+        for saturate in (None, "final", "term"):
+            eng = ProposedScEngine(n_bits=n, acc_bits=6, saturate=saturate)
+            expected = sc_matmul(w_int, x_int, n, 6, saturate=saturate) / (1 << (n - 1))
+            assert np.array_equal(eng.matmul(w, x), expected)
+
+    def test_ignores_the_call_generator(self, operands):
+        w, x = operands
+        eng = ProposedScEngine(n_bits=8)
+        assert np.array_equal(eng.matmul(w, x, generator="mip"), eng.matmul(w, x))
 
     def test_accuracy_improves_with_precision(self, operands):
         w, x = operands
@@ -174,20 +180,45 @@ def cached_oracle(shape, n_bits, saturate, generator):
 class TestLfsrEngineParity:
     """``LfsrScEngine.matmul`` is bit-equal to the pairwise table sum."""
 
+    @pytest.fixture(autouse=True)
+    def _fresh_process_cache(self):
+        """Each case starts on, and leaves behind, an empty process cache."""
+        reset_worker_cache()
+        yield
+        reset_worker_cache()
+
     @pytest.mark.parametrize("cached", (False, True), ids=("no-cache", "cache"))
     @pytest.mark.parametrize("shape", sorted(LFSR_SHAPES))
     @pytest.mark.parametrize("n_bits", (3, 5, 8))
     @pytest.mark.parametrize("saturate", ("final", None, "term"), ids=str)
     @pytest.mark.parametrize("generator", FAMILIES, ids=str)
     def test_matches_oracle(self, generator, saturate, n_bits, shape, cached):
+        """Cold, then from the weight-row memo.
+
+        ``no-cache``: the process cache holds no table yet, so the first
+        call builds it.  ``cache``: the table is already in the process
+        cache, so the first call is served from it.
+        """
         w, x = lfsr_operands(shape)
-        engine = LfsrScEngine(
-            n_bits=n_bits, saturate=saturate, generator=generator,
-            cache=ScheduleCache() if cached else None,
-        )
+        engine = LfsrScEngine(n_bits=n_bits, saturate=saturate, generator=generator)
+        if cached:
+            assert engine.ud_table.shape == ((1 << n_bits) + 1,) * 2
         expected = cached_oracle(shape, n_bits, saturate, generator)
-        for _ in range(2):  # cold, then from the weight-row memo
+        for _ in range(2):
             assert np.array_equal(engine.matmul(w, x), expected)
+        stats = get_worker_cache().stats()
+        assert stats["hits"] + stats["misses"] == 1 + cached  # one table lookup per cold call
+        assert stats["misses"] <= 1
+
+    def test_call_generator_overrides_the_engine_family(self):
+        """``matmul(..., generator=g)`` computes under ``g`` and changes nothing."""
+        w, x = lfsr_operands("conv2")
+        engine = LfsrScEngine(n_bits=5, generator="halton")
+        for family in FAMILIES:
+            got = engine.matmul(w, x, generator=family)
+            want = "halton" if family is None else family
+            assert np.array_equal(got, cached_oracle("conv2", 5, "final", want))
+        assert engine.generator == "halton"
 
     def test_scales_follow_the_contract(self):
         w, x = lfsr_operands("m1")
@@ -199,10 +230,12 @@ class TestLfsrEngineParity:
         w, x = lfsr_operands("conv2")
         engine = LfsrScEngine(n_bits=5, generator="lfsr")
         first = engine.matmul(w, x)
-        engine.generator = "mip"
-        assert np.array_equal(engine.matmul(w, x), cached_oracle("conv2", 5, "final", "mip"))
-        engine.generator = "lfsr"
+        mip = cached_oracle("conv2", 5, "final", "mip")
+        assert np.array_equal(engine.matmul(w, x, generator="mip"), mip)
         assert np.array_equal(engine.matmul(w, x), first)
+        engine.generator = "mip"  # the configured family is still a plain field
+        assert np.array_equal(engine.matmul(w, x), mip)
+        assert np.array_equal(engine.matmul(w, x, generator="lfsr"), first)
 
     def test_inplace_weight_edit_is_never_stale(self):
         w, x = lfsr_operands("conv1")
@@ -215,23 +248,31 @@ class TestLfsrEngineParity:
 
     def test_pickle_and_copy_carry_no_memo(self):
         w, x = lfsr_operands("conv2")
-        engine = LfsrScEngine(n_bits=5, generator="halton", cache=ScheduleCache())
+        engine = LfsrScEngine(n_bits=5, generator="halton")
         first = engine.matmul(w, x)
-        assert engine._rows and engine._ud_table is not None
+        assert engine._rows
         clone = pickle.loads(pickle.dumps(engine))
         twin = copy.copy(engine)  # how Network.set_conv_engines shares one engine
         for other in (clone, twin):
-            assert other._rows == {} and other._ud_table is None and other.cache is None
+            assert other._rows == {}
             assert np.array_equal(other.matmul(w, x), first)
         assert twin._rows is not engine._rows
+        # all three rebuilt their rows from the process cache's one table
+        stats = get_worker_cache().stats()
+        assert stats["hits"] + stats["misses"] == 3
+        assert stats["misses"] <= 1
 
     def test_int32_rows_branch(self, monkeypatch):
         monkeypatch.setattr(engines_mod, "_I16_ROW_BOUND", 1)
         w, x = lfsr_operands("conv2")
+        table = get_worker_cache().sng_ud_table("ed", 5)
         for saturate in ("final", "term"):
             engine = LfsrScEngine(n_bits=5, saturate=saturate, generator="ed")
             assert np.array_equal(engine.matmul(w, x), cached_oracle("conv2", 5, saturate, "ed"))
-            assert engine._rows[engine._table_key][1].dtype == np.int32
+            w_off, rows = engine._rows[engine._table_key("ed")]
+            assert rows.dtype == np.int32
+            # segment 0 of row m is the process cache's table row w_off[m, 0]
+            assert np.array_equal(rows[:, : table.shape[1]], table[w_off[:, 0]])
 
     @pytest.mark.parametrize("bound, dtype", ((None, np.int32), (1, np.int64)))
     def test_sum_dtype_branches(self, monkeypatch, bound, dtype):

@@ -13,7 +13,7 @@ from repro.nn import (
     SgdConfig,
     Trainer,
 )
-from repro.nn.engines import FloatEngine, ProposedScEngine
+from repro.nn.engines import FloatEngine, ProposedScEngine, make_engine
 
 
 def tiny_net(rng_seed=0):
@@ -105,3 +105,36 @@ class TestNetworkContainer:
         net = tiny_net()
         x, _ = toy_problem(rng, n=100)
         assert np.array_equal(net.predict(x, batch=7), net.predict(x, batch=100))
+
+    def test_predict_runs_batch_sized_chunks(self, rng):
+        net = tiny_net()
+        x, _ = toy_problem(rng, n=10)
+        expected = np.concatenate([net.forward(x[i : i + 4]) for i in range(0, 10, 4)])
+        assert np.array_equal(net.predict(x, batch=4), expected.argmax(axis=1))
+
+    def test_conv_inputs_are_what_each_conv_sees(self, rng):
+        net = Network(
+            [
+                Conv2D(1, 2, kernel=3, pad=1, rng=rng),
+                ReLU(),
+                Conv2D(2, 3, kernel=3, rng=rng),
+                Flatten(),
+                Dense(3 * 6 * 6, 3, rng=rng),
+            ]
+        )
+        x = rng.normal(size=(2, 1, 8, 8))
+        inputs = net.conv_inputs(x)
+        assert len(inputs) == 2
+        assert inputs[0] is x
+        assert np.array_equal(inputs[1], net.layers[1].forward(net.layers[0].forward(x)))
+        assert not any("forward" in vars(layer) for layer in net.layers)
+
+    def test_forward_passes_the_generator_to_every_conv(self, rng):
+        net = tiny_net()
+        net.set_conv_engines(make_engine("lfsr-sc", n_bits=5))
+        x, _ = toy_problem(rng, n=3)
+        under_mip = net.forward(x, generator="mip")
+        for conv in net.conv_layers:
+            conv.engine.generator = "mip"
+        assert np.array_equal(under_mip, net.forward(x))
+        assert not np.array_equal(under_mip, net.forward(x, generator="lfsr"))

@@ -26,8 +26,10 @@ from repro.parallel import (
     get_worker_cache,
     group_shards,
     predict_logits,
+    reset_worker_cache,
     resolve_parallelism,
 )
+from repro.sc.encoding import quantize_signed
 
 POOL_WORKERS = (1, 2, 4)
 
@@ -255,20 +257,27 @@ def blocked_matmul(engine, w, x, tile_size, batch_size, workers=0):
     return out
 
 
+def proposed_reference(w, x, n_bits):
+    """``ProposedScEngine.matmul`` computed by the reference kernel."""
+    acc = sc_matmul(quantize_signed(w, n_bits), quantize_signed(x, n_bits), n_bits, 2, "final")
+    return acc / (1 << (n_bits - 1))
+
+
 @given(
     n_bits=st.sampled_from([4, 8]),
     batch_size=st.integers(0, 7),
     tile_size=st.integers(0, 5),
-    use_cache=st.booleans(),
+    fresh_cache=st.booleans(),
 )
 @settings(max_examples=25)
-def test_sharded_matmul_matches_serial_inproc(n_bits, batch_size, tile_size, use_cache):
+def test_sharded_matmul_matches_serial_inproc(n_bits, batch_size, tile_size, fresh_cache):
     rng = np.random.default_rng(n_bits * 100 + batch_size * 10 + tile_size)
     engine = ProposedScEngine(n_bits=n_bits)
     w = rng.normal(0.0, 0.3, size=(6, 14))
     x = rng.normal(0.0, 0.3, size=(14, 9))
-    expected = engine.matmul(w, x)
-    engine.cache = ScheduleCache() if use_cache else None
+    if fresh_cache:
+        reset_worker_cache()
+    expected = proposed_reference(w, x, n_bits)
     assert np.array_equal(expected, blocked_matmul(engine, w, x, tile_size, batch_size))
 
 
@@ -327,16 +336,22 @@ def test_pool_matmul_parity(engine_factory):
     engine = engine_factory(n_bits=8)
     w = rng.normal(0.0, 0.3, size=(9, 20))
     x = rng.normal(0.0, 0.3, size=(20, 13))
-    expected = engine.matmul(w, x)
-    if hasattr(engine, "cache"):
-        engine.cache = get_worker_cache()
+    if engine_factory is ProposedScEngine:
+        expected = proposed_reference(w, x, 8)
+    else:
+        expected = engine.matmul(w, x)
     assert np.array_equal(expected, blocked_matmul(engine, w, x, 4, 5, workers=2))
 
 
 def test_pool_without_cache_is_still_exact(net, images):
+    """Shard threads that start on an empty process cache fill it together."""
     expected = serial_logits(net, images, 4)
-    config = ParallelConfig(workers=2, batch_size=4, use_cache=False)
+    reset_worker_cache()
+    config = ParallelConfig(workers=2, batch_size=4)
     assert np.array_equal(expected, predict_logits(net, images, config))
+    stats = get_worker_cache().stats()
+    lookups = len(net.conv_layers) * len(group_shards([len(images)], 4))  # per conv per shard
+    assert stats["hits"] + stats["misses"] == lookups
 
 
 def test_cached_matmul_parity(rng):
@@ -364,31 +379,40 @@ def test_inproc_sharded_matmul_parity(rng):
     engine = ProposedScEngine(n_bits=8)
     w = rng.normal(0.0, 0.3, size=(6, 14))
     x = rng.normal(0.0, 0.3, size=(14, 9))
-    expected = engine.matmul(w, x)
-    engine.cache = ScheduleCache()
-    assert np.array_equal(expected, blocked_matmul(engine, w, x, 4, 3))
+    reset_worker_cache()
+    assert np.array_equal(proposed_reference(w, x, 8), blocked_matmul(engine, w, x, 4, 3))
+
+
+def engine_state(net):
+    """Every conv engine's attributes, copied."""
+    return [dict(vars(conv.engine)) for conv in net.conv_layers]
 
 
 def test_generator_override_leaves_engines_untouched_inproc(net, images):
-    """The in-proc attach must restore engine.generator after the run."""
-    before = [conv.engine.generator for conv in net.conv_layers]
+    """The call's family travels as an argument: no engine attribute changes."""
+    before = engine_state(net)
     predict_logits(net, images, ParallelConfig(workers=0, generator="halton"))
-    assert [conv.engine.generator for conv in net.conv_layers] == before
+    assert engine_state(net) == before
 
 
 def test_engine_pickle_drops_cache():
+    """A pickled engine carries no cache: it draws from the process cache."""
     import pickle
 
-    engine = ProposedScEngine(n_bits=8, cache=ScheduleCache())
+    engine = ProposedScEngine(n_bits=8)
+    w = np.full((2, 3), 0.25)
+    x = np.full((3, 4), -0.5)
+    expected = engine.matmul(w, x)
     clone = pickle.loads(pickle.dumps(engine))
-    assert clone.cache is None
+    assert not any(isinstance(v, ScheduleCache) for v in vars(clone).values())
     assert clone.n_bits == 8
+    assert np.array_equal(clone.matmul(w, x), expected)
 
 
 def test_serial_path_leaves_engine_cache_untouched(net, images):
-    caches_before = [conv.engine.cache for conv in net.conv_layers]
+    before = engine_state(net)
     predict_logits(net, images, ParallelConfig(workers=0, batch_size=4))
-    assert [conv.engine.cache for conv in net.conv_layers] == caches_before
+    assert engine_state(net) == before
 
 
 # -- larger fleet (nightly) ----------------------------------------------
@@ -414,6 +438,5 @@ def test_pool_matmul_parity_large(workers):
     engine = ProposedScEngine(n_bits=8)
     w = rng.normal(0.0, 0.3, size=(48, 120))
     x = rng.normal(0.0, 0.3, size=(120, 96))
-    expected = engine.matmul(w, x)
-    engine.cache = get_worker_cache()
+    expected = proposed_reference(w, x, 8)
     assert np.array_equal(expected, blocked_matmul(engine, w, x, 13, 17, workers=workers))

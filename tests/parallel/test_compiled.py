@@ -191,8 +191,9 @@ class TestThinView:
     def test_compiled_path_serves_with_zero_rebuilds(self, images, engine):
         """A boot from a compiled artifact builds nothing.
 
-        Each leg gets a fresh net: ``LfsrScEngine`` memoizes its table
-        on the engine, so a reused net would never ask the cache again.
+        Each leg gets a fresh net: ``LfsrScEngine`` memoizes its weight
+        rows on the engine, so a reused net would never ask the cache
+        for the table again.
         """
         cfg = ParallelConfig(workers=0, batch_size=3)
 

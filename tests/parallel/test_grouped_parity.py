@@ -154,17 +154,17 @@ def test_grouped_parity_on_thread_shards(net, images, workers):
 
 
 def _check_overlapping_groups(images, workers):
-    """Two overlapping tagged groups on one engine keep their generator.
+    """Two tagged groups on one engine overlap and keep their generator.
 
-    A call sets its generator override on the net's shared conv
-    engines, and the serving pool can hand one replica two groups at
-    once.  The net's forward is wrapped so that the ``mip`` group waits
-    inside it (for at most 1 s) until the ``halton`` group reaches its
-    own forward; while calls overlap, ``mip`` then runs under
-    ``halton``.  The groups send different images, which is how the
-    wrapper tells them apart on any shard thread.  Each answer must
-    equal its serial value, and every conv engine must be back on its
-    configured generator.
+    The serving pool can hand one replica two groups at once.  The
+    net's forward is wrapped so that the ``mip`` group waits inside it
+    (for at most 5 s) until the ``halton`` group reaches its own
+    forward.  The groups send different images, which is how the
+    wrapper tells them apart on any shard thread.  ``halton`` must
+    enter while ``mip`` waits: a call carries its family as an
+    argument, so nothing serializes calls on one engine.  Each answer
+    must equal its serial value, and every conv engine must still be on
+    its configured generator.
     """
     net = build_mnist_net(seed=3, c1=2, c2=3, fc=16)
     attach_engines(net, "lfsr-sc", [LayerRanges(1.0, 1.0)] * 2, n_bits=6)
@@ -175,14 +175,15 @@ def _check_overlapping_groups(images, workers):
 
     forward = net.forward
     inside = {tag: threading.Event() for tag in groups}
+    overlapped = []
 
-    def overlapping_forward(x):
+    def overlapping_forward(x, **kwargs):
         tag = owner[x[0].tobytes()]
         if not inside[tag].is_set():
             inside[tag].set()
             if tag == "mip":
-                inside["halton"].wait(timeout=1.0)
-        return forward(x)
+                overlapped.append(inside["halton"].wait(timeout=5.0))
+        return forward(x, **kwargs)
 
     net.forward = overlapping_forward
     served = {}
@@ -197,6 +198,7 @@ def _check_overlapping_groups(images, workers):
     for thread in threads.values():
         thread.join(timeout=60.0)
         assert not thread.is_alive()
+    assert overlapped == [True], "halton did not enter net.forward while mip waited"
     for tag in groups:
         assert len(served[tag]) == len(serial[tag])
         for got, want in zip(served[tag], serial[tag]):

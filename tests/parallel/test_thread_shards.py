@@ -1,9 +1,9 @@
 """Thread shards: ``workers=N`` runs a call's shards on N threads.
 
-Every shard thread of a call runs the same network under the same
-cache/generator attach and writes its own rows of one output array, so
-the answer must be bit-identical to the inline run (``workers=0``) for
-every engine, SNG family and request geometry.  The fleet runs with a
+Every shard thread of a call runs the same network under the call's
+SNG family and writes its own rows of one output array, so the answer
+must be bit-identical to the inline run (``workers=0``) for every
+engine, SNG family, request geometry and process-cache state.  The fleet runs with a
 1 µs switch interval so the threads interleave as often as CPython
 allows.  The process :class:`~repro.parallel.ScheduleCache` is shared
 by every shard thread, so its memo bookkeeping is stress-tested here
@@ -23,14 +23,22 @@ import pytest
 from repro.core.mvm import sc_matmul
 from repro.nn import attach_engines, build_mnist_net
 from repro.nn.calibration import LayerRanges
-from repro.parallel import ParallelConfig, ScheduleCache, predict_logits_grouped
+from repro.parallel import (
+    ParallelConfig,
+    ScheduleCache,
+    get_worker_cache,
+    predict_logits_grouped,
+    reset_worker_cache,
+)
 
 N_BITS = 5
 BATCH = 2
 THREADS = (2, 3)
 FAMILIES = (None, "lfsr", "halton", "ed", "mip", "parallel")
 
-#: (engine kind, generator, use_cache)
+#: (engine kind, generator, warm): ``warm=False`` drops the process
+#: cache before every call, so the shard threads build its entries
+#: concurrently.
 CASES = [
     ("float", None, True),
     ("fixed", None, True),
@@ -41,11 +49,11 @@ CASES = [
 
 
 def _case_id(case) -> str:
-    kind, family, use_cache = case
+    kind, family, warm = case
     if kind == "lfsr-sc":
         return f"lfsr-sc-{family}"
     if kind == "proposed-sc":
-        return f"proposed-sc-{'cache' if use_cache else 'nocache'}"
+        return f"proposed-sc-{'cache' if warm else 'nocache'}"
     return kind
 
 
@@ -85,16 +93,16 @@ def _assert_groups_equal(got, want):
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_thread_shards_match_inline(images, case, workers):
     """Ragged requests with a zero-size one in the middle, twice over."""
-    kind, family, use_cache = case
+    kind, family, warm = case
     net = fresh_net(kind)
     xs = [images[:5], images[5:5], images[5:6], images[6:13]]
-    inline = ParallelConfig(workers=0, batch_size=BATCH, use_cache=use_cache, generator=family)
+    inline = ParallelConfig(workers=0, batch_size=BATCH, generator=family)
     expected = predict_logits_grouped(net, xs, inline)
-    threaded = ParallelConfig(
-        workers=workers, batch_size=BATCH, use_cache=use_cache, generator=family
-    )
+    threaded = ParallelConfig(workers=workers, batch_size=BATCH, generator=family)
     with fast_switching():
         for _ in range(2):
+            if not warm:
+                reset_worker_cache()
             _assert_groups_equal(predict_logits_grouped(net, xs, threaded), expected)
 
 
@@ -121,14 +129,14 @@ def test_a_raising_shard_fails_the_call_after_every_shard_returned(images):
 
     The other shard is still inside its forward pass when the first one
     raises.  The call must raise that very exception, only after every
-    shard returned, with every conv engine's generator and cache
-    restored; the next call must be bit-exact.
+    shard returned, with every conv engine still on its configured
+    generator; the next call must be bit-exact.
     """
     net = fresh_net("lfsr-sc")
     config = ParallelConfig(workers=2, batch_size=BATCH, generator="halton")
     xs = [images[:4]]
     expected = predict_logits_grouped(net, xs, config)
-    before = [(conv.engine.generator, conv.engine.cache) for conv in net.conv_layers]
+    before = [conv.engine.generator for conv in net.conv_layers]
 
     boom = ShardBoom("shard 0 failed")
     forward = net.forward
@@ -136,7 +144,7 @@ def test_a_raising_shard_fails_the_call_after_every_shard_returned(images):
     running = []
     started = threading.Event()
 
-    def flaky_forward(x):
+    def flaky_forward(x, generator=None):
         with lock:
             running.append(x[0].tobytes())
         try:
@@ -145,7 +153,7 @@ def test_a_raising_shard_fails_the_call_after_every_shard_returned(images):
                 raise boom
             started.set()
             time.sleep(0.2)
-            return forward(x)
+            return forward(x, generator=generator)
         finally:
             with lock:
                 running.remove(x[0].tobytes())
@@ -159,8 +167,7 @@ def test_a_raising_shard_fails_the_call_after_every_shard_returned(images):
         assert not [t for t in threading.enumerate() if t.name.startswith("repro-shard")]
     finally:
         del net.forward
-    after = [(conv.engine.generator, conv.engine.cache) for conv in net.conv_layers]
-    assert after == before
+    assert [conv.engine.generator for conv in net.conv_layers] == before
     _assert_groups_equal(predict_logits_grouped(net, xs, config), expected)
 
 
@@ -206,3 +213,44 @@ def test_schedule_cache_shared_by_threads_keeps_its_books():
     stats = cache.stats()
     assert stats["hits"] + stats["misses"] == len(products) * calls
     assert stats["layers"] <= 4
+
+
+def test_threads_on_a_dropped_process_cache_all_get_one(monkeypatch):
+    """Threads that start on a dropped process cache all get the same one.
+
+    Every shard thread reaches :func:`get_worker_cache` from its engine
+    calls, so the first ``workers>=2`` call after a drop must not build
+    two caches and throw one away with its entries and counters.  The
+    cache's constructor sleeps, so every thread arrives while the first
+    one is still building it.
+    """
+
+    class SlowCache(ScheduleCache):
+        def __init__(self, *args, **kwargs):
+            time.sleep(0.002)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr("repro.parallel.cache.ScheduleCache", SlowCache)
+    rounds, n_threads = 10, 4
+    start = threading.Barrier(n_threads)
+    seen = [[] for _ in range(rounds)]
+
+    def run():
+        for k in range(rounds):
+            start.wait()
+            seen[k].append(get_worker_cache())
+            if start.wait() == 0:
+                reset_worker_cache()  # before any thread passes the next barrier
+
+    threads = [threading.Thread(target=run) for _ in range(n_threads)]
+    reset_worker_cache()
+    try:
+        with fast_switching():
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+    finally:
+        reset_worker_cache()
+    assert not any(thread.is_alive() for thread in threads)
+    assert [len({id(cache) for cache in caches}) for caches in seen] == [1] * rounds

@@ -298,6 +298,18 @@ class TestEagerResolveInConfigs:
         with pytest.raises(ValueError, match="unknown generator"):
             ParallelConfig(workers=0, generator="mersenne")
 
+    def test_predict_rejects_unknown_generator_before_any_image(self, monkeypatch):
+        from repro.nn import attach_engines, build_mnist_net
+        from repro.nn.calibration import LayerRanges
+
+        net = build_mnist_net(seed=3, c1=2, c2=3, fc=16)
+        attach_engines(net, "proposed-sc", [LayerRanges(1.0, 1.0)] * 2, n_bits=5)
+        ran = []
+        monkeypatch.setattr(net, "forward", lambda *a, **k: ran.append(a))
+        with pytest.raises(ValueError, match="unknown generator"):
+            net.predict(np.zeros((3, 1, 28, 28)), generator="mersenne")
+        assert ran == []
+
     def test_engine_default_and_lfsr_spec_share_table(self):
         from repro.nn.engines import LfsrScEngine
 

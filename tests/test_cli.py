@@ -177,7 +177,7 @@ class TestInferCheck:
 
         return ThroughputResult(
             dataset="digits", engine="proposed-sc", n_bits=8, n_images=4,
-            workers=2, batch_size=2, use_cache=True, seconds=0.5,
+            workers=2, batch_size=2, seconds=0.5,
             images_per_sec=8.0, bit_exact=bit_exact, mismatch=mismatch,
         )
 
