@@ -1,7 +1,8 @@
 """Pluggable multiply engines for convolution layers.
 
-Each engine computes ``Y = W @ X`` for float matrices but with the
-arithmetic of a particular MAC-array design:
+Each engine computes ``Y = W @ X`` for real-valued matrices (``X`` may
+also arrive as offset words, below) but with the arithmetic of a
+particular MAC-array design:
 
 * :class:`FloatEngine` — exact float (the original "floating-point
   net" of the paper's training runs).
@@ -33,8 +34,9 @@ by pair, it derives per layer and per SNG family the weight rows ``R``
 (``M x D*S``): row ``m`` holds ``table[w_off[m, j], :]`` for ``j =
 0..D-1``, laid back to back.  Then ``acc[m, p] = sum_j R[m, j*S +
 x_off[j, p]]`` is one ``np.take`` of ``R`` along its rows with the
-``(D, P)`` index ``x_off + S*arange(D)[:, None]``, shared by all ``M``
-rows, into a contiguous ``(M, D, P)`` block, and one sum over ``D``.
+``(D, P)`` index ``x_off + S*arange(D)[:, None]`` (made from the
+offset words in one pass), shared by all ``M`` rows, into a contiguous
+``(M, D, P)`` block, and one sum over ``D``.
 A block above ``2**24`` elements (32 MiB of int16) is gathered in
 column slabs instead, which no served shape reaches.
 
@@ -53,6 +55,37 @@ column slabs instead, which no served shape reaches.
   holds 8.7 MB.  Pickling or copying an engine drops it.
 * There is no ``chunk=`` parameter any more: nothing loops over ``D``.
 
+Integer-native conv layers
+--------------------------
+In the paper's accelerator a feature map sits in the tile buffer as
+N-bit offset-binary words that the BISC-MVM reads directly (Sec. 2.4,
+Fig. 4), so each value is quantized once.  The conv layers work the
+same way:
+
+* **Word format.**  :meth:`MatmulEngine.encode` maps the real layer
+  input ``x`` (NCHW) to ``quantize_signed(x, N, scale=x_scale) +
+  2**(N-1)``: the non-negative offset-binary word of each value, in
+  ``[0, 2**N - 1]``, held as int16 (int32 for ``N > 15``).  The word of
+  real 0 is ``2**(N-1)`` (:attr:`MatmulEngine.zero_word`).
+* **Layout.**  :class:`~repro.nn.layers.conv.Conv2D` im2cols the words
+  (:func:`repro.nn.im2col.im2col` with ``fill=zero_word``, so padding
+  is real 0) into the usual ``(D, P)`` column matrix, C-contiguous, and
+  hands it to :meth:`MatmulEngine.matmul`.  An integer ``x`` dtype marks
+  such pre-encoded words; a float ``x`` is encoded first, so callers
+  with real-valued operands see no change.
+* **One range check.**  :func:`~repro.sc.encoding.quantize_signed`,
+  called once per layer input, is the one finiteness and range check:
+  NaN and +-Inf raise, and every finite value saturates to the rail,
+  also one that overflows when scaled.  Words are in range by
+  construction, so the kernels do not check them again (the signed API
+  of :meth:`~repro.parallel.cache.ScheduleCache.sc_matmul` keeps its
+  own check for its other callers).
+* **Weight memo.**  :meth:`MatmulEngine.quantize_weights` quantizes a
+  layer's weights once and memoizes them on the engine, keyed by the
+  weight *content*: a private float64 copy of the weights, compared
+  with each call's weights (``np.array_equal``).  An in-place edit
+  (fine-tuning) therefore misses and re-quantizes.
+
 Stateless calls
 ---------------
 ``matmul(w, x, generator=None)`` takes the SNG family as an argument
@@ -60,10 +93,10 @@ Stateless calls
 engine attribute, so calls on one engine may overlap.  Schedules and
 up/down tables come from the process
 :class:`~repro.parallel.cache.ScheduleCache` (``get_worker_cache()``),
-including out of a precompiled artifact.  The one memo on an engine,
-the LFSR-SC weight rows, is replaced whole under its family's key, so
-an overlapping call reads either the old entry or the new one and
-checks its own weights against it either way.
+including out of a precompiled artifact.  The memos on an engine (the
+quantized weights, and the LFSR-SC weight rows per family) are
+replaced whole, so an overlapping call reads either the old entry or
+the new one and checks its own weights against it either way.
 """
 
 from __future__ import annotations
@@ -73,7 +106,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.parallel.cache import get_worker_cache
-from repro.sc.encoding import quantize_signed, to_offset_binary
+from repro.sc.encoding import quantize_signed
 from repro.sc.multipliers import lfsr_ud_table  # noqa: F401 - perfbench/tracing.py patches it
 from repro.sc.multipliers import select_low_bias_seeds
 
@@ -99,6 +132,11 @@ _I32_SUM_BOUND = 1 << 31
 #: Largest ``(M, D, P)`` gather block, in elements (32 MiB of int16);
 #: larger products are gathered in column slabs of at most this size.
 _BLOCK_BOUND = 1 << 24
+
+
+def _word_dtype(n_bits: int):
+    """Offset words are int16 while ``2**N - 1`` fits, int32 beyond."""
+    return np.int16 if n_bits < 16 else np.int32
 
 
 @dataclass
@@ -136,12 +174,45 @@ class MatmulEngine:
             from repro.sc.generators import resolve_generator
 
             resolve_generator(self.generator)
+        #: ``(float64 copy of the weights, their signed N-bit integers)``
+        self._w_memo: tuple[np.ndarray, np.ndarray] | None = None
 
-    # -- helpers shared by integer engines --------------------------------
-    def _quantize(self, w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w_int = quantize_signed(np.asarray(w, dtype=np.float64) / self.w_scale, self.n_bits)
-        x_int = quantize_signed(np.asarray(x, dtype=np.float64) / self.x_scale, self.n_bits)
-        return w_int, x_int
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state["_w_memo"] = None
+        return state
+
+    # -- the integer-native operand format ---------------------------------
+    @property
+    def zero_word(self) -> int:
+        """The offset word of real 0 (an im2col's padding)."""
+        return 1 << (self.n_bits - 1)
+
+    def encode(self, x: np.ndarray) -> np.ndarray:
+        """Offset-binary words of the real operand ``x``, any shape.
+
+        ``quantize_signed(x, N, scale=x_scale) + 2**(N-1)``: the one
+        finiteness and range check of a layer input (module docstring,
+        "Integer-native conv layers").
+        """
+        q = quantize_signed(x, self.n_bits, scale=self.x_scale)
+        return np.add(q, self.zero_word, dtype=_word_dtype(self.n_bits))
+
+    def quantize_weights(self, w: np.ndarray) -> np.ndarray:
+        """Signed N-bit integers of ``w / w_scale``, memoized by weight content."""
+        memo = self._w_memo
+        if memo is not None and np.array_equal(memo[0], w):
+            return memo[1]
+        key = np.array(w, dtype=np.float64)  # a copy: in-place edits must miss
+        w_int = quantize_signed(key, self.n_bits, scale=self.w_scale)
+        w_int.setflags(write=False)
+        self._w_memo = (key, w_int)
+        return w_int
+
+    def _words(self, x: np.ndarray) -> np.ndarray:
+        """``x`` as offset words: an integer dtype is taken as pre-encoded."""
+        x = np.asarray(x)
+        return x if x.dtype.kind in "iu" else self.encode(x)
 
     def _dequantize(self, acc_int: np.ndarray) -> np.ndarray:
         return acc_int.astype(np.float64) / (1 << (self.n_bits - 1)) * self.w_scale * self.x_scale
@@ -154,18 +225,29 @@ class MatmulEngine:
     def matmul(self, w: np.ndarray, x: np.ndarray, generator: str | None = None) -> np.ndarray:
         """Compute ``W @ X`` under this engine's arithmetic.
 
-        ``generator`` names the SNG family of this call (``None`` = the
-        engine's own ``generator``); only :class:`LfsrScEngine` reads it.
+        ``x`` is real-valued, or offset words from :meth:`encode` when
+        its dtype is integer.  ``generator`` names the SNG family of
+        this call (``None`` = the engine's own ``generator``); only
+        :class:`LfsrScEngine` reads it.
         """
         raise NotImplementedError
 
 
 class FloatEngine(MatmulEngine):
-    """Exact floating-point matmul (reference arithmetic)."""
+    """Exact floating-point matmul (reference arithmetic).
+
+    Its operands stay real: :meth:`encode` is the identity and an
+    im2col pads with 0.0.
+    """
+
+    zero_word = 0.0
 
     def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
         self.name = "float"
+
+    def encode(self, x: np.ndarray) -> np.ndarray:
+        return x
 
     def matmul(self, w: np.ndarray, x: np.ndarray, generator: str | None = None) -> np.ndarray:
         return np.asarray(w, dtype=np.float64) @ np.asarray(x, dtype=np.float64)
@@ -204,7 +286,8 @@ class FixedPointEngine(MatmulEngine):
         return prod >> shift
 
     def matmul(self, w: np.ndarray, x: np.ndarray, generator: str | None = None) -> np.ndarray:
-        w_int, x_int = self._quantize(w, x)
+        w_int = self.quantize_weights(w)
+        x_int = np.subtract(self._words(x), self.zero_word, dtype=np.int64)
         m, d = w_int.shape
         _, p = x_int.shape
         lo, hi = self._acc_limits
@@ -296,22 +379,22 @@ class LfsrScEngine(MatmulEngine):
         return rows
 
     def __getstate__(self):
-        state = dict(self.__dict__)
+        state = super().__getstate__()
         state["_rows"] = {}
         return state
 
     def matmul(self, w: np.ndarray, x: np.ndarray, generator: str | None = None) -> np.ndarray:
-        w_int, x_int = self._quantize(w, x)
-        w_off = to_offset_binary(w_int, self.n_bits)
-        x_off = to_offset_binary(x_int, self.n_bits)
+        w_off = self.quantize_weights(w) + self.zero_word
+        x_off = self._words(x)
         m, d = w_off.shape
         if x_off.shape[0] != d:
             raise ValueError(f"shape mismatch: {w_off.shape} @ {x_off.shape}")
         p = x_off.shape[1]
         family = self.generator if generator is None else generator
         rows = self._weight_rows(w_off, self._table_key(family))
-        # x_off becomes the gather index: term j reads segment j of R
-        x_off += ((1 << self.n_bits) + 1) * np.arange(d)[:, None]
+        # the gather index: term j reads segment j of R
+        segments = ((1 << self.n_bits) + 1) * np.arange(d)[:, None]
+        x_off = np.add(x_off, segments, dtype=np.intp)
         # Raw up/down counts are double-scale: widen limits by one bit.
         lo, hi = self._acc_limits
         lo, hi = 2 * lo, 2 * hi
@@ -347,9 +430,9 @@ class ProposedScEngine(MatmulEngine):
         self.name = "proposed-sc"
 
     def matmul(self, w: np.ndarray, x: np.ndarray, generator: str | None = None) -> np.ndarray:
-        w_int, x_int = self._quantize(w, x)
+        x_int = self._words(x) - self.zero_word  # signed, in the words' dtype
         acc = get_worker_cache().sc_matmul(
-            w_int, x_int, self.n_bits, self.acc_bits, saturate=self.saturate
+            self.quantize_weights(w), x_int, self.n_bits, self.acc_bits, saturate=self.saturate
         )
         return self._dequantize(acc)
 
@@ -375,16 +458,17 @@ class TruncatedScEngine(MatmulEngine):
     def matmul(self, w: np.ndarray, x: np.ndarray, generator: str | None = None) -> np.ndarray:
         from repro.core.kernels import truncated_matmul_kernel
 
-        w_int, x_int = self._quantize(w, x)
-        acc = truncated_matmul_kernel(w_int, x_int, self.n_bits, self.cycle_budget, self.rescale)
+        x_int = self._words(x) - self.zero_word
+        acc = truncated_matmul_kernel(
+            self.quantize_weights(w), x_int, self.n_bits, self.cycle_budget, self.rescale
+        )
         width = self.n_bits + self.acc_bits
         acc = np.clip(acc, -(1 << (width - 1)), (1 << (width - 1)) - 1)
         return self._dequantize(acc)
 
     def avg_cycles(self, w: np.ndarray) -> float:
         """Realized average cycles per multiply under the budget."""
-        w_int = quantize_signed(np.asarray(w, dtype=np.float64) / self.w_scale, self.n_bits)
-        return float(np.minimum(np.abs(w_int), self.cycle_budget).mean())
+        return float(np.minimum(np.abs(self.quantize_weights(w)), self.cycle_budget).mean())
 
 
 _ENGINES = {

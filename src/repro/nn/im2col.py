@@ -3,7 +3,9 @@
 The convolution layers lower each conv to a matrix product
 ``W2d (M, Z*K*K) @ cols (Z*K*K, N*OH*OW)`` so that the multiply engine
 (float, fixed-point or stochastic) only ever sees a plain matmul — the
-same lowering a MAC-array accelerator performs in hardware.
+same lowering a MAC-array accelerator performs in hardware.  A
+quantized engine's layer input is lowered as offset words (int16), not
+floats, so it is quantized once rather than once per column.
 """
 
 from __future__ import annotations
@@ -14,18 +16,22 @@ __all__ = ["im2col", "col2im"]
 
 
 def im2col(
-    x: np.ndarray, kernel: int, stride: int = 1, pad: int = 0
+    x: np.ndarray, kernel: int, stride: int = 1, pad: int = 0, fill=0
 ) -> tuple[np.ndarray, tuple[int, int]]:
     """Lower NCHW input to column matrix ``(C*K*K, N*OH*OW)``.
 
-    Returns the column matrix and the output spatial shape.  Column
-    ordering is sample-major then row-major spatial, i.e. column
-    ``n*OH*OW + r*OW + c`` holds the receptive field of output pixel
-    ``(n, r, c)``.
+    Returns the column matrix, C-contiguous in ``x``'s dtype, and the
+    output spatial shape.  Column ordering is sample-major then
+    row-major spatial, i.e. column ``n*OH*OW + r*OW + c`` holds the
+    receptive field of output pixel ``(n, r, c)``.  The border of
+    ``pad`` holds ``fill``: 0 for real values, the offset word of real 0
+    when ``x`` holds a quantized engine's words
+    (:meth:`repro.nn.engines.MatmulEngine.encode`), which is how the
+    conv layers lower their integer operands.
     """
     n, c, h, w = x.shape
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=fill)
     oh = (h + 2 * pad - kernel) // stride + 1
     ow = (w + 2 * pad - kernel) // stride + 1
     if oh < 1 or ow < 1:

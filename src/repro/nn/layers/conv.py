@@ -4,8 +4,11 @@ The forward pass lowers the convolution to the matrix product of
 Fig. 4's innermost loops and delegates it to a
 :class:`repro.nn.engines.MatmulEngine` — exactly the computation the
 paper maps onto its BISC-MVM array ("we apply SC to convolution layers
-only").  The backward pass is always exact float (straight-through),
-enabling the paper's fine-tuning procedure.
+only").  A quantized engine first encodes the NCHW input into N-bit
+offset words, once, and the im2col runs over those words (see
+:mod:`repro.nn.engines`, "Integer-native conv layers").  The backward
+pass is always exact float (straight-through), enabling the paper's
+fine-tuning procedure: it re-lowers the stored float input.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ class Conv2D(Layer):
         self.stride = stride
         self.pad = pad
         self.engine: MatmulEngine = engine or FloatEngine()
-        self._cache: tuple | None = None
+        self._input: np.ndarray | None = None
 
     @property
     def out_channels(self) -> int:
@@ -69,21 +72,28 @@ class Conv2D(Layer):
     def forward(self, x: np.ndarray, generator: str | None = None) -> np.ndarray:
         """Convolve ``x``; ``generator`` is the SNG family of this call.
 
-        ``None`` keeps the engine's configured family; only a
-        conventional-SC engine reads it (:meth:`MatmulEngine.matmul`).
+        The engine encodes ``x`` (offset words for a quantized engine,
+        ``x`` itself for float), the words are im2col'd with the word of
+        real 0 as padding, and the engine multiplies them.  ``None``
+        keeps the engine's configured family; only a conventional-SC
+        engine reads it (:meth:`MatmulEngine.matmul`).
         """
         n = x.shape[0]
-        cols, (oh, ow) = im2col(x, self.kernel, self.stride, self.pad)
+        engine = self.engine
+        cols, (oh, ow) = im2col(
+            engine.encode(x), self.kernel, self.stride, self.pad, fill=engine.zero_word
+        )
         w2d = self.weight.value.reshape(self.out_channels, -1)
-        y2d = self.engine.matmul(w2d, cols, generator=generator) + self.bias.value[:, None]
+        y2d = engine.matmul(w2d, cols, generator=generator) + self.bias.value[:, None]
         y = y2d.reshape(self.out_channels, n, oh, ow).transpose(1, 0, 2, 3)
-        self._cache = (x.shape, cols)
+        self._input = x
         return y
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._cache is None:
+        if self._input is None:
             raise RuntimeError("backward before forward")
-        x_shape, cols = self._cache
+        x_shape = self._input.shape
+        cols, _ = im2col(self._input, self.kernel, self.stride, self.pad)
         n, m, oh, ow = grad.shape
         g2d = grad.transpose(1, 0, 2, 3).reshape(m, n * oh * ow)
         self.weight.grad += (g2d @ cols.T).reshape(self.weight.value.shape)

@@ -24,26 +24,44 @@ def _window_view(x: np.ndarray, size: int, stride: int) -> np.ndarray:
 
 
 class MaxPool2D(Layer):
-    """Max pooling with window ``size`` and the given ``stride``."""
+    """Max pooling with window ``size`` and the given ``stride``.
+
+    ``forward`` is ``np.maximum`` over the ``size**2`` strided slices of
+    ``x``, one per window element, in row-major window order.  Each
+    step is ``np.maximum(later, earlier)``, and numpy's maximum returns
+    its second operand when the two compare equal (as its x86-64 builds
+    do), so a tie keeps the first window element, as ``argmax`` does;
+    that is what decides between ``-0.0`` and ``0.0``
+    (``tests/nn/test_conv_oracles.py`` pins it against the argmax
+    formula).  No window indices are computed: the layer keeps a
+    reference to its input, and ``backward`` recomputes the argmax
+    indices from it.
+    """
 
     def __init__(self, size: int = 2, stride: int | None = None) -> None:
         super().__init__()
         self.size = size
         self.stride = stride if stride is not None else size
-        self._cache: tuple | None = None
+        self._input: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        win = _window_view(x, self.size, self.stride)
-        flat = win.reshape(*win.shape[:4], -1)
-        idx = flat.argmax(axis=-1)
-        out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-        self._cache = (x.shape, idx)
+        n, c, h, w = x.shape
+        k, s = self.size, self.stride
+        oh, ow = (h - k) // s + 1, (w - k) // s + 1
+        out = None
+        for kh in range(k):
+            for kw in range(k):
+                part = x[:, :, kh : kh + s * oh : s, kw : kw + s * ow : s]
+                out = part.copy() if out is None else np.maximum(part, out, out=out)
+        self._input = x
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._cache is None:
+        if self._input is None:
             raise RuntimeError("backward before forward")
-        x_shape, idx = self._cache
+        x_shape = self._input.shape
+        win = _window_view(self._input, self.size, self.stride)
+        idx = win.reshape(*win.shape[:4], -1).argmax(axis=-1)
         n, c, h, w = x_shape
         _, _, oh, ow = grad.shape
         dx = np.zeros(x_shape, dtype=grad.dtype)

@@ -421,7 +421,9 @@ class ScheduleCache:
         if saturate == "term":
             return sc_matmul(w_int, x_int, n_bits, acc_bits, saturate=saturate)
         w = np.asarray(w_int, dtype=np.int64)
-        x = np.asarray(x_int, dtype=np.int64)
+        x = np.asarray(x_int)
+        if x.dtype.kind not in "iu":
+            x = x.astype(np.int64)
         if w.ndim != 2 or x.ndim != 2 or w.shape[1] != x.shape[0]:
             raise ValueError(f"shape mismatch: {w.shape} @ {x.shape}")
         lo, hi = signed_range(n_bits)
@@ -444,7 +446,9 @@ class ScheduleCache:
         # Offset-binary words, transposed: row q holds the D operands of
         # output column q, so gathering their (2**N, N) bit rows lands as
         # one contiguous (P, D, N) block and the reshape to (P, D*N) is free.
-        offs = np.add(x.T, 1 << (n_bits - 1), order="C")
+        # One pass, from x's own integer dtype (the int16 words of a conv
+        # layer) straight to the gather's index type.
+        offs = np.add(x.T, 1 << (n_bits - 1), dtype=np.intp, order="C")
         bits = np.take(rows, offs, axis=0)
         prod = bits.reshape(p, d * n_bits) @ coeff  # (P, M)
         ones_signed = np.rint(prod).astype(np.int64)  # exact: integer-valued sums

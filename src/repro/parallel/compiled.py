@@ -51,7 +51,6 @@ from repro.keys import (
     ud_table_key,
 )
 from repro.parallel.cache import ScheduleCache
-from repro.sc.encoding import quantize_signed
 from repro.sc.lfsr import _ALT_TAPS, MAXIMAL_TAPS, orbit_table
 
 __all__ = [
@@ -292,12 +291,6 @@ def _iter_engines(net):
         yield w2d, engine
 
 
-def _quantized_weights(w2d: np.ndarray, engine) -> np.ndarray:
-    """The integer weights exactly as the engine's matmul quantizes them."""
-    w = np.asarray(w2d, dtype=np.float64) / engine.w_scale
-    return quantize_signed(w, engine.n_bits)
-
-
 def _engine_generator(engine) -> str | None:
     """Non-default SNG registry key of a conventional-SC engine, if any."""
     gen = getattr(engine, "generator", None)
@@ -351,7 +344,7 @@ def schedule_manifest(net) -> tuple[list[str], dict[str, Any]]:
         if not isinstance(engine, ProposedScEngine):  # nothing to compile
             continue
         n = int(engine.n_bits)
-        w_int = _quantized_weights(w2d, engine)
+        w_int = engine.quantize_weights(w2d)
         digest = layer_digest(w_int, n)
         needed.extend([f"{digest}/coeff", f"{digest}/const"])
         needed.append(bit_table_key(n))
@@ -400,7 +393,7 @@ def compile_network_schedules(net) -> tuple[list[ScheduleEntry], dict[str, Any]]
             continue
         if not isinstance(engine, ProposedScEngine):
             continue
-        w_int = _quantized_weights(w2d, engine)
+        w_int = engine.quantize_weights(w2d)
         digest = layer_digest(w_int, n)
         coeff_t, const = scratch.layer_coeff(w_int, n)
         params = {"shape": list(w_int.shape), "n_bits": n}

@@ -71,25 +71,34 @@ def _check_bits(n_bits: int) -> None:
         raise ValueError(f"n_bits must be >= 1, got {n_bits}")
 
 
-def quantize_signed(x, n_bits: int):
-    """Quantize real values in ``[-1, 1)`` to ``n_bits`` two's complement.
+def quantize_signed(x, n_bits: int, scale: float = 1.0):
+    """Quantize real values ``x / scale`` in ``[-1, 1)`` to ``n_bits`` two's complement.
 
     Values are rounded to the nearest representable multiple of
     ``2**-(n_bits-1)`` and saturated to the representable range.  Accepts
     scalars or numpy arrays; returns ``int`` / ``int64`` arrays.
 
+    NaN and +-Inf raise ``ValueError``.  Every finite value saturates,
+    including one whose ``x / scale`` or ``x / scale * 2**(n_bits-1)``
+    overflows float64: it lands on the rail of its sign, with no
+    ``RuntimeWarning``.
+
     >>> quantize_signed(0.5, 4)
     4
     >>> quantize_signed(-1.0, 4)
     -8
+    >>> quantize_signed(1.7e308, 4, scale=0.5)
+    7
     """
     _check_bits(n_bits)
     lo, hi = signed_range(n_bits)
-    scale = 1 << (n_bits - 1)
     arr = np.asarray(x, dtype=np.float64)
     if arr.size and not np.isfinite(arr).all():
         raise ValueError("cannot quantize non-finite values")
-    q = np.clip(np.rint(arr * scale), lo, hi).astype(np.int64)
+    with np.errstate(over="ignore"):  # a finite overflow is +-inf, clipped to the rail
+        if scale != 1.0:
+            arr = arr / scale
+        q = np.clip(np.rint(arr * (1 << (n_bits - 1))), lo, hi).astype(np.int64)
     return int(q) if np.isscalar(x) or q.ndim == 0 else q
 
 

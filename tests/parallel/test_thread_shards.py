@@ -254,3 +254,46 @@ def test_threads_on_a_dropped_process_cache_all_get_one(monkeypatch):
         reset_worker_cache()
     assert not any(thread.is_alive() for thread in threads)
     assert [len({id(cache) for cache in caches}) for caches in seen] == [1] * rounds
+
+
+@pytest.mark.parametrize("kind", ("proposed-sc", "lfsr-sc", "fixed"))
+def test_one_engine_serves_each_thread_its_own_weights(kind):
+    """Threads sharing one engine call it with different weights.
+
+    The engine memoizes its quantized weights (and, for LFSR-SC, its
+    weight rows) keyed by weight content, and each miss replaces the
+    entry whole.  Every product must still be the one of the weights
+    its call passed, never of the weights another thread just put in
+    the memo.
+    """
+    from repro.nn.engines import make_engine
+
+    rng = np.random.default_rng(5)
+    ws = [rng.uniform(-1.0, 1.0, size=(3, 12)) for _ in range(4)]
+    x = make_engine(kind, n_bits=N_BITS).encode(rng.uniform(-1.0, 1.0, size=(12, 6)))
+    expected = [make_engine(kind, n_bits=N_BITS).matmul(w, x) for w in ws]
+    engine = make_engine(kind, n_bits=N_BITS)
+    calls, errors = 300, []
+    products = {offset: [] for offset in (0, 1, 2)}
+    start = threading.Barrier(len(products))
+
+    def run(offset):
+        start.wait()
+        try:
+            for k in range(calls):
+                products[offset].append(engine.matmul(ws[(offset + k) % len(ws)], x))
+        except Exception as exc:
+            errors.append(repr(exc))
+
+    threads = [threading.Thread(target=run, args=(offset,)) for offset in products]
+    with fast_switching():
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    for offset, got in products.items():
+        assert len(got) == calls
+        for k, product in enumerate(got):
+            assert np.array_equal(product, expected[(offset + k) % len(ws)])

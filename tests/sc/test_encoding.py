@@ -51,6 +51,23 @@ class TestQuantizeSigned:
             quantize_signed(np.array([np.nan]), 4)
         with pytest.raises(ValueError):
             quantize_signed(np.array([np.inf]), 4)
+        with pytest.raises(ValueError):
+            quantize_signed(np.array([0.5, -np.inf]), 4, scale=0.5)
+
+    def test_scale_divides_first(self):
+        x = np.array([0.3, -1.1, 2.5, 7.9])
+        for scale in (0.5, 2.0, 0.3):
+            assert np.array_equal(quantize_signed(x, 8, scale=scale), quantize_signed(x / scale, 8))
+
+    def test_finite_overflow_saturates_without_warning(self):
+        """``x / scale`` and ``x / scale * 2**(N-1)`` may overflow float64.
+
+        The suite turns ``RuntimeWarning`` into an error, so an overflow
+        warning would fail this test as well as a wrong rail.
+        """
+        huge = np.array([1.7e308, -1.7e308, np.finfo(np.float64).max])
+        assert quantize_signed(huge, 8, scale=0.5).tolist() == [127, -128, 127]
+        assert quantize_signed(huge, 8).tolist() == [127, -128, 127]
 
     @given(st.floats(-1.0, 0.999), st.integers(2, 12))
     def test_quantization_error_bounded(self, x, n):

@@ -554,6 +554,40 @@ class TestNonFiniteInput:
 
         with_server(real_factory(net), check, shard_batch=SHARD)
 
+    def test_overflowing_finite_pixel_saturates(self, images):
+        """A finite pixel that overflows when scaled answers like the rail.
+
+        Calibration never picks a scale below 1, so conv1's ``x_scale``
+        is forged to 0.5: ``1.7e308 / 0.5`` overflows float64.  Decode
+        admits the pixel (it is finite), and the layer-input quantizer
+        saturates it, as it saturates 2.0, instead of failing dispatch.
+        """
+        net = build_mnist_net(seed=3, c1=2, c2=3, fc=16)
+        attach_engines(net, "proposed-sc", [LayerRanges(1.0, 1.0)] * 2, n_bits=8)
+        net.conv_layers[0].engine.x_scale = 0.5
+
+        async def answer(port, x):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(_http_payload(
+                "POST", "/v1/predict", pack_raw_request(x),
+                headers=(("Content-Type", RAW_CONTENT_TYPE), ("x-return", "both")),
+                connection="close",
+            ))
+            await writer.drain()
+            status, _, body = await _read_response(reader)
+            writer.close()
+            return status, json.loads(body)
+
+        async def check(server):
+            huge, rail = images[:1].copy(), images[:1].copy()
+            huge[0, 0, 3, 3] = 1.7e308
+            rail[0, 0, 3, 3] = 2.0
+            status, doc = await answer(server.port, huge)
+            assert status == 200, doc
+            assert doc == (await answer(server.port, rail))[1]
+
+        with_server(real_factory(net), check, shard_batch=SHARD)
+
 
 class TestReplicaBoot:
     def test_healthz_reports_pool_topology(self):
