@@ -458,6 +458,7 @@ def _cache_compile(args: argparse.Namespace, store) -> int:
 
 def _cache_inspect(args: argparse.Namespace, store) -> int:
     from repro.parallel import CompiledSchedules
+    from repro.sc.mip import MIP_MAGIC, decode_table_blob
 
     if args.key is not None:
         keys = [args.key]
@@ -479,6 +480,13 @@ def _cache_inspect(args: argparse.Namespace, store) -> int:
             bad += 1
             continue
         try:
+            if bytes(blob[: len(MIP_MAGIC)]) == MIP_MAGIC:  # MIP SNG tables share .sched
+                tables = decode_table_blob(blob)
+                if tables is None:
+                    raise ValueError("not a valid MIP SNG table blob")
+                n_bits = len(tables[0]).bit_length() - 1  # a table holds 2**N words
+                print(f"{key}: MIP SNG tables, n_bits={n_bits}, {len(blob)} bytes")
+                continue
             compiled = CompiledSchedules(blob)
             compiled.validate()
         except Exception as exc:

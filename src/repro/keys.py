@@ -2,13 +2,16 @@
 
 Every piece of content-keyed schedule state — per-layer appearance-count
 coefficient matrices, operand bit tables, LFSR up/down tables and
-state orbits — is addressed by one string key produced here, so the
-ahead-of-time compiled artifact (:mod:`repro.parallel.compiled`), the
-in-process :class:`~repro.parallel.cache.ScheduleCache` and the orbit
-cache in :mod:`repro.sc.lfsr` all agree on what "the same schedule"
-means.  Before this module each cache hashed its own tuple of inputs
-(and the LFSR keying omitted the tap polynomial entirely), so caches
-could never share entries and orbits were rebuilt per process.
+state orbits — is addressed by one string key produced here.  The
+process schedule store (:class:`~repro.parallel.cache.ScheduleCache`)
+keeps every entry in one memo under these strings, the ahead-of-time
+compiled artifact (:mod:`repro.parallel.compiled`) stores its entries
+under the same ones, and the orbit cache in :mod:`repro.sc.lfsr` agrees
+with both, so "the same schedule" means one thing everywhere and a store
+lookup can fall through from its memo to the artifact by key alone.  A
+layer's two entries are ``<layer_digest>/coeff`` and
+``<layer_digest>/const``; the store's derived layouts append their own
+suffix to the key of their source.
 
 Keys are ``"<kind>:<sha1-hex>"``: readable enough to group by kind in
 logs and ``repro cache inspect``, stable across processes and runs.

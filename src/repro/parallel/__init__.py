@@ -11,7 +11,6 @@ that enforce it.
 from repro.parallel.cache import (
     CachePoisonedError,
     ScheduleCache,
-    active_compiled,
     attach_compiled,
     detach_compiled,
     get_worker_cache,
@@ -44,7 +43,6 @@ __all__ = [
     "ScheduleCache",
     "get_worker_cache",
     "reset_worker_cache",
-    "active_compiled",
     "attach_compiled",
     "detach_compiled",
     "CompiledSchedules",

@@ -1,25 +1,39 @@
-"""The process cache of schedules, up/down tables and weight coefficient loads.
+"""The process store of schedules, up/down tables and weight coefficient loads.
 
 Inference reuses the same conv weights for every batch, but the
 reference kernel (:func:`repro.core.mvm.sc_matmul`) rebuilds the whole
 FSM bookkeeping — appearance-count coefficients (the per-select-line
 totals implied by the weight's down-counter load) and the operand bit
-expansion — on every call.  For a process that serves thousands of
-batches this is the dominant redundant cost, so the process keeps one
+expansion — on every call.  So the process keeps one
 :class:`ScheduleCache` (:func:`get_worker_cache`), from which every
-proposed-SC and conventional-SC engine call draws, on any thread:
+proposed-SC and conventional-SC engine call draws, on any thread.
 
-* ``bit_table(n_bits)`` — the ``(N, 2**N)`` MSB-first bit matrix of
-  every representable offset word (the compiled-artifact format).  Its
-  transpose, one contiguous ``N``-wide bit row per word, is what the
-  kernel gathers from, so expanding a batch is one row gather instead
-  of ``N`` shifted masks over int64 temporaries;
-* ``ud_table`` / ``sng_ud_table`` — the conventional-SC up/down tables
-  of the shared-LFSR pair and of the registry SNG families;
-* ``layer_coeff(w_int, n_bits)`` — the sign-folded coefficient matrix
-  of a whole weight matrix, keyed by *content* (SHA-1 of the weight
-  bytes) so that mutating weights in place — fine-tuning — can never
-  serve stale schedules.
+Every entry is a pure function of content, and the store keeps them
+all in one memo under the :mod:`repro.keys` string a compiled artifact
+(:mod:`repro.parallel.compiled`) uses for the same content:
+``bit_table`` (the ``(N, 2**N)`` MSB-first bit matrix of every offset
+word), ``ud_table`` / ``sng_ud_table`` (the conventional-SC up/down
+tables of the shared-LFSR pair and of the registry SNG families),
+``layer_coeff`` (``<layer digest>/coeff`` and ``/const``: a weight
+matrix's sign-folded coefficients and count constant, keyed by the
+weight bytes, so in-place fine-tuning never serves stale schedules),
+and the two layouts :meth:`ScheduleCache.sc_matmul` derives, under
+their source's key plus a suffix.
+
+One private lookup serves every entry, in one order: the memo, then the
+attached artifact (an entry of the wrong shape, or a table of the wrong
+dtype, is a miss there, not an error), then a build outside the lock.
+It alone holds the lock, the poison check, the shape check of a served
+memo entry, the counters and the LRU bounds (``max_layers`` layers,
+four times as many derived layouts; tables stay).  ``hits`` /
+``misses`` and the ``hook`` count the lookups an engine call makes (one
+per up/down table, one per layer); ``compiled_hits`` counts artifact
+entries served and ``rebuilds`` the builds of entries an artifact can
+hold, so a boot from a covering artifact builds nothing.  Every array
+handed out is read-only (the lookup freezes what it inserts; artifact
+entries are read-only views), so a write into a table raises instead of
+changing every later answer in the process.  Artifact entries are never
+copied into the memo, so a dropped cache comes back warm.
 
 :meth:`ScheduleCache.sc_matmul` combines these into a fast path that is
 **bit-exact** with :func:`repro.core.mvm.sc_matmul`: all operands are
@@ -29,37 +43,20 @@ last LSB under any summation order.  The rule that makes it so: a
 layer's coefficients are float32 only when every partial sum stays
 below ``2**24`` (bounded by twice the row's total coefficient mass),
 and float64 — exact below ``2**53`` — otherwise.  The parity fleet in
-``tests/parallel`` pins this.
+``tests/parallel`` pins this.  The layout is chosen for the gather: bit
+rows land contiguously in a ``(P, D*N)`` operand matrix, and the
+coefficients are re-laid to match it once per layer, so no per-batch
+transposing copy of the ``N``-fold bit expansion is ever made.
 
-The layout is chosen for the gather: bit rows land contiguously in a
-``(P, D*N)`` operand matrix, and the coefficients are re-laid to match
-it once per layer, so no per-batch transposing copy of the ``N``-fold
-bit expansion is ever made.  Both derived layouts are memoized under
-``("rows", N, dtype)`` and ``("layer", digest, shape, N, dtype)``, in
-an LRU bounded at four times ``max_layers``; steady-state inference
-derives each once, and dropping the cache drops them with the entries
-they were derived from.
-
-The cache is a *thin view* over an optional compiled artifact
-(:mod:`repro.parallel.compiled`): every lookup first checks the
-read-only precompiled entry set attached process-wide, and only falls
-back to an on-demand build — counted in ``stats()["rebuilds"]`` — on
-artifact miss.  Compiled entries are served directly from the artifact
-buffer (zero copies into the local dicts), so poisoning the local cache
-can never corrupt them and a dropped cache comes back warm.
-
-Shard threads share one cache, so one lock per cache guards the memo
-bookkeeping: lookups, inserts, LRU evictions and the counters.  The
-gather and the GEMM of :meth:`ScheduleCache.sc_matmul` run outside it.
 A module lock guards creating and dropping the process cache itself, so
 threads that start on a dropped cache all get the same new one.
 """
 
 from __future__ import annotations
 
-import functools
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
+from functools import partial
 
 import numpy as np
 
@@ -78,7 +75,6 @@ from repro.sc.lfsr import _ALT_TAPS, MAXIMAL_TAPS
 __all__ = [
     "CachePoisonedError",
     "ScheduleCache",
-    "active_compiled",
     "attach_compiled",
     "detach_compiled",
     "get_worker_cache",
@@ -87,6 +83,33 @@ __all__ = [
 
 #: float32 GEMM is exact while every partial sum stays below 2**24.
 _F32_EXACT_BOUND = 1 << 24
+
+#: Entry kinds an engine call looks up: they count ``hits``/``misses``.
+_ENGINE_KINDS = frozenset({"ud-table", "layer-coeff"})
+#: Entry kinds that count ``compiled_hits``/``rebuilds`` (a layer's
+#: constant rides on its coefficients).
+_ARTIFACT_KINDS = _ENGINE_KINDS | {"bit-table"}
+#: LRU bound of each bounded kind, in units of ``max_layers``.
+_BOUNDS = {"layer-coeff": 1, "layer-const": 1, "derived": 4}
+
+
+def _bit_table(n_bits: int) -> np.ndarray:
+    words = np.arange(1 << n_bits, dtype=np.int64)
+    return np.ascontiguousarray(bits_msb_first(words, n_bits).T.astype(np.float32))
+
+
+def _coefficients(w: np.ndarray, n_bits: int) -> np.ndarray:
+    """Sign-folded ``(M, N*D)`` select-line-major coefficients of ``w``.
+
+    float32 while the GEMM is exact in it: any partial sum is at most
+    the row's total coefficient mass ``sum_{d,n} |coeff|``.
+    """
+    m, d = w.shape
+    sign = np.where(w < 0, -1, 1).astype(np.int64)
+    coeff = coefficient_vector(np.abs(w), n_bits) * sign[:, :, None]  # (M, D, N)
+    coeff_t = np.ascontiguousarray(coeff.transpose(0, 2, 1)).reshape(m, d * n_bits)
+    mass = int(np.abs(coeff_t).sum(axis=1).max()) if coeff_t.size else 0
+    return coeff_t.astype(np.float32 if 2 * mass < _F32_EXACT_BOUND else np.float64)
 
 
 def _d_major(coeff_t: np.ndarray, n_bits: int) -> np.ndarray:
@@ -100,52 +123,33 @@ def _d_major(coeff_t: np.ndarray, n_bits: int) -> np.ndarray:
     return np.ascontiguousarray(by_line.transpose(2, 1, 0)).reshape(nd, m)
 
 
-def _locked(method):
-    """Run a memo method under its cache's lock."""
-
-    @functools.wraps(method)
-    def locked(self, *args, **kwargs):
-        with self._lock:
-            return method(self, *args, **kwargs)
-
-    return locked
-
-
 class CachePoisonedError(RuntimeError):
     """A cached schedule failed validation and must not be served.
 
     Raised either because :meth:`ScheduleCache.poison` was called
-    (fault injection in tests) or because a cached layer entry no
-    longer has the shape its key promises.  The call fails loudly
-    instead of computing on garbage; :func:`reset_worker_cache` drops
-    the cache, and the next call rebuilds from the weights.
+    (fault injection in tests) or because a memo entry no longer has
+    the shape its key promises.  The call fails loudly instead of
+    computing on garbage; :func:`reset_worker_cache` drops the cache,
+    and the next call rebuilds from the weights.
     """
 
 
 class ScheduleCache:
-    """Process-local memo of schedules and per-layer coefficient loads.
+    """Process-local store of schedules and per-layer coefficient loads.
 
-    ``compiled`` (a :class:`repro.parallel.compiled.CompiledSchedules`,
-    duck-typed) turns the cache into a thin view: lookups consult the
-    precompiled read-only artifact before building anything.  Entries
-    served from the artifact count as hits (plus ``compiled_hits``);
-    every on-demand build increments ``rebuilds`` — the counter the
-    compiled-path tests and the benchmark's traced runs watch.  The
-    memo methods hold ``_lock`` for their bookkeeping, so threads may
-    share one cache; layer entries and derived layouts are built outside
-    it, so no lookup waits on another thread's build.
+    One memo keyed by :mod:`repro.keys` content strings, backed by an
+    optional compiled artifact ``compiled`` (a
+    :class:`repro.parallel.compiled.CompiledSchedules`, duck-typed: only
+    its ``get(key)`` is used).  The module docstring gives the lookup
+    order and what each counter counts; :meth:`stats` reports them.
+    Threads may share one instance.
     """
 
     def __init__(self, max_layers: int = 32, hook=None, compiled=None) -> None:
         self.max_layers = max_layers
         self.compiled = compiled
-        self._bit_tables: dict[int, np.ndarray] = {}
-        self._layers: OrderedDict[tuple, tuple] = OrderedDict()
-        self._ud_tables: dict[str, np.ndarray] = {}
-        #: derived layouts of cached arrays (the bit-row table, the
-        #: operand-major coefficients), keyed by ``("rows", ...)`` /
-        #: ``("layer", ...)`` content keys; see :meth:`sc_matmul`.
-        self._derived: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        #: key -> (kind, read-only array), least recently used first
+        self._memo: OrderedDict[str, tuple[str, np.ndarray]] = OrderedDict()
         self._poisoned = False
         self._lock = threading.Lock()
         self.hits = 0
@@ -153,117 +157,95 @@ class ScheduleCache:
         self.rebuilds = 0
         self.compiled_hits = 0
         #: optional observer ``hook("hit" | "miss")`` fired on every
-        #: layer-coefficient lookup.  The serving layer points this at
+        #: lookup an engine call makes.  The serving layer points this at
         #: its metrics counters; it must be cheap and must not raise.
         self.hook = hook
 
-    def _compiled_get(self, key: str, shape: tuple, dtype) -> np.ndarray | None:
-        """One validated artifact lookup (``None`` = miss, build locally).
+    def _lookup(self, key: str, kind: str, shape: tuple, build, dtype=None) -> np.ndarray:
+        """The entry ``key``: from the memo, else the artifact, else ``build()``.
 
-        Shape/dtype mismatch is treated as a miss rather than an error:
-        a foreign or stale entry must degrade to an on-demand build, not
-        fail every call.
+        A memo entry of another shape than ``shape`` raises
+        :class:`CachePoisonedError`; an artifact entry of another shape,
+        or of another ``dtype`` where one is given, is a miss.
         """
-        if self.compiled is None:
-            return None
-        entry = self.compiled.get(key)
-        if entry is None or entry.shape != shape or entry.dtype != np.dtype(dtype):
-            return None
+        with self._lock:
+            if self._poisoned:
+                raise CachePoisonedError("schedule cache was poisoned; drop and rebuild")
+            cached = self._memo.get(key)
+            if cached is not None:
+                entry = cached[1]
+                if entry.shape != shape:
+                    raise CachePoisonedError(
+                        f"cached {kind} {key[:24]} failed shape validation"
+                    )
+                self._memo.move_to_end(key)
+            else:
+                compiled = self.compiled  # read once: attach_compiled may swap it
+                entry = None if compiled is None else compiled.get(key)
+                if entry is not None and (
+                    entry.shape != shape or (dtype is not None and entry.dtype != dtype)
+                ):
+                    entry = None
+                if kind in _ARTIFACT_KINDS:
+                    if entry is None:
+                        self.rebuilds += 1
+                    else:
+                        self.compiled_hits += 1
+            if kind in _ENGINE_KINDS:
+                if entry is None:
+                    self.misses += 1
+                else:
+                    self.hits += 1
+                if self.hook is not None:
+                    self.hook("miss" if entry is None else "hit")
+            if entry is not None:
+                return entry
+        entry = build()
+        entry.setflags(write=False)
+        with self._lock:
+            self._memo[key] = (kind, entry)
+            if kind in _BOUNDS:
+                same = [k for k, (k_kind, _) in self._memo.items() if k_kind == kind]
+                for old in same[: max(0, len(same) - _BOUNDS[kind] * self.max_layers)]:
+                    del self._memo[old]
         return entry
 
-    # -- small schedule memos ---------------------------------------------
-    @_locked
+    # -- tables -------------------------------------------------------------
     def bit_table(self, n_bits: int) -> np.ndarray:
         """``(N, 2**N)`` float32 matrix: row ``n`` = MSB-first bit ``n``."""
-        table = self._bit_tables.get(n_bits)
-        if table is not None:
-            return table
-        table = self._compiled_get(
-            bit_table_key(n_bits), (n_bits, 1 << n_bits), np.float32
+        return self._lookup(
+            bit_table_key(n_bits), "bit-table", (n_bits, 1 << n_bits),
+            partial(_bit_table, n_bits), np.float32,
         )
-        if table is not None:
-            self.compiled_hits += 1
-            return table
-        self.rebuilds += 1
-        words = np.arange(1 << n_bits, dtype=np.int64)
-        table = np.ascontiguousarray(bits_msb_first(words, n_bits).T.astype(np.float32))
-        self._bit_tables[n_bits] = table
-        return table
 
-    @_locked
     def ud_table(self, n_bits: int, seed_w: int, seed_x: int) -> np.ndarray:
         """Shared-LFSR XNOR up/down table for a conventional SC multiply.
 
         Keyed with the full orbit fingerprint (seeds *and* tap
-        polynomials) via :func:`repro.keys.ud_table_key`, so the
-        compiled artifact and the in-process ``lfsr_ud_table`` LRU
-        describe the same content with one hash.
+        polynomials) via :func:`repro.keys.ud_table_key`; built by
+        :func:`repro.sc.multipliers.lfsr_ud_table`, whose LRU then holds
+        the same read-only array.
         """
-        if self._poisoned:
-            raise CachePoisonedError("schedule cache was poisoned; drop and rebuild")
-        key = ud_table_key(
-            n_bits, seed_w, seed_x, MAXIMAL_TAPS[n_bits], _ALT_TAPS[n_bits]
-        )
-        table = self._ud_tables.get(key)
-        if table is not None:
-            self.hits += 1
-            if self.hook is not None:
-                self.hook("hit")
-            return table
+        from repro.sc import multipliers
+
         side = (1 << n_bits) + 1
-        table = self._compiled_get(key, (side, side), np.int64)
-        if table is not None:
-            self.hits += 1
-            self.compiled_hits += 1
-            if self.hook is not None:
-                self.hook("hit")
-            return table
-        self.misses += 1
-        self.rebuilds += 1
-        if self.hook is not None:
-            self.hook("miss")
-        from repro.sc.multipliers import lfsr_ud_table
+        key = ud_table_key(n_bits, seed_w, seed_x, MAXIMAL_TAPS[n_bits], _ALT_TAPS[n_bits])
+        build = partial(multipliers.lfsr_ud_table, n_bits, seed_w, seed_x)
+        return self._lookup(key, "ud-table", (side, side), build, np.int64)
 
-        table = lfsr_ud_table(n_bits, seed_w, seed_x)
-        self._ud_tables[key] = table
-        return table
-
-    @_locked
     def sng_ud_table(self, generator: str, n_bits: int) -> np.ndarray:
         """Generator-built XNOR up/down table (non-default SNG families).
 
-        Same contract and bookkeeping as :meth:`ud_table`, keyed by the
-        registered family's content fingerprint via
+        Keyed by the registered family's content fingerprint via
         :func:`repro.keys.sng_ud_table_key`, so compiled artifacts and
-        the in-process memo agree across family revisions.
+        the memo agree across family revisions.
         """
-        if self._poisoned:
-            raise CachePoisonedError("schedule cache was poisoned; drop and rebuild")
-        from repro.sc.generators import generator_fingerprint, generator_ud_table
+        from repro.sc import generators
 
-        key = sng_ud_table_key(n_bits, generator_fingerprint(generator, n_bits))
-        table = self._ud_tables.get(key)
-        if table is not None:
-            self.hits += 1
-            if self.hook is not None:
-                self.hook("hit")
-            return table
         side = (1 << n_bits) + 1
-        table = self._compiled_get(key, (side, side), np.int64)
-        if table is not None:
-            self.hits += 1
-            self.compiled_hits += 1
-            if self.hook is not None:
-                self.hook("hit")
-            return table
-        self.misses += 1
-        self.rebuilds += 1
-        if self.hook is not None:
-            self.hook("miss")
-        table = generator_ud_table(generator, n_bits)
-        table.setflags(write=False)
-        self._ud_tables[key] = table
-        return table
+        key = sng_ud_table_key(n_bits, generators.generator_fingerprint(generator, n_bits))
+        build = partial(generators.generator_ud_table, generator, n_bits)
+        return self._lookup(key, "ud-table", (side, side), build, np.int64)
 
     # -- per-layer coefficient loads --------------------------------------
     def layer_coeff(self, w_int: np.ndarray, n_bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -271,127 +253,35 @@ class ScheduleCache:
 
         Returns ``(coeff_t, const)`` where ``coeff_t`` has shape
         ``(M, N*D)`` in select-line-major order (float32 when exact,
-        float64 otherwise) and ``const[m] = sum_d sign*|w|`` is the
-        subtraction constant of the closed form.  Keyed by weight
+        float64 otherwise) and ``const[m] = sum_d sign*|w|`` (the row sum
+        of ``w``) is the subtraction constant of the closed form.  Keyed by weight
         *content*, so in-place weight updates miss and recompute.
         """
-        return self._layer_lookup(np.asarray(w_int), n_bits)[1]
+        return self._layer(w_int, n_bits)[1:]
 
-    def _layer_lookup(self, w_int: np.ndarray, n_bits: int) -> tuple[tuple, tuple]:
-        """:meth:`layer_coeff` plus the content key (derived-layout memo).
-
-        The lock covers the lookup and the insert; a miss builds the
-        entry between them, so other threads' lookups never wait on it.
-        """
+    def _layer(self, w_int: np.ndarray, n_bits: int) -> tuple[str, np.ndarray, np.ndarray]:
+        """:meth:`layer_coeff` with the layer's content key in front."""
         w = np.ascontiguousarray(np.asarray(w_int, dtype=np.int64))
         digest = layer_digest(w, n_bits)
-        key = (digest, w.shape, int(n_bits))
-        with self._lock:
-            if self._poisoned:
-                raise CachePoisonedError("schedule cache was poisoned; drop and rebuild")
-            cached = self._layers.get(key)
-            if cached is not None:
-                self._validate_entry(key, cached)
-                self._layers.move_to_end(key)
-                self.hits += 1
-                if self.hook is not None:
-                    self.hook("hit")
-                return key, cached
-            if self.compiled is not None:
-                coeff_t = self.compiled.get(f"{digest}/coeff")
-                const = self.compiled.get(f"{digest}/const")
-                entry = (coeff_t, const) if coeff_t is not None and const is not None else None
-                if entry is not None and self._entry_ok(key, entry):
-                    self.hits += 1
-                    self.compiled_hits += 1
-                    if self.hook is not None:
-                        self.hook("hit")
-                    return key, entry
-            self.misses += 1
-            self.rebuilds += 1
-            if self.hook is not None:
-                self.hook("miss")
         m, d = w.shape
-        k = np.abs(w)
-        sign = np.where(w < 0, -1, 1).astype(np.int64)
-        coeff = coefficient_vector(k, n_bits) * sign[:, :, None]  # (M, D, N)
-        coeff_t = np.ascontiguousarray(coeff.transpose(0, 2, 1)).reshape(m, d * n_bits)
-        # Exactness bound for float32 GEMM: any partial sum is at most
-        # the total coefficient mass sum_{d,n} |coeff| per output row.
-        mass = int(np.abs(coeff_t).sum(axis=1).max()) if coeff_t.size else 0
-        dtype = np.float32 if 2 * mass < _F32_EXACT_BOUND else np.float64
-        coeff_t = coeff_t.astype(dtype)
-        coeff_t.setflags(write=False)
-        const = (sign * k).sum(axis=1)
-        const.setflags(write=False)
-        entry = (coeff_t, const)
-        with self._lock:
-            self._layers[key] = entry
-            while len(self._layers) > self.max_layers:
-                self._layers.popitem(last=False)
-        return key, entry
-
-    def _derived_array(self, key: tuple, build) -> np.ndarray:
-        """Memoized derived layout, built by ``build()`` on a miss.
-
-        Keyed by the source entry's *content* key, so an evicted-and-
-        rebuilt entry maps back to the same derived array.  LRU-bounded
-        at four times the layer bound.  Built outside the lock, like a
-        layer entry.
-        """
-        with self._lock:
-            hit = self._derived.get(key)
-            if hit is not None:
-                self._derived.move_to_end(key)
-                return hit
-        arr = build()
-        with self._lock:
-            self._derived[key] = arr
-            while len(self._derived) > 4 * self.max_layers:
-                self._derived.popitem(last=False)
-        return arr
-
-    @staticmethod
-    def _entry_ok(key, entry) -> bool:
-        """Does ``entry`` have the shape its key promises?"""
-        _, (m, d), n_bits = key
-        return (
-            isinstance(entry, tuple)
-            and len(entry) == 2
-            and isinstance(entry[0], np.ndarray)
-            and isinstance(entry[1], np.ndarray)
-            and entry[0].shape == (m, d * n_bits)
-            and entry[1].shape == (m,)
+        coeff_t = self._lookup(
+            f"{digest}/coeff", "layer-coeff", (m, d * n_bits), partial(_coefficients, w, n_bits)
         )
+        const = self._lookup(f"{digest}/const", "layer-const", (m,), partial(w.sum, axis=1))
+        return digest, coeff_t, const
 
-    @classmethod
-    def _validate_entry(cls, key, entry) -> None:
-        """Check a cached entry still has the shape its key promises.
-
-        Every lookup re-validates, so a poisoned or torn entry is
-        detected the moment it would be served — never silently folded
-        into a result.  (Compiled-artifact entries are instead checked
-        with :meth:`_entry_ok` and treated as a *miss* on mismatch — a
-        foreign artifact must degrade, not fail every call.)
-        """
-        if not cls._entry_ok(key, entry):
-            raise CachePoisonedError(
-                f"cached schedule for layer {key[0][:12]} failed shape validation"
-            )
-
-    @_locked
     def poison(self) -> None:
         """Deliberately corrupt the cache (fault injection only).
 
-        Every cached layer entry is replaced with garbage and a sticky
-        flag makes the next lookup raise :class:`CachePoisonedError`
-        even if the cache is empty — the poisoning is always
-        *detectable*, so a call fails loudly rather than serving a
-        wrong result.
+        Every memo entry is replaced with garbage and a sticky flag
+        makes the next lookup raise :class:`CachePoisonedError` even if
+        the cache is empty — the poisoning is always *detectable*, so a
+        call fails loudly rather than serving a wrong result.
         """
-        for key in list(self._layers):
-            self._layers[key] = ("poisoned", "poisoned")
-        self._poisoned = True
+        with self._lock:
+            for key, (kind, _) in list(self._memo.items()):
+                self._memo[key] = (kind, np.empty(0))
+            self._poisoned = True
 
     # -- the fast batched matmul ------------------------------------------
     def sc_matmul(
@@ -414,9 +304,9 @@ class ScheduleCache:
         one contiguous ``(P, D*N)`` matrix with no transposing copy, and
         that matrix multiplies the layer's coefficients re-laid
         operand-major as ``(D*N, M)``.  Both derived layouts are built
-        once (per ``N``, per layer key) and memoized.  The GEMM is exact:
-        the cached coefficients are float32 only when every partial sum
-        is below ``2**24`` (float64 otherwise).
+        once (per ``N`` and dtype, per layer) and memoized.  The GEMM is
+        exact: the cached coefficients are float32 only when every
+        partial sum is below ``2**24`` (float64 otherwise).
         """
         if saturate == "term":
             return sc_matmul(w_int, x_int, n_bits, acc_bits, saturate=saturate)
@@ -434,13 +324,14 @@ class ScheduleCache:
             raise ValueError(f"unknown saturate mode: {saturate!r}")
 
         d, p = x.shape
-        key, (coeff_t, const) = self._layer_lookup(w, n_bits)
+        digest, coeff_t, const = self._layer(w, n_bits)
         dtype = coeff_t.dtype
-        coeff = self._derived_array(
-            ("layer",) + key + (dtype.str,), lambda: _d_major(coeff_t, n_bits)
+        coeff = self._lookup(
+            f"{digest}/coeff/d-major{dtype.str}", "derived", (d * n_bits, w.shape[0]),
+            partial(_d_major, coeff_t, n_bits),
         )
-        rows = self._derived_array(
-            ("rows", int(n_bits), dtype.str),
+        rows = self._lookup(
+            f"{bit_table_key(n_bits)}/rows{dtype.str}", "derived", (1 << n_bits, n_bits),
             lambda: np.ascontiguousarray(self.bit_table(n_bits).T, dtype=dtype),
         )
         # Offset-binary words, transposed: row q holds the D operands of
@@ -458,17 +349,19 @@ class ScheduleCache:
             out = np.clip(out, -(1 << (width - 1)), (1 << (width - 1)) - 1)
         return out.T
 
-    @_locked
     def stats(self) -> dict[str, int]:
-        """Cache effectiveness counters (for logs and tests)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "layers": len(self._layers),
-            "bit_tables": len(self._bit_tables),
-            "rebuilds": self.rebuilds,
-            "compiled_hits": self.compiled_hits,
-        }
+        """Counters and resident entries per kind (for logs and tests)."""
+        with self._lock:
+            kinds = Counter(kind for kind, _ in self._memo.values())
+            return {
+                "hits": self.hits,
+                "misses": self.misses,
+                "layers": kinds["layer-coeff"],
+                "bit_tables": kinds["bit-table"],
+                "derived": kinds["derived"],
+                "rebuilds": self.rebuilds,
+                "compiled_hits": self.compiled_hits,
+            }
 
 
 _WORKER_CACHE: ScheduleCache | None = None
@@ -485,7 +378,7 @@ _PROCESS_COMPILED = None
 def attach_compiled(compiled) -> None:
     """Install a compiled schedule artifact for this process.
 
-    The live process cache (if any) starts viewing it immediately, and
+    The live process cache (if any) starts reading it immediately, and
     any precompiled LFSR orbits are adopted into the
     :mod:`repro.sc.lfsr` orbit cache so sequence generation gathers
     instead of stepping.
@@ -509,11 +402,6 @@ def detach_compiled() -> None:
         _PROCESS_COMPILED = None
         if _WORKER_CACHE is not None:
             _WORKER_CACHE.compiled = None
-
-
-def active_compiled():
-    """The process-global compiled artifact, or ``None``."""
-    return _PROCESS_COMPILED
 
 
 def get_worker_cache() -> ScheduleCache:

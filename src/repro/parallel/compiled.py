@@ -5,12 +5,20 @@ appearance-count coefficient matrices, LFSR up/down tables and state
 orbits — is a pure function of the model weights and engine
 parameters, identical for every call.  This module compiles all of
 them **once** at model-load time into one versioned binary artifact,
-persisted through the PR 1 artifact store (atomic rename + SHA-256
+persisted through the artifact store (atomic rename + SHA-256
 sidecar) and attached process-wide as a read-only buffer
 (:func:`~repro.parallel.cache.attach_compiled`).  The process
-:class:`~repro.parallel.cache.ScheduleCache` then degrades to a thin
-view: artifact hit → zero build work, artifact miss → the old on-demand
-build (counted in ``stats()["rebuilds"]``).
+:class:`~repro.parallel.cache.ScheduleCache` reads it as the second
+step of its one lookup (memo → artifact → build), so an artifact that
+covers the net leaves nothing to build (``stats()["rebuilds"]`` stays
+0).
+
+One walk over ``net.conv_layers`` (``_walk``) names every entry a net
+needs, as ``(key, kind, params, build)`` under the :mod:`repro.keys`
+strings the store uses: :func:`schedule_manifest` takes only the keys,
+and :func:`compile_network_schedules` runs each build through a scratch
+:class:`~repro.parallel.cache.ScheduleCache`, so every compiled table
+and layer schedule comes from the same on-demand path the engines use.
 
 Artifact layout (all little-endian)::
 
@@ -38,6 +46,7 @@ import logging
 import struct
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Iterable, Iterator
 
 import numpy as np
@@ -281,45 +290,57 @@ class CompiledSchedules:
 # compiling a network
 
 
-def _iter_engines(net):
-    """Yield ``(weight_2d, engine)`` for every engine-backed conv layer."""
-    for conv in getattr(net, "conv_layers", ()):
-        engine = getattr(conv, "engine", None)
-        if engine is None:
-            continue
-        w2d = conv.weight.value.reshape(conv.out_channels, -1)
-        yield w2d, engine
+def _walk(net, cache: ScheduleCache):
+    """Yield ``(key, kind, params, build)`` for every entry ``net`` needs.
 
-
-def _engine_generator(engine) -> str | None:
-    """Non-default SNG registry key of a conventional-SC engine, if any."""
-    gen = getattr(engine, "generator", None)
-    return gen if gen not in (None, "lfsr") else None
-
-
-def _sng_keys(engine, gen: str) -> list[tuple[str, str, dict[str, Any]]]:
-    """Artifact entries for a registry-generator up/down table."""
+    One pass over ``net.conv_layers``: an lfsr-sc layer needs its
+    up/down table (and, for the shared-LFSR pair, both state orbits), a
+    proposed-sc layer its coefficients, its count constant and the bit
+    table.  ``build()`` makes the entry's array through ``cache`` (the
+    on-demand path the engines use) or returns ``None`` for an orbit
+    that does not close.  Yielding builds nothing; only proposed-sc
+    weights are quantized, to key them.
+    """
+    from repro.nn.engines import LfsrScEngine, ProposedScEngine
     from repro.sc.generators import generator_fingerprint
 
-    n = int(engine.n_bits)
-    key = sng_ud_table_key(n, generator_fingerprint(gen, n))
-    return [(key, "ud-table", {"n_bits": n, "generator": gen})]
+    for conv in net.conv_layers:
+        engine, n = conv.engine, int(conv.engine.n_bits)
+        gen = engine.generator
+        if isinstance(engine, LfsrScEngine) and gen not in (None, "lfsr"):
+            yield (
+                sng_ud_table_key(n, generator_fingerprint(gen, n)), "ud-table",
+                {"n_bits": n, "generator": gen}, partial(cache.sng_ud_table, gen, n),
+            )
+        elif isinstance(engine, LfsrScEngine):
+            seed_w, seed_x = int(engine.seed_w), int(engine.seed_x)
+            taps = (MAXIMAL_TAPS[n], _ALT_TAPS[n])
+            yield (
+                ud_table_key(n, seed_w, seed_x, *taps), "ud-table",
+                {"n_bits": n, "seed_w": seed_w, "seed_x": seed_x},
+                partial(cache.ud_table, n, seed_w, seed_x),
+            )
+            for t in taps:
+                orbit = partial(orbit_table, n, t)
+                yield orbit_key(n, t), "orbit", {"n_bits": n, "taps": list(t)}, orbit
+        elif isinstance(engine, ProposedScEngine):
+            w_int = engine.quantize_weights(conv.weight.value.reshape(conv.out_channels, -1))
+            digest = layer_digest(w_int, n)
+            params = {"shape": list(w_int.shape), "n_bits": n}
+            layer = partial(cache.layer_coeff, w_int, n)
+            yield f"{digest}/coeff", "layer-coeff", params, lambda layer=layer: layer()[0]
+            yield f"{digest}/const", "layer-const", params, lambda layer=layer: layer()[1]
+            yield bit_table_key(n), "bit-table", {"n_bits": n}, partial(cache.bit_table, n)
 
 
-def _lfsr_keys(engine) -> list[tuple[str, str, dict[str, Any]]]:
-    n = int(engine.n_bits)
-    taps_w, taps_x = MAXIMAL_TAPS[n], _ALT_TAPS[n]
-    ud_key = ud_table_key(n, engine.seed_w, engine.seed_x, taps_w, taps_x)
-    out = [
-        (
-            ud_key,
-            "ud-table",
-            {"n_bits": n, "seed_w": int(engine.seed_w), "seed_x": int(engine.seed_x)},
-        )
+def _meta(net, walk) -> dict[str, Any]:
+    """The artifact header's ``meta``: engine names and proposed-sc layers."""
+    layers = [
+        {"digest": key[: -len("/coeff")], **params}
+        for key, kind, params, _ in walk
+        if kind == "layer-coeff"
     ]
-    for taps in (taps_w, taps_x):
-        out.append((orbit_key(n, taps), "orbit", {"n_bits": n, "taps": list(taps)}))
-    return out
+    return {"engines": sorted({conv.engine.name for conv in net.conv_layers}), "layers": layers}
 
 
 def schedule_manifest(net) -> tuple[list[str], dict[str, Any]]:
@@ -329,81 +350,24 @@ def schedule_manifest(net) -> tuple[list[str], dict[str, Any]]:
     be decided before deciding to recompile: the artifact is fresh iff
     the manifest keys are a subset of its entry keys.
     """
-    from repro.nn.engines import LfsrScEngine, ProposedScEngine
-
-    needed: list[str] = []
-    layers: list[dict[str, Any]] = []
-    engines: set[str] = set()
-    for w2d, engine in _iter_engines(net):
-        engines.add(getattr(engine, "name", type(engine).__name__))
-        if isinstance(engine, LfsrScEngine):  # table + orbits
-            gen = _engine_generator(engine)
-            keys = _sng_keys(engine, gen) if gen else _lfsr_keys(engine)
-            needed.extend(key for key, _, _ in keys)
-            continue
-        if not isinstance(engine, ProposedScEngine):  # nothing to compile
-            continue
-        n = int(engine.n_bits)
-        w_int = engine.quantize_weights(w2d)
-        digest = layer_digest(w_int, n)
-        needed.extend([f"{digest}/coeff", f"{digest}/const"])
-        needed.append(bit_table_key(n))
-        layers.append({"digest": digest, "shape": list(w_int.shape), "n_bits": n})
-    meta = {"engines": sorted(engines), "layers": layers}
-    return needed, meta
+    walk = list(_walk(net, ScheduleCache()))
+    return [key for key, _, _, _ in walk], _meta(net, walk)
 
 
 def compile_network_schedules(net) -> tuple[list[ScheduleEntry], dict[str, Any]]:
     """Build every schedule ``net`` needs as artifact entries.
 
-    Uses a scratch :class:`ScheduleCache` for the coefficient/bit-table
-    builds, so the compiled bytes come from the exact same code path the
-    on-demand fallback uses — bit-identical by construction.
+    Every build runs through a scratch :class:`ScheduleCache`, so the
+    compiled bytes come from the exact code path the on-demand lookup
+    uses — bit-identical by construction.
     """
-    from repro.nn.engines import LfsrScEngine, ProposedScEngine
-
-    scratch = ScheduleCache(max_layers=1 << 30)
-    entries: list[ScheduleEntry] = []
-    for w2d, engine in _iter_engines(net):
-        n = int(engine.n_bits)
-        if isinstance(engine, LfsrScEngine):
-            gen = _engine_generator(engine)
-            if gen:
-                from repro.sc.generators import generator_ud_table
-
-                ud_key, ud_kind, ud_params = _sng_keys(engine, gen)[0]
-                entries.append(
-                    ScheduleEntry(ud_key, ud_kind, ud_params, generator_ud_table(gen, n))
-                )
-                continue
-            from repro.sc.multipliers import lfsr_ud_table
-
-            keys = _lfsr_keys(engine)
-            ud_key, ud_kind, ud_params = keys[0]
-            entries.append(
-                ScheduleEntry(
-                    ud_key, ud_kind, ud_params,
-                    lfsr_ud_table(n, engine.seed_w, engine.seed_x),
-                )
-            )
-            for key, kind, params in keys[1:]:
-                orbit = orbit_table(n, tuple(params["taps"]))
-                if orbit is not None:
-                    entries.append(ScheduleEntry(key, kind, params, orbit))
-            continue
-        if not isinstance(engine, ProposedScEngine):
-            continue
-        w_int = engine.quantize_weights(w2d)
-        digest = layer_digest(w_int, n)
-        coeff_t, const = scratch.layer_coeff(w_int, n)
-        params = {"shape": list(w_int.shape), "n_bits": n}
-        entries.append(ScheduleEntry(f"{digest}/coeff", "layer-coeff", params, coeff_t))
-        entries.append(ScheduleEntry(f"{digest}/const", "layer-const", params, const))
-        entries.append(
-            ScheduleEntry(bit_table_key(n), "bit-table", {"n_bits": n}, scratch.bit_table(n))
-        )
-    _, meta = schedule_manifest(net)
-    return entries, meta
+    walk = list(_walk(net, ScheduleCache(max_layers=1 << 30)))
+    entries = []
+    for key, kind, params, build in walk:
+        array = build()
+        if array is not None:
+            entries.append(ScheduleEntry(key, kind, params, array))
+    return entries, _meta(net, walk)
 
 
 def schedule_artifact_key(

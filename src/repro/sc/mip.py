@@ -41,9 +41,11 @@ import numpy as np
 from repro.sc.multipliers import pairwise_partial_counts_from_streams
 
 __all__ = [
+    "MIP_MAGIC",
     "MIP_TABLE_VERSION",
     "MIP_MAX_BITS",
     "TableSource",
+    "decode_table_blob",
     "mip_table_blob_key",
     "synthesize_mip_tables",
     "mip_tables",
@@ -60,7 +62,7 @@ MIP_TABLE_VERSION = 1
 #: and synthesizes in a few seconds.
 MIP_MAX_BITS = 8
 
-_MAGIC = b"RPMIP"
+MIP_MAGIC = b"RPMIP"
 
 _MEMO: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -163,22 +165,27 @@ def synthesize_mip_tables(n_bits: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _encode(n_bits: int, table_w: np.ndarray, table_x: np.ndarray) -> bytes:
-    header = _MAGIC + bytes([MIP_TABLE_VERSION, n_bits, 0])
+    header = MIP_MAGIC + bytes([MIP_TABLE_VERSION, n_bits, 0])
     body_w = np.asarray(table_w, dtype="<u2").tobytes()
     body_x = np.asarray(table_x, dtype="<u2").tobytes()
     return header + body_w + body_x
 
 
-def _decode(data, n_bits: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Parse and validate one blob; ``None`` on any mismatch."""
+def decode_table_blob(data, n_bits: int | None = None) -> tuple[np.ndarray, np.ndarray] | None:
+    """Parse and validate one blob; ``None`` on any mismatch.
+
+    ``n_bits=None`` accepts the width the blob's header names.
+    """
     raw = bytes(data)
+    if n_bits is None:
+        n_bits = raw[len(MIP_MAGIC) + 1] if len(raw) > len(MIP_MAGIC) + 1 else 0
     length = 1 << n_bits
-    expected = len(_MAGIC) + 3 + 2 * 2 * length
-    if len(raw) != expected or not raw.startswith(_MAGIC):
+    expected = len(MIP_MAGIC) + 3 + 2 * 2 * length
+    if len(raw) != expected or not raw.startswith(MIP_MAGIC):
         return None
-    if raw[len(_MAGIC)] != MIP_TABLE_VERSION or raw[len(_MAGIC) + 1] != n_bits:
+    if raw[len(MIP_MAGIC)] != MIP_TABLE_VERSION or raw[len(MIP_MAGIC) + 1] != n_bits:
         return None
-    body = np.frombuffer(raw, dtype="<u2", offset=len(_MAGIC) + 3)
+    body = np.frombuffer(raw, dtype="<u2", offset=len(MIP_MAGIC) + 3)
     table_w = body[:length].astype(np.int64)
     table_x = body[length:].astype(np.int64)
     full = np.arange(length, dtype=np.int64)
@@ -204,7 +211,7 @@ def mip_tables(n_bits: int, store=None) -> tuple[np.ndarray, np.ndarray]:
     key = mip_table_blob_key(n_bits)
     with store.lock(key):
         blob = store.load_blob(key)
-        tables = _decode(blob, n_bits) if blob is not None else None
+        tables = decode_table_blob(blob, n_bits) if blob is not None else None
         if tables is None:
             tables = synthesize_mip_tables(n_bits)
             store.save_blob(key, _encode(n_bits, *tables))

@@ -367,12 +367,12 @@ def test_cached_matmul_parity(rng):
 def test_schedule_cache_derived_layouts_bounded(rng):
     """The derived-layout memo stays LRU-bounded at 4x ``max_layers``."""
     cache = ScheduleCache(max_layers=2)
-    for i in range(6):
+    for i in range(12):  # 12 layouts + the bit rows: past the bound of 8
         w = rng.integers(-8, 8, size=(3, 5))
         w[0, 0] = i - 8  # distinct content each loop
         x = rng.integers(-8, 8, size=(5, 4))
         assert np.array_equal(sc_matmul(w, x, 4, 2, "final"), cache.sc_matmul(w, x, 4, 2))
-    assert len(cache._derived) <= 4 * cache.max_layers
+    assert 0 < cache.stats()["derived"] <= 4 * cache.max_layers
 
 
 def test_inproc_sharded_matmul_parity(rng):

@@ -90,7 +90,7 @@ class CacheMachine(RuleBasedStateMachine):
 
     @invariant()
     def eviction_bound_holds(self):
-        assert len(self.cache._layers) <= MAX_LAYERS
+        assert self.cache.stats()["layers"] <= MAX_LAYERS
 
     @invariant()
     def counters_account_for_every_lookup(self):

@@ -1,10 +1,11 @@
-"""Compiled schedule artifacts: format, thin-view cache, thread-shard parity.
+"""Compiled schedule artifacts: format, the store reading them, thread-shard parity.
 
 The contract under test: the precompiled-artifact path must be
 *bit-exact* against the on-demand ScheduleCache path across worker
 counts, the artifact format must reject what it cannot read with typed
-errors (never crash, never compute on garbage), and an engine that
-serves from a warm artifact must do zero schedule builds.
+errors (never crash, never compute on garbage), an engine that
+serves from a warm artifact must do zero schedule builds, and every
+array the store hands out, built or read from an artifact, is read-only.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ class TestCompileNetwork:
         assert stats["compiled_hits"] == 1
 
 
-# -- thin-view ScheduleCache ----------------------------------------------
+# -- ScheduleCache served from an artifact ---------------------------------
 
 
 class TestThinView:
@@ -222,6 +223,83 @@ class TestThinView:
         got = predict_logits(net, images, ParallelConfig(workers=0, batch_size=3))
         assert get_worker_cache().stats()["rebuilds"] > 0
         assert np.array_equal(got, expected)
+
+
+# -- counters -------------------------------------------------------------
+
+
+def test_counters_count_each_lookup_and_build_once():
+    """One hit or miss per layer and per table; a build or artifact read per entry.
+
+    The serving metrics (``hook``) and perfbench's ``cache.*`` figures
+    read these counters.  The layer's constant, the derived layouts and
+    the bit table an engine never asks for directly count no hit or miss.
+    """
+    net = small_net(n_bits=5)
+    conv = net.conv_layers[0]
+    w = conv.engine.quantize_weights(conv.weight.value.reshape(conv.out_channels, -1))
+    x = np.zeros((w.shape[1], 3), dtype=np.int64)
+
+    def counts(cache):
+        for _ in range(2):
+            cache.sc_matmul(w, x, 5)
+            cache.ud_table(5, 1, 1)
+        stats = cache.stats()
+        return [stats[k] for k in ("hits", "misses", "rebuilds", "compiled_hits")]
+
+    # built: the layer's coefficients, the bit table, the up/down table
+    assert counts(ScheduleCache()) == [2, 2, 3, 0]
+    # read from the artifact on each lookup: the coefficients twice, the bit table once
+    assert counts(ScheduleCache(compiled=compiled_for(net))) == [3, 1, 1, 3]
+
+
+# -- read-only entries ----------------------------------------------------
+
+
+class TestReadOnlyEntries:
+    """Every array the store hands out is read-only, however it was served."""
+
+    def test_entries_are_read_only_cold_warm_and_from_an_artifact(self):
+        proposed = small_net(n_bits=5)
+        conv = proposed.conv_layers[0]
+        w = conv.engine.quantize_weights(conv.weight.value.reshape(conv.out_channels, -1))
+        nets = (
+            proposed,
+            small_net(engine="lfsr-sc", n_bits=5, seed_w=1, seed_x=1),
+            small_net(engine="lfsr-sc", n_bits=5, generator="halton"),
+        )
+        artifact = CompiledSchedules(
+            serialize_schedules([e for net in nets for e in compile_network_schedules(net)[0]])
+        )
+
+        def arrays(cache):
+            return [
+                cache.bit_table(5),
+                cache.ud_table(5, 1, 1),
+                cache.sng_ud_table("halton", 5),
+                *cache.layer_coeff(w, 5),
+            ]
+
+        cache = ScheduleCache()
+        served = {"cold": arrays(cache), "warm": arrays(cache)}
+        from_artifact = ScheduleCache(compiled=artifact)
+        served["artifact"] = arrays(from_artifact)
+        assert from_artifact.stats()["rebuilds"] == 0
+        for how, got in served.items():
+            assert not any(a.flags.writeable for a in got), how
+
+    def test_write_through_an_engine_table_raises(self):
+        """Writing into a served table must not change later answers."""
+        from repro.nn.engines import LfsrScEngine
+        from repro.sc.multipliers import lfsr_ud_table
+
+        expected = lfsr_ud_table(5, 1, 1).copy()
+        try:
+            with pytest.raises(ValueError):
+                LfsrScEngine(n_bits=5, seed_w=1, seed_x=1).ud_table[...] = 0
+            assert np.array_equal(lfsr_ud_table(5, 1, 1), expected)
+        finally:
+            lfsr_ud_table.cache_clear()  # never leak a zeroed table to later tests
 
 
 # -- thread-shard parity ---------------------------------------------------

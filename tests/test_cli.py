@@ -265,3 +265,26 @@ class TestCacheCommand:
         (self.root / "bogus.sched").write_bytes(b"not a schedule artifact")
         assert main(["cache", "inspect"]) == 1
         assert "INVALID" in capsys.readouterr().out
+
+    def test_inspect_reads_mip_tables_with_their_own_format(self, capsys, monkeypatch):
+        """MIP SNG tables live as ``.sched`` blobs next to schedule artifacts."""
+        from repro.experiments import get_store
+        from repro.nn import attach_engines, build_mnist_net
+        from repro.nn.calibration import LayerRanges
+        from repro.parallel import ensure_compiled
+        from repro.sc import mip
+
+        store = get_store()
+        net = build_mnist_net(seed=3, c1=2, c2=3, fc=16)
+        attach_engines(net, "proposed-sc", [LayerRanges(1.0, 1.0)] * 2, n_bits=5)
+        ensure_compiled(net, store, "sched-small")
+        monkeypatch.setattr(mip, "_MEMO", {})  # so mip_tables writes this store's blob
+        mip.mip_tables(5, store)
+        assert main(["cache", "inspect"]) == 0
+        out = capsys.readouterr().out
+        assert "sched-small: format v1" in out
+        assert f"{mip.mip_table_blob_key(5)}: MIP SNG tables, n_bits=5" in out
+
+        store.save_blob(mip.mip_table_blob_key(5), mip.MIP_MAGIC + b"\x01\x05\x00 torn")
+        assert main(["cache", "inspect"]) == 1
+        assert "INVALID" in capsys.readouterr().out
