@@ -39,6 +39,8 @@ _EXPERIMENT_NAMES = (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.parallel import available_cpus
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of Sim & Lee, 'A New Stochastic Computing "
@@ -91,8 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument(
         "--workers",
         type=int,
-        default=0,
-        help="shard threads per engine call (0 = shards run inline)",
+        default=available_cpus(),
+        help="shard threads per engine call (default: one per CPU this process "
+        "may run on; 0 or 1 = shards run inline)",
     )
     p_srv.add_argument(
         "--generator",

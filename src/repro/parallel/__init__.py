@@ -2,10 +2,10 @@
 
 Public surface of the parallel engine: the shard planner
 (:func:`group_shards`), the run loop that executes shards inline or on
-threads of this process, the process schedule cache and its compiled
-artifacts, and the batched predict entry points.  See
-``docs/testing.md`` for the bit-exactness guarantee and the test fleets
-that enforce it.
+the persistent shard threads of this process, the process schedule
+cache and its compiled artifacts, and the batched predict entry points.
+See ``docs/testing.md`` for the bit-exactness guarantee and the test
+fleets that enforce it.
 """
 
 from repro.parallel.cache import (
@@ -30,6 +30,7 @@ from repro.parallel.engine import (
     BatchInferenceEngine,
     ParallelConfig,
     Shard,
+    available_cpus,
     group_shards,
     predict_batched,
     predict_logits,
@@ -59,5 +60,6 @@ __all__ = [
     "predict_batched",
     "predict_logits_grouped",
     "group_shards",
+    "available_cpus",
     "BatchInferenceEngine",
 ]

@@ -12,12 +12,14 @@ The entry points mirror the serial API so callers opt in with one
   network and configuration for repeated batches.
 
 The run loop: :func:`group_shards` chunks the request into image
-shards, which run inline (``workers`` 0 or 1) or split over
-``min(workers, shards)`` threads, each writing its own rows of one
-output array.  Every shard is one ``net.forward(x, generator=...)``:
-the call's SNG family travels down as an argument instead of being set
+shards, which run inline (``workers`` 0 or 1, or a one-shard call) or
+on the process-wide executor of ``workers`` shard threads, each shard
+writing its own rows of one output array.  Every shard is one
+``net.forward(x, generator=...)`` under the SNG family of its own
+request: the family travels down as an argument instead of being set
 on the shared conv engines, and the engines draw their schedules from
-the process cache, so calls on one network may overlap.
+the process cache, so calls on one network may overlap, and one call
+may mix families.
 The per-layer work of an SC conv layer is one numpy gather and one GEMM
 (or one gather and one sum), both of which release the GIL, so shard
 threads use several cores.
@@ -36,13 +38,16 @@ fleet in ``tests/parallel`` enforces the contract.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from concurrent.futures import ThreadPoolExecutor, wait
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.faults import hooks as _faults
+from repro.sc.generators import resolve_generator
 
 __all__ = [
     "Shard",
@@ -52,16 +57,19 @@ __all__ = [
     "predict_batched",
     "predict_logits_grouped",
     "group_shards",
+    "available_cpus",
     "BatchInferenceEngine",
 ]
 
 
 @dataclass(frozen=True)
 class Shard:
-    """One ``[start, stop)`` span of a request group's image axis."""
+    """One ``[start, stop)`` span of a request group's image axis,
+    inside request number ``request`` of the group."""
 
     index: int
     images: tuple[int, int]
+    request: int
 
     @property
     def image_slice(self) -> slice:
@@ -76,9 +84,11 @@ class Shard:
 class ParallelConfig:
     """Knobs of the batched engine.
 
-    ``workers=N`` runs a call's shards on ``N`` threads of this
-    process; ``0`` and ``1`` run them inline on the calling thread.
-    ``batch_size`` chunks the image axis (0 = one shard per request).
+    ``workers=N`` runs a call's shards on the process-wide executor of
+    ``N`` shard threads, made on first use and shared by every call with
+    the same ``N``; ``0`` and ``1`` run them inline on the calling
+    thread, as does a call with one shard.  ``batch_size`` chunks the
+    image axis (0 = one shard per request).
 
     ``generator`` is the SNG family (:mod:`repro.sc.generators`
     registry key) the call passes down ``net.forward`` to every
@@ -98,8 +108,6 @@ class ParallelConfig:
         if self.generator is not None:
             # fail fast at construction: an unknown generator spec
             # should never be discovered halfway through a call
-            from repro.sc.generators import resolve_generator
-
             resolve_generator(self.generator)
 
 
@@ -138,37 +146,59 @@ def group_shards(counts, batch_size: int) -> list[Shard]:
         raise ValueError("chunk sizes must be >= 0")
     shards: list[Shard] = []
     offset = 0
-    for n in counts:
+    for request, n in enumerate(counts):
         n = int(n)
         if n < 0:
             raise ValueError("request sizes must be >= 0")
         step = batch_size or max(n, 1)
         for lo in range(0, n, step):
             hi = min(lo + step, n)
-            shards.append(Shard(len(shards), (offset + lo, offset + hi)))
+            shards.append(Shard(len(shards), (offset + lo, offset + hi), request))
         offset += n
     return shards
 
 
-def _run_shards(net, x: np.ndarray, out: np.ndarray, shards, config: ParallelConfig) -> None:
+def available_cpus() -> int:
+    """The number of CPUs this process may run on (``repro serve``'s
+    default shard-thread count)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+#: One shard executor per ``workers`` value, made once and shared by
+#: every call (and every serving replica) for the life of the process.
+_SHARD_POOLS: dict[int, ThreadPoolExecutor] = {}
+_SHARD_POOLS_LOCK = threading.Lock()
+
+
+def _run_shards(net, x: np.ndarray, out: np.ndarray, shards, families, workers: int) -> None:
     """Forward every shard of ``x`` into its rows of ``out``.
 
-    Inline when at most one thread would run; otherwise the shards are
-    split over ``min(workers, len(shards))`` threads.  The executor is
-    shut down (every thread returned) before the first shard exception,
-    in shard order, is raised, so no shard still runs once this returns.
+    Shard ``s`` runs under ``families[s.request]``, the SNG family of
+    its own request.  Inline when ``workers`` is 0 or 1 or the call has
+    one shard; otherwise every shard goes to the process-wide executor
+    of ``workers`` threads, whose threads persist across calls.  The
+    call waits for every shard before it raises the first shard
+    exception, in shard order, so no shard still runs once this returns.
     """
 
     def run(shard: Shard) -> None:
-        out[shard.image_slice] = net.forward(x[shard.image_slice], generator=config.generator)
+        out[shard.image_slice] = net.forward(
+            x[shard.image_slice], generator=families[shard.request]
+        )
 
-    threads = min(config.workers, len(shards))
-    if threads <= 1:
+    if workers <= 1 or len(shards) <= 1:
         for shard in shards:
             run(shard)
         return
-    with ThreadPoolExecutor(max_workers=threads, thread_name_prefix="repro-shard") as pool:
-        futures = [pool.submit(run, shard) for shard in shards]
+    with _SHARD_POOLS_LOCK:
+        if workers not in _SHARD_POOLS:
+            _SHARD_POOLS[workers] = ThreadPoolExecutor(workers, thread_name_prefix="repro-shard")
+        pool = _SHARD_POOLS[workers]
+    futures = [pool.submit(run, shard) for shard in shards]
+    wait(futures)
     for future in futures:
         future.result()
 
@@ -187,7 +217,7 @@ def predict_batched(net, x: np.ndarray, parallelism=None) -> np.ndarray:
     return predict_logits(net, x, parallelism).argmax(axis=1)
 
 
-def predict_logits_grouped(net, xs, parallelism=None) -> list[np.ndarray]:
+def predict_logits_grouped(net, xs, parallelism=None, generators=None) -> list[np.ndarray]:
     """Logits for a group of request batches in one engine call.
 
     ``xs`` is a list of per-request image arrays.  The group runs as
@@ -199,6 +229,12 @@ def predict_logits_grouped(net, xs, parallelism=None) -> list[np.ndarray]:
 
     bit-exactly, for any way requests are coalesced.  This is the
     execution primitive of the serving micro-batcher.
+
+    ``generators`` names the SNG family of each request, in order, or
+    one family (a registry key) for the whole group; ``None``, whole or
+    as an entry, keeps the config's ``generator``.  Every shard runs
+    under its own request's family, so a group mixing families answers
+    each request as a call with that family alone would.
     """
     config = resolve_parallelism(parallelism)
     xs = [np.asarray(x) for x in xs]
@@ -207,6 +243,13 @@ def predict_logits_grouped(net, xs, parallelism=None) -> list[np.ndarray]:
     tails = {x.shape[1:] for x in xs}
     if len(tails) != 1:
         raise ValueError(f"requests disagree on image shape: {sorted(map(str, tails))}")
+    if generators is None or isinstance(generators, str):
+        generators = [generators] * len(xs)
+    elif len(generators) != len(xs):
+        raise ValueError(f"{len(generators)} generators for {len(xs)} requests")
+    families = [config.generator if g is None else g for g in generators]
+    for family in set(families) - {None}:
+        resolve_generator(family)  # fail fast, before any shard runs
     counts = [x.shape[0] for x in xs]
     bounds = np.cumsum([0] + counts)
     n = int(bounds[-1])
@@ -214,7 +257,7 @@ def predict_logits_grouped(net, xs, parallelism=None) -> list[np.ndarray]:
     shards = group_shards(counts, config.batch_size)
     if shards:
         x = np.concatenate(xs) if len(xs) > 1 else xs[0]
-        _run_shards(net, x, out, shards, config)
+        _run_shards(net, x, out, shards, families, config.workers)
     return [out[lo:hi].copy() for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
@@ -273,20 +316,20 @@ class BatchInferenceEngine:
         self._notify(int(np.asarray(x).shape[0]), time.perf_counter() - t0)
         return out
 
-    def logits_grouped(self, xs, generator: str | None = None) -> list[np.ndarray]:
+    def logits_grouped(self, xs, generator=None) -> list[np.ndarray]:
         """Per-request logits for a coalesced group (micro-batching).
 
-        ``generator`` overrides the SNG family for this one group (the
-        serving plane's per-request ``generator=`` field lands here);
-        ``None`` keeps the engine's configured family.  The override
-        rides a config copy down to the conv engines, so overlapping
-        groups each keep their own.
+        ``generator`` sets the SNG family: one registry key for the
+        whole group, or one entry per request in order (the serving
+        plane's per-request ``generator=`` fields land here); ``None``,
+        whole or as an entry, keeps the engine's configured family.
+        Each shard runs under its own request's family, passed down as
+        an argument, so overlapping groups each keep their own.
         """
         if _faults.enabled():
             _faults.fire("engine.dispatch", key=self._dispatch_key("grouped"))
-        config = self.config if generator is None else replace(self.config, generator=generator)
         t0 = time.perf_counter()
-        out = predict_logits_grouped(self.net, xs, config)
+        out = predict_logits_grouped(self.net, xs, self.config, generator)
         n = sum(int(np.asarray(x).shape[0]) for x in xs)
         self._notify(n, time.perf_counter() - t0)
         return out

@@ -199,10 +199,13 @@ def mip_tables(n_bits: int, store=None) -> tuple[np.ndarray, np.ndarray]:
 
     The store round-trip runs under the artifact lock so concurrent
     processes synthesize at most once; a corrupt or stale-format blob is
-    rewritten in place.
+    rewritten in place.  Without a ``store`` a width this process loaded
+    before answers from memory; a call that passes one always makes the
+    round-trip, so that store gets its blob (from the memo, if the
+    width is there, rather than synthesized again).
     """
     cached = _MEMO.get(n_bits)
-    if cached is not None:
+    if cached is not None and store is None:
         return cached
     if store is None:
         from repro.experiments.common import get_store
@@ -213,7 +216,7 @@ def mip_tables(n_bits: int, store=None) -> tuple[np.ndarray, np.ndarray]:
         blob = store.load_blob(key)
         tables = decode_table_blob(blob, n_bits) if blob is not None else None
         if tables is None:
-            tables = synthesize_mip_tables(n_bits)
+            tables = cached if cached is not None else synthesize_mip_tables(n_bits)
             store.save_blob(key, _encode(n_bits, *tables))
     _MEMO[n_bits] = tables
     return tables

@@ -3,11 +3,14 @@
 Requests (each a small image batch) arrive on an asyncio queue and are
 coalesced into *groups* of at most ``max_batch_size`` images; a group
 is dispatched as soon as it is full, or when the oldest request in it
-has waited ``max_wait_ms``.  The runner receives the group as a *list*
-of per-request arrays and must return one result per request — the
-engine side is :meth:`repro.parallel.BatchInferenceEngine.logits_grouped`,
-which shards at request boundaries, so coalescing can never change a
-request's bits (see :func:`repro.parallel.engine.group_shards`).
+has waited ``max_wait_ms``.  Each group is one runner call: the runner
+receives the group as a *list* of per-request arrays (with ``tags=``,
+one tag per request in order, when any request is tagged) and must
+return one result per request — the engine side is
+:meth:`repro.parallel.BatchInferenceEngine.logits_grouped`, which
+shards at request boundaries and runs each shard under its own
+request's tag, so coalescing can never change a request's bits (see
+:func:`repro.parallel.engine.group_shards`).
 
 Invariants (pinned by the hypothesis suite in
 ``tests/serve/test_batcher.py``):
@@ -60,10 +63,10 @@ class _Request:
         return int(self.x.shape[0])
 
 
-def _runner_accepts_tag(runner) -> bool:
-    """Whether ``runner`` can take the per-request ``tag=`` keyword."""
+def _runner_accepts_tags(runner) -> bool:
+    """Whether ``runner`` can take the per-request ``tags=`` keyword."""
     try:
-        inspect.signature(runner).bind([], tag=None)
+        inspect.signature(runner).bind([], tags=None)
     except (TypeError, ValueError):
         return False
     return True
@@ -77,11 +80,13 @@ class MicroBatcher:
     """Coalesce request arrays into bounded groups for one runner.
 
     ``runner`` is a synchronous callable ``runner(list_of_arrays) ->
-    list_of_results`` executed off-loop.  ``max_batch_size`` bounds the
-    images per group, ``max_wait_ms`` the coalescing delay, and
-    ``concurrency`` the groups in flight at once (the replica-pool
-    runner is thread-safe; one slot per replica keeps every replica
-    fed without over-dispatching).
+    list_of_results`` executed off-loop, once per group; a group with a
+    tagged request calls ``runner(list_of_arrays, tags=list_of_tags)``,
+    one tag per request in order (``None`` for untagged ones).
+    ``max_batch_size`` bounds the images per group, ``max_wait_ms`` the
+    coalescing delay, and ``concurrency`` the groups in flight at once
+    (the replica-pool runner is thread-safe; one slot per replica keeps
+    every replica fed without over-dispatching).
     """
 
     def __init__(
@@ -99,7 +104,7 @@ class MicroBatcher:
         if concurrency < 1:
             raise ValueError("concurrency must be >= 1")
         self.runner = runner
-        self._runner_takes_tag = _runner_accepts_tag(runner)
+        self._runner_takes_tags = _runner_accepts_tags(runner)
         self.max_batch_size = max_batch_size
         self.max_wait_ms = max_wait_ms
         self.concurrency = concurrency
@@ -159,9 +164,9 @@ class MicroBatcher:
 
         ``tag`` rides with the request to the runner (the per-request
         ``generator=`` of the serving plane); tagged requests still
-        coalesce with untagged ones — the group is partitioned into
-        contiguous same-tag runs at execution time, so coalescing never
-        changes which tag a request executes under.
+        coalesce with untagged and differently tagged ones — the group's
+        one runner call carries every request's own tag, so coalescing
+        never changes which tag a request executes under.
         """
         if not self.is_running or self._draining:
             raise RuntimeError("batcher is not accepting requests")
@@ -264,35 +269,23 @@ class MicroBatcher:
             m.batch_size.observe(total)
             m.batch_flush_total.inc(1.0, reason or "timeout")
             try:
-                # Partition into contiguous same-tag runs: FIFO order is
-                # preserved across runner calls, and each request executes
-                # under exactly its own tag no matter how it coalesced.
-                parts: list[tuple[str | None, list[_Request]]] = []
-                for req in group:
-                    if parts and parts[-1][0] == req.tag:
-                        parts[-1][1].append(req)
-                    else:
-                        parts.append((req.tag, [req]))
-                results: list = []
-                for tag, part in parts:
-                    if tag is None:
-                        call = functools.partial(self.runner, [r.x for r in part])
-                    elif self._runner_takes_tag:
-                        call = functools.partial(
-                            self.runner, [r.x for r in part], tag=tag
-                        )
-                    else:
-                        raise RuntimeError(
-                            f"runner {self.runner!r} does not accept per-request "
-                            f"tags (request tagged {tag!r})"
-                        )
-                    part_results = await loop.run_in_executor(self._executor, call)
-                    if len(part_results) != len(part):
-                        raise RuntimeError(
-                            f"runner returned {len(part_results)} results "
-                            f"for {len(part)} requests"
-                        )
-                    results.extend(part_results)
+                xs = [r.x for r in group]
+                tags = [r.tag for r in group]
+                if all(tag is None for tag in tags):
+                    call = functools.partial(self.runner, xs)
+                elif self._runner_takes_tags:
+                    call = functools.partial(self.runner, xs, tags=tags)
+                else:
+                    raise RuntimeError(
+                        f"runner {self.runner!r} does not accept per-request "
+                        f"tags (requests tagged {sorted(set(tags) - {None})!r})"
+                    )
+                results = await loop.run_in_executor(self._executor, call)
+                if len(results) != len(group):
+                    raise RuntimeError(
+                        f"runner returned {len(results)} results "
+                        f"for {len(group)} requests"
+                    )
                 for req, res in zip(group, results):
                     if not req.future.done():
                         req.future.set_result(res)

@@ -38,11 +38,12 @@ import math
 import signal
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from repro.parallel.engine import available_cpus
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.batcher import MicroBatcher
 from repro.serve.breaker import CircuitBreaker
@@ -92,8 +93,9 @@ class ServerConfig:
     port: int = 8080
     #: engine replicas behind least-loaded dispatch (1 = single engine)
     replicas: int = 1
-    #: shard threads per engine call, on every replica (0 = inline)
-    workers: int = 0
+    #: shard threads per engine call, shared by every replica (0 or 1 =
+    #: inline); by default one per CPU this process may run on
+    workers: int = field(default_factory=available_cpus)
     max_batch: int = 32
     max_wait_ms: float = 5.0
     queue_depth: int = 64

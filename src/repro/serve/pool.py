@@ -5,8 +5,8 @@ below what the admission layer can accept (BENCH_PR4: ~39 rps flat
 regardless of offered load), because every coalesced group serializes
 behind a single engine.  The pool stands up N engines — each with its
 own network copy, all sharing the process-global compiled-schedule
-artifact and schedule cache — and routes each group to the
-least-loaded healthy replica:
+artifact, schedule cache and shard threads — and routes each group to
+the least-loaded healthy replica:
 
 * **least-loaded dispatch** — the replica with the fewest in-flight
   groups wins; ties break deterministically on the lowest replica
@@ -240,14 +240,18 @@ class EnginePool:
             else:
                 b.record_success()
 
-    def run_grouped(self, xs, tag: str | None = None):
+    def run_grouped(self, xs, tags=None):
         """Serve one coalesced group on some healthy replica.
 
-        This is the micro-batcher's runner.  A replica failure records
-        on that replica's breaker and fails over to the next healthy
-        one; the original exception propagates only once every
-        candidate has refused or failed.  ``tag`` is the per-request
-        SNG generator override, forwarded to the replica engine.
+        This is the micro-batcher's runner: one call per group.  A
+        replica failure records on that replica's breaker and fails
+        over to the next healthy one; the original exception propagates
+        only once every candidate has refused or failed.  ``tags`` holds
+        the SNG family of each request, in order (a ``None`` entry, or
+        ``tags=None`` for the whole group, keeps the replica's
+        configured family); it is forwarded to the replica engine as its
+        ``generator=``, which runs each request's shards under its own
+        family.
         """
         last_exc: Exception | None = None
         tried: set[int] = set()
@@ -259,10 +263,10 @@ class EnginePool:
                     raise last_exc
                 raise
             try:
-                if tag is None:
+                if tags is None:
                     out = replica.engine.logits_grouped(xs)
                 else:
-                    out = replica.engine.logits_grouped(xs, generator=tag)
+                    out = replica.engine.logits_grouped(xs, generator=tags)
             except Exception as exc:
                 self._release(replica, failed=True)
                 tried.add(replica.index)

@@ -259,3 +259,39 @@ def test_many_threads_on_one_engine_stay_serial_exact(images):
 
 def test_many_threads_on_a_thread_shard_engine_stay_serial_exact(images):
     _check_many_threads_on_one_engine(images, workers=2)
+
+
+@pytest.mark.parametrize("workers", (0, 2, 3))
+def test_a_mixed_family_group_equals_one_call_per_request(images, workers):
+    """One group whose requests carry every SNG family, and the default.
+
+    Each answer must equal, byte for byte, a call on that request alone
+    under its own family.  The ``mip`` request holds five images at a
+    shard size of two, so it spans three shards.  Every family must move
+    its request's answer off the default one, or a group run under one
+    family for all its requests could pass.
+    """
+    net = build_mnist_net(seed=3, c1=2, c2=3, fc=16)
+    attach_engines(net, "lfsr-sc", [LayerRanges(1.0, 1.0)] * 2, n_bits=5)
+    engine = BatchInferenceEngine(net, ParallelConfig(workers=workers, batch_size=2))
+    alone = BatchInferenceEngine(net, ParallelConfig(workers=0, batch_size=2))
+    families = [None, "halton", "mip", "ed", "lfsr", "parallel", "halton"]
+    xs = [images[:1], images[1:3], images[3:8], images[8:9], images[9:11],
+          images[11:13], images[13:14]]
+    grouped = engine.logits_grouped(xs, generator=families)
+    assert len(grouped) == len(xs)
+    for x, family, got in zip(xs, families, grouped):
+        want = alone.logits_grouped([x], generator=family)[0]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), f"request under {family} diverged"
+        if family not in (None, "lfsr"):
+            assert not np.array_equal(got, alone.logits_grouped([x])[0])
+
+
+def test_a_family_list_must_name_one_family_per_request(net, images):
+    with pytest.raises(ValueError, match="2 generators for 3 requests"):
+        predict_logits_grouped(
+            net, [images[:1]] * 3, ParallelConfig(workers=0), generators=["mip", None]
+        )
+    with pytest.raises(ValueError, match="unknown generator"):
+        predict_logits_grouped(net, [images[:1]] * 2, generators=[None, "mersenne"])

@@ -7,7 +7,8 @@ engine, SNG family, request geometry and process-cache state.  The fleet runs wi
 1 µs switch interval so the threads interleave as often as CPython
 allows.  The process :class:`~repro.parallel.ScheduleCache` is shared
 by every shard thread, so its memo bookkeeping is stress-tested here
-too.
+too.  The shard threads themselves are made once per ``workers``
+value and shared by every later call.
 """
 
 from __future__ import annotations
@@ -164,11 +165,88 @@ def test_a_raising_shard_fails_the_call_after_every_shard_returned(images):
             predict_logits_grouped(net, xs, config)
         assert excinfo.value is boom
         assert running == []
-        assert not [t for t in threading.enumerate() if t.name.startswith("repro-shard")]
     finally:
         del net.forward
     assert [conv.engine.generator for conv in net.conv_layers] == before
     _assert_groups_equal(predict_logits_grouped(net, xs, config), expected)
+
+
+# -- persistent shard threads ---------------------------------------------
+
+
+def test_shard_threads_persist_across_calls(images):
+    """Fifty ``workers=2`` calls of three shards each run on two threads.
+
+    The recorded thread objects are kept, so a thread that ended cannot
+    hand its identity on to a new one.
+    """
+    net = fresh_net("proposed-sc")
+    forward = net.forward
+    ran_on = []
+
+    def recording_forward(x, generator=None):
+        ran_on.append(threading.current_thread())
+        return forward(x, generator=generator)
+
+    net.forward = recording_forward
+    config = ParallelConfig(workers=2, batch_size=BATCH)
+    try:
+        for _ in range(50):
+            predict_logits_grouped(net, [images[:5]], config)
+    finally:
+        del net.forward
+    assert len(ran_on) == 150
+    assert len(set(ran_on)) == 2
+
+
+def test_threads_making_their_first_call_at_once_share_one_executor(images, monkeypatch):
+    """Four threads make the first ``workers=2`` call at the same time.
+
+    The executor's constructor sleeps, so every thread arrives while the
+    first one is still making it; exactly one must be made, kept for
+    that ``workers`` value, and every answer must be the inline one.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.parallel import engine
+
+    made = []
+
+    class SlowExecutor(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            time.sleep(0.002)
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", SlowExecutor)
+    monkeypatch.setattr(engine, "_SHARD_POOLS", {})
+    net = fresh_net("proposed-sc")
+    xs = [images[:3], images[3:6]]
+    expected = predict_logits_grouped(net, xs, ParallelConfig(workers=0, batch_size=BATCH))
+    config = ParallelConfig(workers=2, batch_size=BATCH)
+    start = threading.Barrier(4)
+    answers = []
+
+    def run():
+        start.wait()
+        answers.append(predict_logits_grouped(net, xs, config))
+
+    threads = [threading.Thread(target=run) for _ in range(4)]
+    try:
+        with fast_switching():
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+    finally:
+        for pool in made:
+            pool.shutdown()
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(made) == 1
+    assert engine._SHARD_POOLS == {2: made[0]}
+    assert len(answers) == 4
+    for got in answers:
+        _assert_groups_equal(got, expected)
 
 
 # -- the shared ScheduleCache ---------------------------------------------

@@ -92,6 +92,23 @@ def test_mip_tables_match_store_round_trip(tmp_path):
         assert np.array_equal(got, ref)
 
 
+def test_a_store_passed_for_a_memoized_width_gets_its_blob(tmp_path, monkeypatch):
+    """Width 5 is loaded through the default store first, so it is in
+    memory; a fresh store passed afterwards must still get the blob."""
+    from repro.experiments.artifacts import ArtifactStore
+    from repro.sc.mip import decode_table_blob, mip_table_blob_key, mip_tables
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
+    loaded = mip_tables(5)
+    fresh = ArtifactStore(tmp_path / "fresh")
+    again = mip_tables(5, fresh)
+    blob = fresh.load_blob(mip_table_blob_key(5))
+    assert blob is not None
+    for stored, served, ref in zip(decode_table_blob(blob, 5), again, loaded):
+        assert np.array_equal(stored, ref)
+        assert np.array_equal(served, ref)
+
+
 def test_corrupt_mip_blob_is_rewritten(tmp_path):
     """A truncated/garbage blob resynthesizes instead of crashing."""
     from repro.experiments.artifacts import ArtifactStore

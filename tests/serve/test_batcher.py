@@ -129,6 +129,47 @@ class TestFlushTriggers:
         asyncio.run(run())
 
 
+class TestTags:
+    def test_a_mixed_tag_group_is_one_runner_call(self):
+        """Requests tagged a, b, a and untagged coalesce into one group.
+
+        The group is one runner call carrying every request's own tag,
+        in submission order, and each request gets its own result.
+        """
+        calls = []
+
+        def runner(xs, tags=None):
+            calls.append(([int(x[0, 0]) for x in xs], tags))
+            return [x + 0.5 for x in xs]
+
+        async def run():
+            b = MicroBatcher(runner, max_batch_size=4, max_wait_ms=10_000)
+            await b.start()
+            tags = ["a", "b", "a", None]
+            futures = [b.submit(id_array(i, 1), tag=tag) for i, tag in enumerate(tags)]
+            results = await asyncio.gather(*futures)
+            await b.drain()
+            return results
+
+        results = asyncio.run(run())
+        assert calls == [([0, 1, 2, 3], ["a", "b", "a", None])]
+        for i, res in enumerate(results):
+            assert np.array_equal(res, id_array(i, 1) + 0.5)
+
+    def test_a_tagged_request_fails_its_group_on_a_runner_without_tags(self):
+        async def run():
+            b = MicroBatcher(echo_runner([]), max_batch_size=2, max_wait_ms=10_000)
+            await b.start()
+            futures = [b.submit(id_array(0, 1)), b.submit(id_array(1, 1), tag="mip")]
+            results = await asyncio.gather(*futures, return_exceptions=True)
+            await b.drain()
+            return results
+
+        results = asyncio.run(run())
+        assert all(isinstance(r, RuntimeError) for r in results)
+        assert "does not accept per-request tags" in str(results[0])
+
+
 class TestLifecycleAndErrors:
     def test_submit_before_start_and_after_drain_rejected(self):
         async def run():

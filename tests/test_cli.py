@@ -69,8 +69,17 @@ class TestCommands:
 
 class TestServeCommand:
     def test_parser_defaults(self):
+        import os
+
+        from repro.serve import ServerConfig
+
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:
+            cpus = os.cpu_count()
         args = build_parser().parse_args(["serve"])
-        assert (args.host, args.port, args.workers) == ("127.0.0.1", 8080, 0)
+        assert (args.host, args.port, args.workers) == ("127.0.0.1", 8080, cpus)
+        assert ServerConfig().workers == cpus
         assert (args.max_batch, args.max_wait_ms, args.queue_depth) == (32, 5.0, 64)
         assert args.deadline_ms is None and args.port_file is None
         assert (args.benchmark, args.engine, args.n_bits, args.batch) == (
@@ -266,7 +275,7 @@ class TestCacheCommand:
         assert main(["cache", "inspect"]) == 1
         assert "INVALID" in capsys.readouterr().out
 
-    def test_inspect_reads_mip_tables_with_their_own_format(self, capsys, monkeypatch):
+    def test_inspect_reads_mip_tables_with_their_own_format(self, capsys):
         """MIP SNG tables live as ``.sched`` blobs next to schedule artifacts."""
         from repro.experiments import get_store
         from repro.nn import attach_engines, build_mnist_net
@@ -278,7 +287,6 @@ class TestCacheCommand:
         net = build_mnist_net(seed=3, c1=2, c2=3, fc=16)
         attach_engines(net, "proposed-sc", [LayerRanges(1.0, 1.0)] * 2, n_bits=5)
         ensure_compiled(net, store, "sched-small")
-        monkeypatch.setattr(mip, "_MEMO", {})  # so mip_tables writes this store's blob
         mip.mip_tables(5, store)
         assert main(["cache", "inspect"]) == 0
         out = capsys.readouterr().out
