@@ -19,14 +19,6 @@ The suites:
   offered load through the HTTP micro-batching service at 1/2/4
   workers, plus a ragged-request parity phase checking served classes
   bit-exactly against serial ``Network.predict``;
-* ``--suite pr8`` — replica-pool scaling (:mod:`repro.serve.pool`)
-  written to ``BENCH_PR8.json``: a paced-engine topology leg proving
-  dispatch overlap at 1/2/4 replicas, a real-engine leg gated against
-  throughput collapse, and a front-end leg pinning the raw-float
-  keep-alive path against json + ``Connection: close`` — every swept
-  point verified bit-exact against serial ``Network.predict``.
-  ``--check`` re-measures and gates against the committed
-  ``BENCH_PR8.json``;
 * ``--suite pr10`` — SNG generator-family matrix
   (:mod:`repro.sc.generators`) written to ``BENCH_PR10.json``: the
   exhaustive Fig. 5 full-period multiply error and a Fig. 6-style
@@ -42,12 +34,14 @@ The suites:
 Run from the repo root:
 
     PYTHONPATH=src python benchmarks/snapshot.py
-        [--suite pr2|pr3|pr4|pr8|pr10] [--repeats N] [--out FILE] [--check]
+        [--suite pr2|pr3|pr4|pr10] [--repeats N] [--out FILE] [--check]
 
 The PR2 JSON also carries the tier-1 wall-clock numbers (measured with
 ``pytest --durations`` before/after the kernel rewrite) so the speedup
 claim in the PR is pinned to data.  ``BENCH_PR6.json`` (process-pool
 cold start) is kept as history; its suite left with the process pool.
+``BENCH_PR8.json`` (replica-pool scaling) is kept as history too; its
+suite left with the replica pool.
 """
 
 from __future__ import annotations
@@ -436,242 +430,6 @@ def bench_serving(
     }
 
 
-#: PR8 replica-scaling gate, committed alongside the snapshot.  All
-#: bounds are one-sided (>=) so a faster runner always passes.
-PR8_GATE = {
-    # topology leg: 2 and 4 paced replicas must beat 1 by these factors
-    "min_speedup_r2": 1.4,
-    "min_speedup_r4": 2.0,
-    # allowed relative drift of the fresh r4 speedup below the
-    # committed one before --check flags a regression
-    "speedup_tolerance": 0.35,
-    # real-engine leg: 4 replicas on one compute budget must keep at
-    # least this fraction of single-replica throughput (no collapse)
-    "real_floor": 0.7,
-}
-
-
-class _PacedEngine:
-    """Fixed-service-time engine: a real net behind an 80 ms actuator.
-
-    The topology leg measures *dispatch overlap*, not raw compute: each
-    ``logits_grouped`` call holds its replica for ``service_time_s``
-    (sleeping in the batcher's executor thread, GIL released) before
-    running the real network, the way a fixed-latency accelerator or
-    remote backend would.  Replicas overlap their service times, so the
-    scaling curve isolates the pool's contribution even on a single
-    core — and the numbers stay real, so parity still has teeth.
-    """
-
-    def __init__(self, engine, service_time_s: float) -> None:
-        self._engine = engine
-        self.service_time_s = service_time_s
-        self.config = engine.config
-        self.net = engine.net
-        self.name = None
-
-    def add_hook(self, hook) -> None:
-        self._engine.add_hook(hook)
-
-    def logits(self, x):
-        time.sleep(self.service_time_s)
-        return self._engine.logits(x)
-
-    def logits_grouped(self, xs):
-        time.sleep(self.service_time_s)
-        return self._engine.logits_grouped(xs)
-
-
-def bench_replica_scaling(
-    replica_counts: tuple[int, ...] = (1, 2, 4),
-    service_time_s: float = 0.08,
-    topology_requests: int = 96,
-    duration_s: float = 2.0,
-) -> dict:
-    """Replica-pool scaling curves + parity, written to BENCH_PR8.json.
-
-    Three legs:
-
-    * **topology** (the gated headline) — paced engines with a fixed
-      80 ms service time behind the pool at 1/2/4 replicas, hit with a
-      keep-alive raw-float burst well past saturation.  Throughput must
-      scale with replica count because service times overlap.
-    * **real-engine** — the actual digits workload at 1/2/4 replicas on
-      whatever cores the runner has.  Not gated for speedup (a 1-core
-      container cannot scale compute), but gated against collapse and
-      for bit-exactness at every point.
-    * **front-end** — one replica, fixed offered load, ``json`` +
-      ``Connection: close`` vs raw-float + keep-alive, pinning the
-      codec/connection overhead delta.
-
-    Every leg ends with a ragged-request parity phase diffing served
-    classes against serial ``Network.predict`` at the shard chunking.
-    """
-    import asyncio
-
-    from loadgen import http_request, run_load
-    from repro.serve import ServerConfig, ServingServer
-    from repro.serve.http import build_engine
-
-    def config_for(replicas: int, **kw) -> ServerConfig:
-        knobs = dict(
-            port=0,
-            replicas=replicas,
-            workers=0,
-            max_batch=4,
-            max_wait_ms=1.0,
-            queue_depth=256,
-            shard_batch=16,
-        )
-        knobs.update(kw)
-        return ServerConfig(**knobs)
-
-    def paced_factory(config: ServerConfig):
-        engine, shape, meta = build_engine(config)
-        return _PacedEngine(engine, service_time_s), shape, meta
-
-    async def parity_phase(server) -> dict:
-        """Ragged concurrent requests vs serial predict, per boot."""
-        net = server.engine.net
-        rng = np.random.default_rng(17)
-        x = rng.normal(0.0, 0.5, size=(24, *server.input_shape))
-        sizes = (3, 1, 7, 2, 5, 6)
-        offsets = [sum(sizes[:i]) for i in range(len(sizes))]
-
-        async def send(off: int, size: int) -> list[int]:
-            body = json.dumps(
-                {"images": x[off : off + size].tolist(), "return": "classes"}
-            ).encode("ascii")
-            status, payload = await http_request(
-                "127.0.0.1", server.port, "POST", "/v1/predict", body
-            )
-            if status != 200:
-                raise RuntimeError(f"parity request got HTTP {status}: {payload!r}")
-            return json.loads(payload)["classes"]
-
-        served = await asyncio.gather(
-            *(send(off, size) for off, size in zip(offsets, sizes))
-        )
-        expected = [
-            net.predict(x[off : off + size], batch=server.config.shard_batch).tolist()
-            for off, size in zip(offsets, sizes)
-        ]
-        return {
-            "request_sizes": list(sizes),
-            "bit_exact": served == expected,
-        }
-
-    async def one_point(
-        factory, replicas: int, rps: float, *, keep_alive: bool,
-        content_type: str, label: str,
-    ) -> dict:
-        server = ServingServer(config_for(replicas), engine_factory=factory)
-        await server.start()
-        try:
-            report = await run_load(
-                "127.0.0.1",
-                server.port,
-                rps,
-                duration_s,
-                images_per_request=1,
-                seed=0,
-                keep_alive=keep_alive,
-                content_type=content_type,
-            )
-            parity = await parity_phase(server)
-            entry = report.to_dict()
-            entry["parity"] = parity
-            print(
-                f"{label:>10s} replicas={replicas} offered={rps:>6.1f} rps: "
-                f"{entry['achieved_rps']:>7.2f} rps  "
-                f"p50 {entry['latency_p50_ms']:g}ms  "
-                f"statuses {entry['status_counts']}  "
-                f"dispatch {entry['replica_dispatch']}  "
-                f"bit_exact={parity['bit_exact']}"
-            )
-            return entry
-        finally:
-            await server.drain_and_stop()
-
-    async def drive() -> dict:
-        # topology: offer the whole burst fast; the report's elapsed
-        # time includes the drain, so achieved_rps converges to the
-        # pool's service capacity at every replica count
-        topology = []
-        topology_rps = topology_requests / duration_s
-        for replicas in replica_counts:
-            topology.append(
-                await one_point(
-                    paced_factory, replicas, topology_rps,
-                    keep_alive=True, content_type="raw", label="topology",
-                )
-            )
-        base = topology[0]["achieved_rps"]
-        for entry in topology:
-            entry["speedup_vs_one_replica"] = round(
-                entry["achieved_rps"] / max(base, 1e-9), 2
-            )
-
-        real = []
-        for replicas in replica_counts:
-            real.append(
-                await one_point(
-                    build_engine, replicas, 150.0,
-                    keep_alive=False, content_type="json", label="real",
-                )
-            )
-        base = real[0]["achieved_rps"]
-        for entry in real:
-            entry["throughput_vs_one_replica"] = round(
-                entry["achieved_rps"] / max(base, 1e-9), 2
-            )
-
-        frontend = {
-            "json_close": await one_point(
-                build_engine, 1, 25.0,
-                keep_alive=False, content_type="json", label="json+close",
-            ),
-            "raw_keepalive": await one_point(
-                build_engine, 1, 25.0,
-                keep_alive=True, content_type="raw", label="raw+ka",
-            ),
-        }
-        return {"topology": topology, "real_engine": real, "frontend": frontend}
-
-    result = asyncio.run(drive())
-    by_replicas = {p["replicas"]: p for p in result["topology"]}
-    return {
-        "workload": (
-            "digits-quick / proposed-sc N=8 behind the replica pool; "
-            f"topology leg paces each dispatch at {service_time_s * 1e3:.0f} ms "
-            "fixed service time (keep-alive raw-float burst past saturation)"
-        ),
-        "config": {
-            "service_time_s": service_time_s,
-            "topology_requests": topology_requests,
-            "duration_s": duration_s,
-            "max_batch": 4,
-            "shard_batch": 16,
-        },
-        **result,
-        "headline": {
-            "speedup_r2": by_replicas[2]["speedup_vs_one_replica"] if 2 in by_replicas else None,
-            "speedup_r4": by_replicas[4]["speedup_vs_one_replica"] if 4 in by_replicas else None,
-            "r1_rps": by_replicas[1]["achieved_rps"],
-            "r4_rps": by_replicas[4]["achieved_rps"] if 4 in by_replicas else None,
-        },
-        "all_bit_exact": all(
-            p["parity"]["bit_exact"]
-            for p in (
-                *result["topology"],
-                *result["real_engine"],
-                *result["frontend"].values(),
-            )
-        ),
-        "gate": dict(PR8_GATE),
-    }
-
-
 PR10_GATE = {
     # Accuracy gates vs the lfsr leg measured in the *same* run, so a
     # slow host never flips them.  Without fine-tuning the conventional
@@ -901,75 +659,6 @@ def _run_pr10(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _run_pr8(args: argparse.Namespace) -> int:
-    committed = Path(__file__).resolve().parent.parent / "BENCH_PR8.json"
-    result = bench_replica_scaling()
-    report = {
-        "schema": "bench-pr8/v1",
-        "platform": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "numpy": np.__version__,
-        },
-        "replica_scaling": result,
-    }
-    gate = PR8_GATE
-    failures = []
-    if not result["all_bit_exact"]:
-        failures.append("a swept point diverged from serial Network.predict")
-    headline = result["headline"]
-    if headline["speedup_r2"] is not None and headline["speedup_r2"] < gate["min_speedup_r2"]:
-        failures.append(
-            f"topology speedup at 2 replicas {headline['speedup_r2']}x is "
-            f"below the {gate['min_speedup_r2']}x gate"
-        )
-    if headline["speedup_r4"] is not None and headline["speedup_r4"] < gate["min_speedup_r4"]:
-        failures.append(
-            f"topology speedup at 4 replicas {headline['speedup_r4']}x is "
-            f"below the {gate['min_speedup_r4']}x gate"
-        )
-    real = result["real_engine"]
-    floor = gate["real_floor"]
-    for entry in real[1:]:
-        if entry["throughput_vs_one_replica"] < floor:
-            failures.append(
-                f"real-engine throughput collapsed at {entry['replicas']} "
-                f"replicas: {entry['throughput_vs_one_replica']}x of the "
-                f"single-replica rate (floor {floor}x)"
-            )
-    ka = result["frontend"]["raw_keepalive"]
-    if ka["errors"] or any(not s.startswith("2") for s in ka["status_counts"]):
-        failures.append(f"raw+keep-alive leg was not all-2xx: {ka['status_counts']}")
-    if ka["connections_reused"] < 1:
-        failures.append("keep-alive leg never reused a connection")
-    if args.check:
-        if not committed.exists():
-            failures.append(f"--check requires a committed {committed.name}")
-        else:
-            pinned = json.loads(committed.read_text())["replica_scaling"]["headline"]
-            floor_r4 = pinned["speedup_r4"] * (1.0 - gate["speedup_tolerance"])
-            if headline["speedup_r4"] < floor_r4:
-                failures.append(
-                    f"topology r4 speedup {headline['speedup_r4']}x regressed "
-                    f"below {floor_r4:.2f}x (committed {pinned['speedup_r4']}x "
-                    f"minus {gate['speedup_tolerance']:.0%} tolerance)"
-                )
-        out = args.out  # never overwrite the committed snapshot in --check
-    else:
-        out = args.out or committed
-    if out:
-        Path(out).write_text(json.dumps(report, indent=2) + "\n")
-        print(f"wrote {out}")
-    print(
-        f"headline: {headline['r1_rps']} rps @1 replica -> "
-        f"{headline['r4_rps']} rps @4 ({headline['speedup_r4']}x; "
-        f"r2 {headline['speedup_r2']}x)"
-    )
-    for msg in failures:
-        print(f"ERROR: {msg}")
-    return 1 if failures else 0
-
-
 def _run_pr4(args: argparse.Namespace) -> int:
     out = args.out or Path(__file__).resolve().parent.parent / "BENCH_PR4.json"
     result = bench_serving()
@@ -1019,7 +708,7 @@ def _run_pr3(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--suite", choices=("pr2", "pr3", "pr4", "pr8", "pr10"), default="pr2"
+        "--suite", choices=("pr2", "pr3", "pr4", "pr10"), default="pr2"
     )
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--tier1-seconds", type=float, default=None,
@@ -1028,8 +717,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="pr8/pr10: gate a fresh measurement against the committed "
-        "BENCH_PR8.json / BENCH_PR10.json instead of overwriting it",
+        help="pr10: gate a fresh measurement against the committed "
+        "BENCH_PR10.json instead of overwriting it",
     )
     args = parser.parse_args(argv)
 
@@ -1037,8 +726,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_pr3(args)
     if args.suite == "pr4":
         return _run_pr4(args)
-    if args.suite == "pr8":
-        return _run_pr8(args)
     if args.suite == "pr10":
         return _run_pr10(args)
     args.out = args.out or Path(__file__).resolve().parent.parent / "BENCH_PR2.json"

@@ -84,13 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--host", default="127.0.0.1", help="bind address")
     p_srv.add_argument("--port", type=int, default=8080, help="bind port (0 = ephemeral)")
     p_srv.add_argument(
-        "--replicas",
-        type=int,
-        default=1,
-        help="engine replicas behind least-loaded dispatch, each with its "
-        "own network copy and circuit breaker",
-    )
-    p_srv.add_argument(
         "--workers",
         type=int,
         default=available_cpus(),
@@ -131,19 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--breaker-threshold",
         type=int,
         default=5,
-        help="consecutive engine failures before the circuit opens (0 = disable)",
+        help="consecutive failed requests before the circuit opens (0 = disable)",
     )
     p_srv.add_argument(
         "--breaker-cooldown-s",
         type=float,
         default=5.0,
         help="seconds the open circuit refuses traffic before a half-open probe",
-    )
-    p_srv.add_argument(
-        "--no-precompile",
-        action="store_true",
-        help="skip compiling/loading the schedule artifact before serving "
-        "(the engines build schedules on demand)",
     )
 
     p_rtl = sub.add_parser(
@@ -330,7 +317,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServerConfig(
         host=args.host,
         port=args.port,
-        replicas=args.replicas,
         workers=args.workers,
         max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms,
@@ -343,7 +329,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port_file=args.port_file,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown_s=args.breaker_cooldown_s,
-        precompile=not args.no_precompile,
         generator=args.generator,
     )
     return run_server(config)

@@ -5,7 +5,7 @@ The subsystem has two halves:
 * :mod:`repro.faults.plan` — the schedule model: seedable, JSON
   round-trippable :class:`FaultPlan`/:class:`FaultSpec` pairs that
   select injection sites deterministically (by the context a site
-  reports, such as the per-replica dispatch key);
+  reports, such as the ``"grouped"`` or ``"logits"`` dispatch key);
 * :mod:`repro.faults.hooks` — the process-wide registry the
   instrumented call sites (``engine.dispatch`` in
   :mod:`repro.parallel`, ``serve.request`` in :mod:`repro.serve`)

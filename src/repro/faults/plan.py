@@ -4,8 +4,8 @@ A :class:`FaultPlan` is an ordered list of :class:`FaultSpec` entries.
 Each spec names an injection *site* (a string like
 ``"engine.dispatch"``), an *action* (``"delay"`` or ``"raise"``) and a
 match — which visits of that site should fire.  Matching is stateless:
-specs select on the context the site reports (such as the per-replica
-dispatch key), so the same plan fires the same faults on every run.
+specs select on the context the site reports (such as the dispatch
+key), so the same plan fires the same faults on every run.
 The only mutable state is the per-spec ``times`` budget.
 
 Plans are JSON round-trippable (:meth:`FaultPlan.to_json` /
@@ -57,9 +57,9 @@ class FaultInjected(RuntimeError):
 class FaultSpec:
     """One fault: where it fires, what it does, and which visits match.
 
-    ``key`` matches the key a site reports, the per-replica dispatch
-    key of ``engine.dispatch`` (``"grouped@r1"``); ``None`` matches
-    every visit.  ``times`` caps total firings (``None`` = unlimited,
+    ``key`` matches the key a site reports, such as the dispatch key
+    of ``engine.dispatch`` (``"grouped"`` for a coalesced group,
+    ``"logits"`` for a plain call); ``None`` matches every visit.  ``times`` caps total firings (``None`` = unlimited,
     which makes a fault *persistent* — how the repeated failure →
     circuit-open scenario is scripted).
     """

@@ -168,7 +168,7 @@ def available_cpus() -> int:
 
 
 #: One shard executor per ``workers`` value, made once and shared by
-#: every call (and every serving replica) for the life of the process.
+#: every call for the life of the process.
 _SHARD_POOLS: dict[int, ThreadPoolExecutor] = {}
 _SHARD_POOLS_LOCK = threading.Lock()
 
@@ -276,29 +276,18 @@ class BatchInferenceEngine:
     here; the engine itself stays importable without :mod:`repro.serve`
     (hooks are plain callables, no serve types involved).
 
-    ``name`` identifies one engine among replicas (the serving pool
-    names them ``r0``, ``r1``, ...).  A named engine scopes its
-    ``engine.dispatch`` fault-site keys to ``"<key>@<name>"`` so a
-    chaos schedule can kill exactly one replica; unnamed engines keep
-    the bare ``"grouped"``/``"logits"`` keys.
+    Each call fires the ``engine.dispatch`` fault site with the key
+    ``"logits"`` or ``"grouped"``.
 
     Calls on one engine may overlap: a call carries its SNG family as
     an argument instead of setting it on the shared conv engines, so
-    two groups the serving pool hands one replica at once (an open
-    breaker, a failover) each run under their own family.
+    two callers' groups each run under their own family.
     """
 
-    def __init__(
-        self, net, config: ParallelConfig | int | None = None, hooks=(),
-        name: str | None = None,
-    ) -> None:
+    def __init__(self, net, config: ParallelConfig | int | None = None, hooks=()) -> None:
         self.net = net
         self.config = resolve_parallelism(config)
         self.hooks = list(hooks)
-        self.name = name
-
-    def _dispatch_key(self, kind: str) -> str:
-        return f"{kind}@{self.name}" if self.name else kind
 
     def add_hook(self, hook) -> None:
         """Register a ``hook(n_images, seconds, workers)`` observer."""
@@ -310,7 +299,7 @@ class BatchInferenceEngine:
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         if _faults.enabled():
-            _faults.fire("engine.dispatch", key=self._dispatch_key("logits"))
+            _faults.fire("engine.dispatch", key="logits")
         t0 = time.perf_counter()
         out = predict_logits(self.net, x, self.config)
         self._notify(int(np.asarray(x).shape[0]), time.perf_counter() - t0)
@@ -327,7 +316,7 @@ class BatchInferenceEngine:
         an argument, so overlapping groups each keep their own.
         """
         if _faults.enabled():
-            _faults.fire("engine.dispatch", key=self._dispatch_key("grouped"))
+            _faults.fire("engine.dispatch", key="grouped")
         t0 = time.perf_counter()
         out = predict_logits_grouped(self.net, xs, self.config, generator)
         n = sum(int(np.asarray(x).shape[0]) for x in xs)

@@ -1,15 +1,15 @@
 """Async SC-CNN inference service over the sharded batch engine.
 
-The serving plane in four layers, composed by :class:`ServingServer`:
+The serving plane in layers, composed by :class:`ServingServer`:
 
 * :mod:`repro.serve.metrics` — lock-free counters/histograms and the
   Prometheus ``/metrics`` exposition;
 * :mod:`repro.serve.batcher` — dynamic micro-batching of in-flight
   requests into bit-exact grouped engine dispatches;
-* :mod:`repro.serve.pool` — N engine replicas behind least-loaded
-  dispatch with per-replica circuit breakers and failover;
+* :mod:`repro.serve.pool` — the batcher's runner: one group, one call
+  of the server's one engine;
 * :mod:`repro.serve.service` — bounded admission with backpressure,
-  per-request deadlines, and graceful drain;
+  per-request deadlines, graceful drain and the circuit breaker;
 * :mod:`repro.serve.http` — the stdlib asyncio HTTP/1.1 front end
   (``POST /v1/predict``, ``GET /healthz``, ``GET /metrics``).
 
@@ -35,7 +35,7 @@ from repro.serve.metrics import (
     MetricsRegistry,
     ServiceMetrics,
 )
-from repro.serve.pool import EnginePool, EngineReplica, PoolCircuit
+from repro.serve.pool import EnginePool
 from repro.serve.service import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -55,8 +55,6 @@ __all__ = [
     "RAW_CONTENT_TYPE",
     "pack_raw_request",
     "EnginePool",
-    "EngineReplica",
-    "PoolCircuit",
     "Counter",
     "Gauge",
     "LabeledGauge",

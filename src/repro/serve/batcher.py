@@ -26,12 +26,10 @@ Invariants (pinned by the hypothesis suite in
   (engine execution time comes on top — admission control and
   deadlines live one layer up, in :mod:`repro.serve.service`).
 
-Batches execute on a bounded executor (``concurrency`` threads, one per
-engine replica) so the event loop stays responsive while engines run.
-Dispatch *start* order stays FIFO at any concurrency: a group is only
-handed to the executor once a dispatch slot is acquired, in formation
-order.  With ``concurrency=1`` (the default) execution is fully
-serialized — the original single-engine behavior.
+Groups execute one at a time on one executor thread, so the event
+loop stays responsive while the engine runs: the loop forms the next
+group meanwhile and hands it over once the group before it is
+answered.
 """
 
 from __future__ import annotations
@@ -83,10 +81,8 @@ class MicroBatcher:
     list_of_results`` executed off-loop, once per group; a group with a
     tagged request calls ``runner(list_of_arrays, tags=list_of_tags)``,
     one tag per request in order (``None`` for untagged ones).
-    ``max_batch_size`` bounds the images per group, ``max_wait_ms`` the
-    coalescing delay, and ``concurrency`` the groups in flight at once
-    (the replica-pool runner is thread-safe; one slot per replica keeps
-    every replica fed without over-dispatching).
+    ``max_batch_size`` bounds the images per group and ``max_wait_ms``
+    the coalescing delay.
     """
 
     def __init__(
@@ -95,27 +91,23 @@ class MicroBatcher:
         max_batch_size: int = 32,
         max_wait_ms: float = 5.0,
         metrics: ServiceMetrics | None = None,
-        concurrency: int = 1,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         if max_wait_ms < 0:
             raise ValueError("max_wait_ms must be >= 0")
-        if concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
         self.runner = runner
         self._runner_takes_tags = _runner_accepts_tags(runner)
         self.max_batch_size = max_batch_size
         self.max_wait_ms = max_wait_ms
-        self.concurrency = concurrency
         self.metrics = metrics or ServiceMetrics()
         self._queue: asyncio.Queue | None = None
         self._task: asyncio.Task | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._holdover: _Request | None = None
         self._draining = False
-        self._slots: asyncio.Semaphore | None = None
-        self._dispatches: set[asyncio.Task] = set()
+        #: the group on the executor, if any
+        self._running: asyncio.Task | None = None
 
     # -- lifecycle ---------------------------------------------------------
     @property
@@ -132,11 +124,8 @@ class MicroBatcher:
         if self.is_running:
             raise RuntimeError("batcher already running")
         self._queue = asyncio.Queue()
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.concurrency, thread_name_prefix="repro-batch"
-        )
-        self._slots = asyncio.Semaphore(self.concurrency)
-        self._dispatches = set()
+        self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-batch")
+        self._running = None
         self._draining = False
         self._task = asyncio.create_task(self._run(), name="repro-microbatcher")
 
@@ -228,21 +217,19 @@ class MicroBatcher:
                 total += item.n_images
             if group:
                 await self._dispatch(group, total, "drain", loop)
-        if self._dispatches:
-            await asyncio.gather(*list(self._dispatches))
+        if self._running is not None:
+            await self._running
 
     async def _dispatch(self, group, total: int, reason: str | None, loop) -> None:
-        """Claim a dispatch slot, then run the group concurrently.
+        """Start the group once the group before it is answered.
 
-        Blocks while all ``concurrency`` slots are busy, which is what
-        keeps group formation paced to engine capacity; the group
-        itself executes in a background task so the loop can coalesce
-        the next group while engines run.
+        Waiting here keeps group formation paced to the engine; the
+        group itself executes in a background task so the loop can
+        coalesce the next group while the engine runs.
         """
-        await self._slots.acquire()
-        task = loop.create_task(self._execute(group, total, reason, loop))
-        self._dispatches.add(task)
-        task.add_done_callback(self._dispatches.discard)
+        if self._running is not None:
+            await self._running
+        self._running = loop.create_task(self._execute(group, total, reason, loop))
 
     async def _next_request(self) -> _Request | None:
         """The first request of the next group (or None once drained)."""
@@ -258,40 +245,37 @@ class MicroBatcher:
             return item
 
     async def _execute(self, group, total: int, reason: str | None, loop) -> None:
+        group = [r for r in group if not r.future.done()]
+        if not group:
+            return
+        m = self.metrics
+        now = loop.time()
+        for req in group:
+            m.queue_wait.observe(now - req.enqueued_at)
+        m.batch_size.observe(total)
+        m.batch_flush_total.inc(1.0, reason or "timeout")
         try:
-            group = [r for r in group if not r.future.done()]
-            if not group:
-                return
-            m = self.metrics
-            now = loop.time()
+            xs = [r.x for r in group]
+            tags = [r.tag for r in group]
+            if all(tag is None for tag in tags):
+                call = functools.partial(self.runner, xs)
+            elif self._runner_takes_tags:
+                call = functools.partial(self.runner, xs, tags=tags)
+            else:
+                raise RuntimeError(
+                    f"runner {self.runner!r} does not accept per-request "
+                    f"tags (requests tagged {sorted(set(tags) - {None})!r})"
+                )
+            results = await loop.run_in_executor(self._executor, call)
+            if len(results) != len(group):
+                raise RuntimeError(
+                    f"runner returned {len(results)} results "
+                    f"for {len(group)} requests"
+                )
+            for req, res in zip(group, results):
+                if not req.future.done():
+                    req.future.set_result(res)
+        except Exception as exc:  # propagate to every caller of the group
             for req in group:
-                m.queue_wait.observe(now - req.enqueued_at)
-            m.batch_size.observe(total)
-            m.batch_flush_total.inc(1.0, reason or "timeout")
-            try:
-                xs = [r.x for r in group]
-                tags = [r.tag for r in group]
-                if all(tag is None for tag in tags):
-                    call = functools.partial(self.runner, xs)
-                elif self._runner_takes_tags:
-                    call = functools.partial(self.runner, xs, tags=tags)
-                else:
-                    raise RuntimeError(
-                        f"runner {self.runner!r} does not accept per-request "
-                        f"tags (requests tagged {sorted(set(tags) - {None})!r})"
-                    )
-                results = await loop.run_in_executor(self._executor, call)
-                if len(results) != len(group):
-                    raise RuntimeError(
-                        f"runner returned {len(results)} results "
-                        f"for {len(group)} requests"
-                    )
-                for req, res in zip(group, results):
-                    if not req.future.done():
-                        req.future.set_result(res)
-            except Exception as exc:  # propagate to every caller of the group
-                for req in group:
-                    if not req.future.done():
-                        req.future.set_exception(exc)
-        finally:
-            self._slots.release()
+                if not req.future.done():
+                    req.future.set_exception(exc)

@@ -91,10 +91,8 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 8080
-    #: engine replicas behind least-loaded dispatch (1 = single engine)
-    replicas: int = 1
-    #: shard threads per engine call, shared by every replica (0 or 1 =
-    #: inline); by default one per CPU this process may run on
+    #: shard threads per engine call (0 or 1 = inline); by default one
+    #: per CPU this process may run on
     workers: int = field(default_factory=available_cpus)
     max_batch: int = 32
     max_wait_ms: float = 5.0
@@ -105,20 +103,15 @@ class ServerConfig:
     n_bits: int = 8
     shard_batch: int = 16
     port_file: str | None = None
-    #: consecutive engine failures before the circuit opens (0 = no breaker)
+    #: consecutive failed requests before the circuit opens (0 = no breaker)
     breaker_threshold: int = 5
     breaker_cooldown_s: float = 5.0
-    #: compile (or load) the schedule artifact before accepting traffic,
-    #: so the engines serve from it instead of rebuilding schedules
-    precompile: bool = True
-    #: default SNG generator family for every replica (a
+    #: default SNG generator family of the conv engines (a
     #: :mod:`repro.sc.generators` registry key; None = engine default).
     #: Requests may override per call with the ``generator`` field.
     generator: str | None = None
 
     def __post_init__(self) -> None:
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
 
@@ -144,9 +137,12 @@ def build_engine(config: ServerConfig):
     """Trained benchmark model wrapped in a :class:`BatchInferenceEngine`.
 
     Returns ``(engine, input_shape, meta)``.  Loads (or trains) the
-    quick benchmark checkpoint through the artifact store and attaches
-    the requested conv arithmetic — the same workload path as
-    ``repro infer``.
+    quick benchmark checkpoint through the artifact store, attaches the
+    requested conv arithmetic under the default SNG family — the same
+    workload path as ``repro infer`` — then compiles (or loads) the
+    schedule artifact and attaches it, so the engines serve schedules
+    from the read-only artifact instead of building them on the first
+    requests.
     """
     from repro.experiments.common import (
         DIGITS_QUICK_SPEC,
@@ -165,38 +161,15 @@ def build_engine(config: ServerConfig):
 
     spec = {"digits": DIGITS_QUICK_SPEC, "shapes": SHAPES_QUICK_SPEC}[config.benchmark]
     model = get_trained_model(spec)
-    attach_engines(model.net, config.engine, model.ranges, n_bits=config.n_bits)
-    if config.generator is not None:
-        # bake the default family into the attached engines so the
-        # precompiled artifact's manifest covers the right ud-table
-        from repro.sc.generators import resolve_generator
-
-        resolve_generator(config.generator)  # fail fast, pre-listen
-        for conv in model.net.conv_layers:
-            if hasattr(conv.engine, "generator"):
-                conv.engine.generator = config.generator
-    schedule_artifact = None
-    if config.precompile:
-        # Compile-or-load before the first request: the engines then
-        # serve schedules from the read-only artifact instead of
-        # building them on the first requests.
-        key = schedule_artifact_key(
-            spec.name, config.engine, config.n_bits, config.generator
-        )
-        compiled = ensure_compiled(model.net, get_store(), key)
-        attach_compiled(compiled)
-        schedule_artifact = {
-            "key": key,
-            "entries": len(compiled),
-            "bytes": compiled.nbytes,
-        }
+    attach_engines(
+        model.net, config.engine, model.ranges, n_bits=config.n_bits,
+        generator=config.generator,
+    )
+    key = schedule_artifact_key(spec.name, config.engine, config.n_bits, config.generator)
+    compiled = ensure_compiled(model.net, get_store(), key)
+    attach_compiled(compiled)
     engine = BatchInferenceEngine(
-        model.net,
-        ParallelConfig(
-            workers=config.workers,
-            batch_size=config.shard_batch,
-            generator=config.generator,
-        ),
+        model.net, ParallelConfig(workers=config.workers, batch_size=config.shard_batch)
     )
     meta = {
         "benchmark": spec.name,
@@ -206,7 +179,7 @@ def build_engine(config: ServerConfig):
         "workers": config.workers,
         "generator": config.generator or "lfsr",
         "shard_batch": config.shard_batch,
-        "schedule_artifact": schedule_artifact,
+        "schedule_artifact": {"key": key, "entries": len(compiled), "bytes": compiled.nbytes},
     }
     return engine, INPUT_SHAPES[spec.dataset], meta
 
@@ -220,7 +193,6 @@ class ServingServer:
         self.engine_factory = engine_factory or build_engine
         self.metrics = metrics or ServiceMetrics()
         self.engine = None
-        self.pool: EnginePool | None = None
         self.batcher: MicroBatcher | None = None
         self.service: InferenceService | None = None
         self.input_shape: tuple[int, ...] | None = None
@@ -234,72 +206,48 @@ class ServingServer:
         self._loop: asyncio.AbstractEventLoop | None = None
 
     # -- lifecycle ---------------------------------------------------------
-    def _build_replicas(self):
-        """Call the engine factory once per replica (synchronous).
-
-        Each call yields an independent engine (its own network object);
-        the compiled-schedule artifact attach and the schedule cache are
-        process-global, so every replica shares them.  Input shape and
-        model metadata come from the first replica.
-        """
-        engines, input_shape, meta = [], None, None
-        for _ in range(self.config.replicas):
-            engine, shape, engine_meta = self.engine_factory(self.config)
-            if input_shape is None:
-                input_shape, meta = shape, engine_meta
-            engines.append(engine)
-        return engines, input_shape, meta
-
     async def start(self) -> None:
-        """Build + warm the engine replicas, start the batcher and listener."""
+        """Build + warm the engine, start the batcher and listener."""
         loop = asyncio.get_running_loop()
         self._loop = loop
         self._shutdown = asyncio.Event()
-        engines, input_shape, meta = await loop.run_in_executor(
-            None, self._build_replicas
+        engine, input_shape, meta = await loop.run_in_executor(
+            None, self.engine_factory, self.config
         )
-        for engine in engines:
-            engine.add_hook(self.metrics.engine_hook)
+        engine.add_hook(self.metrics.engine_hook)
         from repro.parallel.cache import get_worker_cache
 
         self.metrics.attach_schedule_cache(get_worker_cache())
-        breaker_factory = None
-        if self.config.breaker_threshold > 0:
-            breaker_factory = lambda: CircuitBreaker(  # noqa: E731
-                failure_threshold=self.config.breaker_threshold,
-                cooldown_s=self.config.breaker_cooldown_s,
-            )
-        pool = EnginePool(engines, breaker_factory=breaker_factory,
-                          metrics=self.metrics)
-        # Readiness requires warm engines: one dummy image per replica
-        # primes the schedule caches and yields the logit width.
+        # Readiness requires a warm engine: one dummy image primes the
+        # schedule caches and yields the logit width.
         dummy = np.zeros((1, *input_shape), dtype=np.float64)
-        warm = None
-        for engine in engines:
-            warm = await loop.run_in_executor(None, engine.logits, dummy)
-        self.engine = engines[0]
-        self.pool = pool
+        warm = await loop.run_in_executor(None, engine.logits, dummy)
+        self.engine = engine
         self.input_shape = tuple(input_shape)
         self.n_outputs = int(warm.shape[1])
         self.model_meta = dict(meta)
-        self.model_meta["replicas"] = pool.size
         from repro.sc.generators import generator_keys
 
         self.model_meta["generators"] = generator_keys()
         self.metrics.attach_generators(generator_keys())
         self.batcher = MicroBatcher(
-            pool.run_grouped,
+            EnginePool(engine).run_grouped,
             max_batch_size=self.config.max_batch,
             max_wait_ms=self.config.max_wait_ms,
             metrics=self.metrics,
-            concurrency=pool.size,
         )
+        breaker = None
+        if self.config.breaker_threshold > 0:
+            breaker = CircuitBreaker(
+                failure_threshold=self.config.breaker_threshold,
+                cooldown_s=self.config.breaker_cooldown_s,
+            )
         self.service = InferenceService(
             self.batcher,
             queue_depth=self.config.queue_depth,
             default_deadline_ms=self.config.default_deadline_ms,
             metrics=self.metrics,
-            breaker=pool.circuit,
+            breaker=breaker,
         )
         await self.service.start()
         self._server = await asyncio.start_server(
@@ -444,9 +392,6 @@ class ServingServer:
             "inflight": self.service.inflight if self.service else 0,
             "accepted": self.service.accepted if self.service else 0,
         }
-        if self.pool is not None:
-            doc["replicas"] = self.pool.size
-            doc["pool"] = self.pool.describe()
         breaker = self.service.breaker if self.service else None
         if breaker is not None:
             doc["circuit"] = breaker.describe()
@@ -508,7 +453,7 @@ class ServingServer:
             fmt = "json"
         # A NaN/Inf pixel is a client error: refuse it here, before
         # admission, so it can never fail a coalesced group or count
-        # as an engine fault on a replica breaker.
+        # as an engine failure on the breaker.
         if not np.isfinite(x).all():
             return 400, _json_body({"error": "images must be finite (NaN or Inf pixel)"}), \
                 "application/json", {}
@@ -525,7 +470,7 @@ class ServingServer:
         if generator is not None:
             # Admission-time validation: an unknown family answers 400
             # before the request ever reaches the batcher, so it can
-            # never fail a coalesced group or trip a replica breaker.
+            # never fail a coalesced group or trip the breaker.
             from repro.sc.generators import resolve_generator
 
             try:
@@ -677,7 +622,7 @@ def run_server(config: ServerConfig, engine_factory=None) -> int:
             print(
                 f"serving {server.model_meta.get('benchmark', '?')} on "
                 f"{config.host}:{server.port} "
-                f"(replicas={server.pool.size}, workers={config.workers}, "
+                f"(workers={config.workers}, "
                 f"max_batch={config.max_batch}, "
                 f"max_wait_ms={config.max_wait_ms:g}, queue_depth={config.queue_depth})",
                 file=sys.stderr,

@@ -151,12 +151,7 @@ class Gauge(Metric):
 
 
 class LabeledGauge(Metric):
-    """Instantaneous value per label set; callbacks win over stored values.
-
-    The replica pool registers one callback per replica label so the
-    per-replica circuit state is read at scrape time rather than pushed
-    on every transition.
-    """
+    """Instantaneous value per label set."""
 
     kind = "gauge"
 
@@ -165,7 +160,6 @@ class LabeledGauge(Metric):
             raise ValueError("LabeledGauge needs at least one label (use Gauge)")
         super().__init__(name, help, labelnames)
         self._values: dict[tuple[str, ...], float] = {}
-        self._callbacks: dict[tuple[str, ...], object] = {}
 
     def _key(self, label_values) -> tuple[str, ...]:
         if len(label_values) != len(self.labelnames):
@@ -174,26 +168,14 @@ class LabeledGauge(Metric):
             )
         return tuple(map(str, label_values))
 
-    def declare(self, *label_values: str) -> "LabeledGauge":
-        self._values.setdefault(self._key(label_values), 0.0)
-        return self
-
     def set(self, value: float, *label_values: str) -> None:
         self._values[self._key(label_values)] = float(value)
 
-    def set_callback(self, callback, *label_values: str) -> None:
-        self._callbacks[self._key(label_values)] = callback
-
     def value(self, *label_values: str) -> float:
-        key = self._key(label_values)
-        cb = self._callbacks.get(key)
-        if cb is not None:
-            return float(cb())
-        return self._values.get(key, 0.0)
+        return self._values.get(self._key(label_values), 0.0)
 
     def samples(self):
-        keys = sorted(set(self._values) | set(self._callbacks))
-        return [("", key, self.value(*key)) for key in keys]
+        return [("", key, v) for key, v in sorted(self._values.items())]
 
 
 class Histogram(Metric):
@@ -338,21 +320,6 @@ class ServiceMetrics:
             "repro_circuit_opened_total",
             "Times the engine circuit breaker tripped open.",
         )
-        self.replica_dispatch_total = r.counter(
-            "repro_replica_dispatch_total",
-            "Engine dispatches routed to each pool replica.",
-            ("replica",),
-        )
-        self.replica_circuit_state = r.labeled_gauge(
-            "repro_replica_circuit_state",
-            "Per-replica circuit breaker: 0 closed, 1 half-open, 2 open.",
-            ("replica",),
-        )
-        self.replica_circuit_opened_total = r.counter(
-            "repro_replica_circuit_opened_total",
-            "Times each replica's circuit breaker tripped open.",
-            ("replica",),
-        )
         self.connections_total = r.counter(
             "repro_http_connections_total",
             "TCP connections accepted by the HTTP front end.",
@@ -447,17 +414,6 @@ class ServiceMetrics:
         """Mirror a :class:`~repro.serve.breaker.CircuitBreaker`'s state."""
         codes = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
         self.circuit_state.callback = lambda: codes[breaker.state]
-
-    def attach_replica(self, name: str, breaker=None) -> None:
-        """Pre-declare one pool replica's label set, wiring its breaker."""
-        self.replica_dispatch_total.declare(name)
-        self.replica_circuit_opened_total.declare(name)
-        self.replica_circuit_state.declare(name)
-        if breaker is not None:
-            codes = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
-            self.replica_circuit_state.set_callback(
-                lambda: codes[breaker.state], name
-            )
 
     def attach_generators(self, keys) -> None:
         """Advertise the servable SNG generator registry keys."""

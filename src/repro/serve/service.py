@@ -1,7 +1,7 @@
 """Admission control around the micro-batcher: backpressure, deadlines, drain.
 
 The service is the policy layer between the HTTP front end and the
-batcher.  It enforces three rules:
+batcher.  It enforces four rules:
 
 * **backpressure** — at most ``queue_depth`` requests may be in flight;
   request number ``queue_depth + 1`` is refused with
@@ -15,16 +15,13 @@ batcher.  It enforces three rules:
   :class:`ShuttingDownError`, HTTP 503) and then flushes every
   *accepted* request through the batcher before returning, so a
   SIGTERM never drops admitted work;
-* **circuit breaking** — consecutive engine failures trip an optional
+* **circuit breaking** — consecutive failed requests trip an optional
   :class:`~repro.serve.breaker.CircuitBreaker`; while open, requests
   are refused up front with :class:`CircuitOpenError` (HTTP 503 +
-  ``Retry-After``) and a single half-open probe per cooldown tests
-  whether the engine recovered.  The breaker slot only assumes the
-  protocol (``allow``/``record_*``/``state``/``retry_after_s``/
-  ``opened_total``/``describe``), so a replica pool can substitute its
-  :class:`~repro.serve.pool.PoolCircuit` facade: admission is then
-  refused only when *every* replica's breaker is open, with the real
-  per-replica bookkeeping done by the pool at dispatch time.
+  ``Retry-After``) and a single half-open probe request per cooldown
+  tests whether the engine recovered.  The breaker counts requests,
+  not engine calls: a failed group of three coalesced requests is
+  three failures.
 
 Admission check and enqueue happen without an intervening ``await``,
 so on a single event loop an admitted request is always enqueued
@@ -81,7 +78,12 @@ class CircuitOpenError(ServiceError):
 
 
 class InferenceService:
-    """Bounded-admission wrapper over one :class:`MicroBatcher`."""
+    """Bounded-admission wrapper over one :class:`MicroBatcher`.
+
+    ``breaker``, when given, is the server's one circuit breaker: every
+    request that fails records one failure on it, so a failed group
+    records one per request it held.
+    """
 
     def __init__(
         self,

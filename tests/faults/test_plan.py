@@ -40,11 +40,11 @@ def test_spec_validates_site_and_action():
 
 def test_spec_matching_on_key():
     anywhere = FaultSpec("engine.dispatch", "raise", times=None)
-    assert anywhere.matches({"key": "grouped@r0"})
+    assert anywhere.matches({"key": "logits"})
     assert anywhere.matches({})
-    keyed = FaultSpec("engine.dispatch", "raise", key="grouped@r1")
-    assert keyed.matches({"key": "grouped@r1"})
-    assert not keyed.matches({"key": "grouped@r0"})
+    keyed = FaultSpec("engine.dispatch", "raise", key="grouped")
+    assert keyed.matches({"key": "grouped"})
+    assert not keyed.matches({"key": "logits"})
 
 
 def test_plan_select_consumes_times_budget():
@@ -57,8 +57,8 @@ def test_plan_select_consumes_times_budget():
 def test_plan_json_round_trip():
     plan = FaultPlan(
         specs=(
-            FaultSpec("engine.dispatch", "raise", key="grouped@r1", times=None),
-            FaultSpec("engine.dispatch", "delay", key="grouped@r0", seconds=0.25),
+            FaultSpec("engine.dispatch", "raise", key="grouped", times=None),
+            FaultSpec("engine.dispatch", "delay", key="logits", seconds=0.25),
             FaultSpec("serve.request", "raise", times=3),
         ),
         seed=42,
@@ -78,20 +78,20 @@ def test_hooks_disabled_is_inert_and_cheap():
 def test_hooks_fire_delay_and_raise():
     plan = FaultPlan(
         specs=(
-            FaultSpec("engine.dispatch", "delay", key="grouped@r0", seconds=0.05),
-            FaultSpec("engine.dispatch", "raise", key="grouped@r1"),
+            FaultSpec("engine.dispatch", "delay", key="logits", seconds=0.05),
+            FaultSpec("engine.dispatch", "raise", key="grouped"),
         )
     )
     with hooks.injected(plan):
-        hooks.fire("engine.dispatch", key="grouped@r2")  # no match: free
+        hooks.fire("engine.dispatch")  # no key: no match, free
         t0 = time.perf_counter()
-        hooks.fire("engine.dispatch", key="grouped@r0")
+        hooks.fire("engine.dispatch", key="logits")
         assert time.perf_counter() - t0 >= 0.05
         with pytest.raises(FaultInjected) as excinfo:
-            hooks.fire("engine.dispatch", key="grouped@r1")
+            hooks.fire("engine.dispatch", key="grouped")
         assert excinfo.value.site == "engine.dispatch"
         assert excinfo.value.spec is plan.specs[1]
-        hooks.fire("engine.dispatch", key="grouped@r1")  # budget of 1 spent
+        hooks.fire("engine.dispatch", key="grouped")  # budget of 1 spent
     assert not hooks.enabled()
 
 

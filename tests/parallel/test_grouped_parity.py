@@ -156,8 +156,8 @@ def test_grouped_parity_on_thread_shards(net, images, workers):
 def _check_overlapping_groups(images, workers):
     """Two tagged groups on one engine overlap and keep their generator.
 
-    The serving pool can hand one replica two groups at once.  The
-    net's forward is wrapped so that the ``mip`` group waits inside it
+    The server runs one group at a time, but an engine takes calls
+    from any caller, so two may overlap.  The net's forward is wrapped so that the ``mip`` group waits inside it
     (for at most 5 s) until the ``halton`` group reaches its own
     forward.  The groups send different images, which is how the
     wrapper tells them apart on any shard thread.  ``halton`` must

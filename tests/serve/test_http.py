@@ -67,7 +67,7 @@ class StubEngine:
     def logits(self, x):
         return np.zeros((x.shape[0], 3))
 
-    def logits_grouped(self, xs):
+    def logits_grouped(self, xs, generator=None):
         if self.behave is not None:
             return self.behave(xs)
         return [np.tile(np.array([0.1, 0.9, 0.2]), (x.shape[0], 1)) for x in xs]
@@ -285,6 +285,40 @@ class TestOverloadAndDeadlines:
             assert "shard exploded" in json.loads(body)["error"]
 
         with_server(stub_factory(boom), check)
+
+
+class TestCircuitBreaker:
+    def test_failed_group_counts_each_request_and_opens_the_circuit(self):
+        """Three requests of one failing group are three failures.
+
+        At threshold 3 they open the circuit: each answers 500, and the
+        next request is refused at admission with 503 + ``Retry-After``,
+        without reaching the engine.
+        """
+        groups = []
+
+        def boom(xs):
+            groups.append(len(xs))
+            raise RuntimeError("engine down")
+
+        async def check(server):
+            image = {"images": [[0, 0], [0, 0]]}
+            answers = await asyncio.gather(*(
+                request(server.port, "POST", "/v1/predict", image) for _ in range(3)
+            ))
+            assert groups == [3]  # one coalesced group
+            assert [status for status, _, _ in answers] == [500, 500, 500]
+            status, headers, body = await request(server.port, "POST", "/v1/predict", image)
+            assert status == 503
+            assert int(headers["retry-after"]) >= 1
+            assert "circuit open" in json.loads(body)["error"]
+            assert groups == [3]
+            _, _, body = await request(server.port, "GET", "/healthz")
+            assert json.loads(body)["circuit"]["state"] == "open"
+            _, _, body = await request(server.port, "GET", "/metrics")
+            assert "\nrepro_circuit_opened_total 1\n" in body.decode()
+
+        with_server(stub_factory(boom), check, breaker_threshold=3, max_wait_ms=100.0)
 
 
 class TestDrain:
@@ -589,41 +623,52 @@ class TestNonFiniteInput:
         with_server(real_factory(net), check, shard_batch=SHARD)
 
 
-class TestReplicaBoot:
-    def test_healthz_reports_pool_topology(self):
-        async def check(server):
-            status, _, body = await request(server.port, "GET", "/healthz")
-            assert status == 200
-            doc = json.loads(body)
-            assert doc["replicas"] == 2
-            assert doc["model"]["replicas"] == 2
-            assert [r["replica"] for r in doc["pool"]] == ["r0", "r1"]
-            for entry in doc["pool"]:
-                assert entry["circuit"]["state"] == "closed"
-            assert doc["circuit"]["state"] == "closed"
+class TestBuildEngine:
+    @pytest.fixture(autouse=True)
+    def _no_artifact_leaks(self):
+        """The process-wide artifact ``build_engine`` attaches stays here."""
+        from repro.parallel.cache import detach_compiled, reset_worker_cache
 
-        with_server(stub_factory(), check, replicas=2)
+        detach_compiled()
+        reset_worker_cache()
+        yield
+        detach_compiled()
+        reset_worker_cache()
+
+    def test_default_generator_is_each_engine_own(self, images):
+        """``--generator`` reaches the conv engines at construction.
+
+        An untagged group runs under the engines' own family, and a
+        ``None`` entry of a tagged group too: both answer as an
+        independently built net under ``generator="mip"``, from the
+        ``mip`` artifact, with no schedule built on the way.
+        """
+        from repro.experiments.common import DIGITS_QUICK_SPEC, get_trained_model
+        from repro.parallel import predict_logits
+        from repro.parallel.cache import get_worker_cache
+        from repro.serve import build_engine
+
+        engine, _, meta = build_engine(
+            ServerConfig(engine="lfsr-sc", n_bits=5, generator="mip", workers=0)
+        )
+        assert meta["schedule_artifact"]["key"] == "sched-digits-quick-lfsr-sc-n5-gmip"
+        assert [c.engine.generator for c in engine.net.conv_layers] == ["mip", "mip"]
+        a, b = images[:2], images[2:]
+        untagged = engine.logits_grouped([a, b])
+        assert get_worker_cache().stats()["rebuilds"] == 0
+        tagged = engine.logits_grouped([a, b], generator=["halton", None])
+
+        model = get_trained_model(DIGITS_QUICK_SPEC)
+        attach_engines(model.net, "lfsr-sc", model.ranges, n_bits=5)
+        mip = ParallelConfig(batch_size=16, generator="mip")
+        halton = ParallelConfig(batch_size=16, generator="halton")
+        assert np.array_equal(untagged[0], predict_logits(model.net, a, mip))
+        assert np.array_equal(untagged[1], predict_logits(model.net, b, mip))
+        assert np.array_equal(tagged[0], predict_logits(model.net, a, halton))
+        assert np.array_equal(tagged[1], untagged[1])
 
 
 class TestServeConfigNarrowing:
-    def test_scalar_workers_broadcast(self):
-        """One ``workers`` value configures every replica's engine."""
-        seen = []
-
-        def factory(config):
-            seen.append(config.workers)
-            return StubEngine(), (1, 28, 28), {"benchmark": "stub"}
-
-        server = ServingServer(ServerConfig(replicas=3, workers=2), engine_factory=factory)
-        engines, _, _ = server._build_replicas()
-        assert len(engines) == 3
-        assert seen == [2, 2, 2]
-
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError, match="workers must be >= 0"):
-            ServerConfig(replicas=2, workers=-1)
-
-    @pytest.mark.parametrize("replicas", [0, -3])
-    def test_replicas_below_one_rejected(self, replicas):
-        with pytest.raises(ValueError, match="replicas must be >= 1"):
-            ServerConfig(replicas=replicas)
+            ServerConfig(workers=-1)

@@ -1,15 +1,14 @@
-"""Replica parity: the pool must be invisible in the numbers.
+"""Serving parity: the shard threads must be invisible in the numbers.
 
-The same request stream served at ``--replicas`` 1, 2, and 4 must be
+The same request stream served at ``--workers`` 0, 2 and 3 must be
 bit-equal — per request — to serial ``Network.predict`` at the server's
-shard batch.  Each replica builds its *own* net from the same seed, so
-any cross-replica state leak, mis-sharded group, or dispatch that
-splits a request across replicas shows up as a numeric diff, not a
-flake.
+shard batch.  Each server builds its *own* net from the same seed, so
+any state leak between the shard threads, mis-sharded group, or shard
+that spans two requests shows up as a numeric diff, not a flake.
 
 Hypothesis drives ragged request streams (sizes and image subsets);
 a fixed-golden test pins the served classes so a silent numeric drift
-in the whole stack (net, engine, pool, HTTP codec) is also caught.
+in the whole stack (net, engine, batcher, HTTP codec) is also caught.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from repro.parallel import BatchInferenceEngine, ParallelConfig
 from repro.serve import ServerConfig, ServingServer
 
 SHARD = 4
-REPLICA_SWEEP = (1, 2, 4)
+WORKER_SWEEP = (0, 2, 3)
 
 
 def fresh_net():
@@ -39,10 +38,10 @@ def fresh_net():
     return net
 
 
-def replica_factory(config):
-    """Called once per replica by the server: a fully private engine."""
+def engine_factory(config):
+    """Called once by the server: a fully private engine."""
     engine = BatchInferenceEngine(
-        fresh_net(), ParallelConfig(workers=0, batch_size=SHARD)
+        fresh_net(), ParallelConfig(workers=config.workers, batch_size=SHARD)
     )
     return engine, (1, 28, 28), {"benchmark": "parity"}
 
@@ -108,19 +107,19 @@ async def post_predict(port, images, generator=None) -> list[int]:
     return body["classes"]
 
 
-def serve_stream(replicas, image_pool, requests, concurrent=False):
-    """Boot a pool server, serve every request, return per-request classes."""
+def serve_stream(workers, image_pool, requests, concurrent=False):
+    """Boot a server, serve every request, return per-request classes."""
 
     async def run():
         server = ServingServer(
             ServerConfig(
                 port=0,
-                replicas=replicas,
+                workers=workers,
                 shard_batch=SHARD,
                 max_wait_ms=1.0,
                 queue_depth=32,
             ),
-            engine_factory=replica_factory,
+            engine_factory=engine_factory,
         )
         await server.start()
         try:
@@ -147,23 +146,23 @@ request_streams = st.lists(
 class TestReplicaParity:
     @settings(max_examples=8, deadline=None)
     @given(stream=request_streams)
-    @pytest.mark.parametrize("replicas", REPLICA_SWEEP)
+    @pytest.mark.parametrize("workers", WORKER_SWEEP)
     def test_ragged_streams_bit_equal_to_serial(
-        self, replicas, stream, image_pool, reference
+        self, workers, stream, image_pool, reference
     ):
-        served = serve_stream(replicas, image_pool, stream)
+        served = serve_stream(workers, image_pool, stream)
         for indices, classes in zip(stream, served):
             assert classes == reference(indices), (
-                f"replicas={replicas} request {indices} diverged from serial"
+                f"workers={workers} request {indices} diverged from serial"
             )
 
-    @pytest.mark.parametrize("replicas", REPLICA_SWEEP)
+    @pytest.mark.parametrize("workers", WORKER_SWEEP)
     def test_concurrent_requests_never_leak_across_boundaries(
-        self, replicas, image_pool, reference
+        self, workers, image_pool, reference
     ):
         """Distinct in-flight requests each match their own serial run."""
         stream = [(0, 1, 2), (3,), (4, 5), (2, 4), (5, 0, 1, 3)]
-        served = serve_stream(replicas, image_pool, stream, concurrent=True)
+        served = serve_stream(workers, image_pool, stream, concurrent=True)
         for indices, classes in zip(stream, served):
             assert classes == reference(indices)
 
@@ -171,21 +170,21 @@ class TestReplicaParity:
         """Pin the served classes so numeric drift anywhere is visible."""
         stream = [(0, 1, 2, 3), (4, 5), (1, 3, 5)]
         rendered = {}
-        for replicas in REPLICA_SWEEP:
-            served = serve_stream(replicas, image_pool, stream)
-            rendered[replicas] = served
+        for workers in WORKER_SWEEP:
+            served = serve_stream(workers, image_pool, stream)
+            rendered[workers] = served
             for indices, classes in zip(stream, served):
                 assert classes == reference(indices)
-        # every replica count served the identical answers
-        assert rendered[1] == rendered[2] == rendered[4]
+        # every shard-thread count served the identical answers
+        assert rendered[0] == rendered[2] == rendered[3]
         lines = [f"stream={list(stream)!r}"]
-        for indices, classes in zip(stream, rendered[1]):
+        for indices, classes in zip(stream, rendered[0]):
             lines.append(f"{list(indices)!r} -> {classes!r}")
         golden.check("replica_parity_classes.txt", "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
-# the generator axis: per-request SNG family overrides through the pool
+# the generator axis: per-request SNG family overrides through the server
 
 GEN_BITS = 6  # lfsr-sc at a width where every registry family is cheap
 
@@ -198,26 +197,26 @@ def fresh_lfsr_net():
     return net
 
 
-def lfsr_replica_factory(config):
+def lfsr_engine_factory(config):
     engine = BatchInferenceEngine(
-        fresh_lfsr_net(), ParallelConfig(workers=0, batch_size=SHARD)
+        fresh_lfsr_net(), ParallelConfig(workers=config.workers, batch_size=SHARD)
     )
     return engine, (1, 28, 28), {"benchmark": "parity-gen"}
 
 
-def serve_generator_stream(replicas, image_pool, requests, concurrent=False):
-    """Serve ``(indices, generator)`` requests against a pool server."""
+def serve_generator_stream(workers, image_pool, requests, concurrent=False):
+    """Serve ``(indices, generator)`` requests against a server."""
 
     async def run():
         server = ServingServer(
             ServerConfig(
                 port=0,
-                replicas=replicas,
+                workers=workers,
                 shard_batch=SHARD,
                 max_wait_ms=1.0,
                 queue_depth=32,
             ),
-            engine_factory=lfsr_replica_factory,
+            engine_factory=lfsr_engine_factory,
         )
         await server.start()
         try:
@@ -263,14 +262,14 @@ class TestGeneratorAxis:
         ((5, 1), "lfsr"),
     ]
 
-    @pytest.mark.parametrize("replicas", (1, 2))
+    @pytest.mark.parametrize("workers", (0, 2))
     def test_mixed_generator_stream_bit_equal_to_serial(
-        self, replicas, image_pool, generator_reference
+        self, workers, image_pool, generator_reference
     ):
-        served = serve_generator_stream(replicas, image_pool, self.MIXED)
+        served = serve_generator_stream(workers, image_pool, self.MIXED)
         for (indices, gen), classes in zip(self.MIXED, served):
             assert classes == generator_reference(indices, gen), (
-                f"replicas={replicas} request {indices} generator={gen} "
+                f"workers={workers} request {indices} generator={gen} "
                 "diverged from serial"
             )
 
@@ -285,14 +284,14 @@ class TestGeneratorAxis:
 
     def test_explicit_lfsr_equals_default(self, image_pool):
         stream = [((0, 1, 2, 3), None), ((0, 1, 2, 3), "lfsr")]
-        served = serve_generator_stream(1, image_pool, stream)
+        served = serve_generator_stream(0, image_pool, stream)
         assert served[0] == served[1]
 
     def test_unknown_generator_is_a_clean_400(self, image_pool):
         async def run():
             server = ServingServer(
-                ServerConfig(port=0, replicas=2, shard_batch=SHARD, max_wait_ms=1.0),
-                engine_factory=lfsr_replica_factory,
+                ServerConfig(port=0, workers=2, shard_batch=SHARD, max_wait_ms=1.0),
+                engine_factory=lfsr_engine_factory,
             )
             await server.start()
             try:
@@ -315,8 +314,8 @@ class TestGeneratorAxis:
 
         async def run():
             server = ServingServer(
-                ServerConfig(port=0, replicas=1, shard_batch=SHARD, max_wait_ms=1.0),
-                engine_factory=lfsr_replica_factory,
+                ServerConfig(port=0, workers=0, shard_batch=SHARD, max_wait_ms=1.0),
+                engine_factory=lfsr_engine_factory,
             )
             await server.start()
             try:

@@ -88,7 +88,10 @@ class TestServeCommand:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--workers", "2,0"], ["--shard-timeout-s", "1"], ["--shard-retries", "2"]],
+        [
+            ["--workers", "2,0"], ["--shard-timeout-s", "1"], ["--shard-retries", "2"],
+            ["--replicas", "2"], ["--no-precompile"],
+        ],
     )
     def test_process_pool_flags_are_gone(self, flags, capsys):
         with pytest.raises(SystemExit):
@@ -136,7 +139,7 @@ class TestServeCommand:
             def logits(self, x):
                 return np.zeros((x.shape[0], 3))
 
-            def logits_grouped(self, xs):
+            def logits_grouped(self, xs, generator=None):
                 return [np.tile(np.array([0.0, 1.0, 0.0]), (x.shape[0], 1)) for x in xs]
 
         monkeypatch.setattr(
