@@ -1,8 +1,8 @@
 """Shared infrastructure for the experiment harnesses.
 
-Provides train-once-and-cache models/datasets so that Fig. 6, Fig. 7
-and the benchmarks all operate on the same checkpoints, plus small
-ASCII table formatting used by every harness's ``main()``.
+Provides train-once-and-cache models/datasets so that Fig. 6, Fig. 7,
+the tests and ``perfbench/`` all operate on the same checkpoints, plus
+small ASCII table formatting used by every harness's ``main()``.
 
 Model/dataset caches live under ``$REPRO_CACHE_DIR`` (default:
 ``<repo>/.repro_cache``) keyed by the experiment preset, so repeated
@@ -99,7 +99,7 @@ class BenchmarkSpec:
 DIGITS_SPEC = BenchmarkSpec("digits-full", "digits", 6000, 1500, 10, 0.02, 64)
 SHAPES_SPEC = BenchmarkSpec("shapes-full", "shapes", 6000, 1500, 12, 0.02, 64, lr_decay=0.9)
 
-#: Quick presets for tests and pytest-benchmark runs.
+#: Quick presets for tests, examples and perfbench runs.
 DIGITS_QUICK_SPEC = BenchmarkSpec("digits-quick", "digits", 1200, 300, 4, 0.02, 64)
 SHAPES_QUICK_SPEC = BenchmarkSpec("shapes-quick", "shapes", 1500, 300, 10, 0.02, 64, lr_decay=0.9)
 

@@ -5,11 +5,11 @@ per-conv-layer cycles for the binary / conventional-SC / proposed
 arrays, whole-network latency, energy per inference and the speedup /
 energy-gain headlines — Fig. 7 lifted from per-MAC to per-network.
 
-The module also hosts the *software* throughput workload used by the
-benchmark snapshots: :func:`measure_throughput` times the batched
-inference engine (images/second) on a trained checkpoint under a given
-``parallelism`` setting, and :func:`throughput_curve` sweeps worker
-counts to produce the scaling curve recorded in ``BENCH_PR3.json``.
+The module also hosts the *software* throughput workload behind
+``repro infer``: :func:`measure_throughput` times the batched inference
+engine (images/second) on a trained checkpoint under a given
+``parallelism`` setting.  Serving and engine performance claims come
+from ``perfbench/`` instead.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "prediction_mismatch",
     "format_mismatch",
     "measure_throughput",
-    "throughput_curve",
 ]
 
 _INPUT_SHAPES = {"digits": (1, 28, 28), "shapes": (3, 32, 32)}
@@ -87,9 +86,8 @@ def prediction_mismatch(
 
     Returns ``{"count", "total", "first"}`` where ``first`` lists up to
     ``max_examples`` diverging positions as ``{"index", "got",
-    "expected"}`` — the payload behind ``repro infer --check`` and the
-    serve parity gate, so a parity failure prints *where* it diverged,
-    not just that it did.
+    "expected"}`` — the payload behind ``repro infer --check``, so a
+    parity failure prints *where* it diverged, not just that it did.
     """
     pred = np.asarray(pred)
     expected = np.asarray(expected)
@@ -153,8 +151,8 @@ def measure_throughput(
     ``parallelism=None`` times ``Network.predict`` at its default
     chunking, inline on the calling thread.  ``check=True`` additionally
     verifies the timed run's predictions bit-exactly against an inline
-    run at the same batch chunking (the parity claim the benchmark
-    snapshot records; see :mod:`repro.parallel.engine` for why chunk
+    run at the same batch chunking (the parity claim ``repro infer
+    --check`` prints; see :mod:`repro.parallel.engine` for why chunk
     sizes are part of the contract).
     """
     from repro.parallel import resolve_parallelism
@@ -196,34 +194,6 @@ def measure_throughput(
         mismatch=mismatch,
         generator=generator or "lfsr",
     )
-
-
-def throughput_curve(
-    spec: BenchmarkSpec = DIGITS_QUICK_SPEC,
-    engine: str = "proposed-sc",
-    n_bits: int = 8,
-    n_images: int = 64,
-    worker_counts: tuple[int, ...] = (0, 1, 2, 4),
-    batch_size: int = 16,
-    repeats: int = 1,
-) -> list[ThroughputResult]:
-    """Scaling curve: the inline reference first, then each worker count.
-
-    ``workers=-1`` in the output marks the reference run, one inline
-    ``Network.predict`` at its default chunking, that every speedup in
-    the snapshot is measured against.
-    """
-    from repro.parallel import ParallelConfig
-
-    results = [
-        measure_throughput(spec, engine, n_bits, n_images, None, repeats=repeats, check=True)
-    ]
-    for workers in worker_counts:
-        config = ParallelConfig(workers=workers, batch_size=batch_size)
-        results.append(
-            measure_throughput(spec, engine, n_bits, n_images, config, repeats=repeats, check=True)
-        )
-    return results
 
 
 def main() -> str:

@@ -2,7 +2,7 @@
 
 The subsystem has two halves:
 
-* :mod:`repro.faults.plan` — the schedule model: seedable, JSON
+* :mod:`repro.faults.plan` — the schedule model: JSON
   round-trippable :class:`FaultPlan`/:class:`FaultSpec` pairs that
   select injection sites deterministically (by the context a site
   reports, such as the ``"grouped"`` or ``"logits"`` dispatch key);

@@ -1,4 +1,4 @@
-"""Deterministic, seedable fault schedules for chaos testing.
+"""Deterministic fault schedules for chaos testing.
 
 A :class:`FaultPlan` is an ordered list of :class:`FaultSpec` entries.
 Each spec names an injection *site* (a string like
@@ -59,9 +59,10 @@ class FaultSpec:
 
     ``key`` matches the key a site reports, such as the dispatch key
     of ``engine.dispatch`` (``"grouped"`` for a coalesced group,
-    ``"logits"`` for a plain call); ``None`` matches every visit.  ``times`` caps total firings (``None`` = unlimited,
-    which makes a fault *persistent* — how the repeated failure →
-    circuit-open scenario is scripted).
+    ``"logits"`` for a plain call); ``None`` matches every visit.
+    ``times`` caps total firings (``None`` = unlimited, which makes a
+    fault *persistent* — how the repeated failure → circuit-open
+    scenario is scripted).
     """
 
     site: str
@@ -105,7 +106,6 @@ class FaultPlan:
     """
 
     specs: tuple[FaultSpec, ...] = ()
-    seed: int = 0
     _fired: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -129,10 +129,10 @@ class FaultPlan:
 
     # -- JSON round trip ---------------------------------------------------
     def to_json(self) -> str:
+        defaults = FaultSpec.__dataclass_fields__
         doc = {
-            "seed": self.seed,
             "specs": [
-                {k: v for k, v in asdict(s).items() if v != FaultSpec.__dataclass_fields__[k].default}
+                {k: v for k, v in asdict(s).items() if v != defaults[k].default}
                 | {"site": s.site, "action": s.action}
                 for s in self.specs
             ],
@@ -145,10 +145,10 @@ class FaultPlan:
         if not isinstance(doc, dict):
             raise ValueError("fault plan JSON must be an object")
         specs = tuple(FaultSpec(**entry) for entry in doc.get("specs", ()))
-        return cls(specs=specs, seed=int(doc.get("seed", 0)))
+        return cls(specs=specs)
 
     def describe(self) -> str:
-        lines = [f"FaultPlan(seed={self.seed}, {len(self.specs)} specs)"]
+        lines = [f"FaultPlan({len(self.specs)} specs)"]
         lines += [f"  {s.describe()}" for s in self.specs]
         return "\n".join(lines)
 

@@ -132,6 +132,9 @@ _I32_SUM_BOUND = 1 << 31
 #: Largest ``(M, D, P)`` gather block, in elements (32 MiB of int16);
 #: larger products are gathered in column slabs of at most this size.
 _BLOCK_BOUND = 1 << 24
+#: :class:`FixedPointEngine` sums its reduced products over ``D`` in
+#: slabs of this many terms.
+_FIXED_CHUNK = 64
 
 
 def _word_dtype(n_bits: int):
@@ -269,12 +272,11 @@ class FixedPointEngine(MatmulEngine):
       ablation; it visibly collapses accuracy).
     """
 
-    def __init__(self, rounding: str = "nearest", chunk: int = 64, **kwargs) -> None:
+    def __init__(self, rounding: str = "nearest", **kwargs) -> None:
         super().__init__(**kwargs)
         if rounding not in ("nearest", "zero", "floor"):
             raise ValueError(f"unknown rounding mode {rounding!r}")
         self.rounding = rounding
-        self.chunk = chunk
         self.name = "fixed"
 
     def _reduce(self, prod: np.ndarray) -> np.ndarray:
@@ -297,8 +299,8 @@ class FixedPointEngine(MatmulEngine):
                 term = self._reduce(w_int[:, j : j + 1] * x_int[j : j + 1, :])
                 acc = np.clip(acc + term, lo, hi)
         else:
-            for j0 in range(0, d, self.chunk):
-                j1 = min(j0 + self.chunk, d)
+            for j0 in range(0, d, _FIXED_CHUNK):
+                j1 = min(j0 + _FIXED_CHUNK, d)
                 terms = self._reduce(w_int[:, j0:j1, None] * x_int[None, j0:j1, :])
                 acc = acc + terms.sum(axis=1)
             if self.saturate == "final":

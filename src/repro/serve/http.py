@@ -18,8 +18,8 @@ Endpoints:
   ``x-return`` / ``x-deadline-ms`` headers.
 * ``GET /healthz`` — readiness: 200 once the engine is warm and the
   batcher is running, 503 while starting or draining.  The body
-  carries the model metadata (input shape, logit width) that
-  ``benchmarks/loadgen.py`` uses to synthesize traffic.
+  carries the model metadata (input shape, logit width) a load
+  generator needs to synthesize traffic.
 * ``GET /metrics`` — Prometheus text exposition (format 0.0.4) of the
   :class:`~repro.serve.metrics.ServiceMetrics` families.
 
@@ -430,9 +430,11 @@ class ServingServer:
                     "application/json", {}
             fmt = "raw"
         else:
+            # ValueError: bad UTF-8, bad JSON, or an int literal over
+            # Python's digit limit; RecursionError: nesting too deep.
             try:
                 doc = json.loads(body.decode() or "{}")
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (ValueError, RecursionError) as exc:
                 return 400, _json_body({"error": f"bad JSON: {exc}"}), \
                     "application/json", {}
             if not isinstance(doc, dict) or "images" not in doc:
@@ -440,7 +442,7 @@ class ServingServer:
                     "application/json", {}
             try:
                 x = np.asarray(doc["images"], dtype=np.float64)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:  # int beyond float64
                 return 400, _json_body({"error": f"bad images: {exc}"}), \
                     "application/json", {}
             if x.shape == self.input_shape:

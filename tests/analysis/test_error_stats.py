@@ -24,6 +24,7 @@ class TestProposedStats:
         assert stats.std[-1] == pytest.approx(err.std())
         assert stats.max_abs[-1] == pytest.approx(np.abs(err).max())
         assert stats.mean[-1] == pytest.approx(err.mean())
+        assert stats.std[-1] < 0.06
 
     def test_deterministic(self):
         a = proposed_error_stats(6)
@@ -63,6 +64,7 @@ class TestCombined:
         final_std = {m: s.std[-1] for m, s in stats.items()}
         assert final_std["proposed"] < final_std["halton"] < final_std["lfsr"]
         assert final_std["ed"] > final_std["halton"]
+        assert max(final_std[m] for m in ("lfsr", "halton", "ed")) < 0.2
         # zero-biased
         assert abs(stats["proposed"].mean[-1]) < 1e-2
         # ours' max error of the order of halton's std (paper's Fig. 5 note)

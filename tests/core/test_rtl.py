@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.fsm_generator import mux_select_sequence
@@ -37,6 +37,7 @@ class TestScMacRtl:
                 assert mac.run(w, x) == bisc_multiply_signed(w, x, n)
 
     @given(st.integers(-128, 127), st.integers(-128, 127))
+    @example(-100, 87)
     def test_random_pairs_n8(self, w, x):
         mac = ScMacRtl(8, acc_bits=4)
         assert mac.run(w, x) == bisc_multiply_signed(w, x, 8)

@@ -12,8 +12,9 @@ class TestStreamAblation:
         return {r.stream: r for r in ablation_stream.run(n_bits=7)}
 
     def test_fsm_is_most_accurate(self, rows):
-        others = [r.std for name, r in rows.items() if name != "fsm"]
-        assert rows["fsm"].std <= min(others) + 1e-12
+        for by in (rows, {r.stream: r for r in ablation_stream.run(n_bits=8)}):
+            others = [r.std for name, r in by.items() if name != "fsm"]
+            assert by["fsm"].std <= min(others) + 1e-12
 
     def test_lfsr_is_least_accurate(self, rows):
         others = [r.std for name, r in rows.items() if name != "lfsr"]

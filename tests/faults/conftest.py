@@ -2,21 +2,14 @@
 
 Every test in this package runs under ``@pytest.mark.chaos`` (applied
 via ``pytestmark`` in each module) and therefore outside tier 1; the CI
-``chaos`` job runs them with fixed seeds on every PR, the nightly job
-with a randomized seed.
+``chaos`` job runs them on every PR.
 
 ``faults_clear`` runs around every test, so no fault plan leaks into
-the next one.
-
-``chaos_seeds`` reads ``REPRO_CHAOS_SEEDS`` (comma-separated ints) so
-CI can pin the per-PR seeds and the nightly job can inject a fresh one;
-locally it defaults to three fixed seeds.  On failure, the active plan
-is dumped as JSON so it can be replayed via ``REPRO_FAULTS``.
+the next one.  On failure, the active plan is dumped as JSON so it can
+be replayed via ``REPRO_FAULTS``.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -25,18 +18,6 @@ from repro.faults import hooks
 from repro.nn import attach_engines, build_mnist_net
 from repro.nn.calibration import LayerRanges
 from repro.parallel import ParallelConfig, predict_logits
-
-#: Default chaos seeds (per-PR CI runs these three); override with
-#: REPRO_CHAOS_SEEDS="1,2,3" (the nightly job injects a random one).
-DEFAULT_SEEDS = (101, 202, 303)
-
-
-def chaos_seeds() -> tuple[int, ...]:
-    raw = os.environ.get("REPRO_CHAOS_SEEDS", "").strip()
-    if not raw:
-        return DEFAULT_SEEDS
-    return tuple(int(s) for s in raw.split(","))
-
 
 def small_net(seed: int = 3):
     """Tiny trained-shape MNIST net with the proposed SC conv engine."""

@@ -21,6 +21,7 @@ from repro.serve import (
     InferenceService,
     MicroBatcher,
 )
+from tests.serve.client import request
 
 pytestmark = pytest.mark.chaos
 
@@ -230,7 +231,6 @@ class TestServeEndToEnd:
         threshold, the circuit is still closed and a valid request is
         served bit-exact."""
         from repro.serve import ServingServer
-        from benchmarks.loadgen import http_request
 
         async def run():
             config = self._config(workers=0)
@@ -239,23 +239,15 @@ class TestServeEndToEnd:
                 engine_factory=lambda c: self._factory(net, (1, 28, 28), c),
             )
             await server.start()
-            bad = json.dumps(
-                {"images": images.tolist(), "generator": "mersenne"}
-            ).encode()
-            good = json.dumps(
-                {"images": images.tolist(), "return": "logits", "generator": "lfsr"}
-            ).encode()
+            bad = {"images": images.tolist(), "generator": "mersenne"}
+            good = {"images": images.tolist(), "return": "logits", "generator": "lfsr"}
             try:
                 for _ in range(config.breaker_threshold + 2):
-                    status, payload = await http_request(
-                        "127.0.0.1", server.port, "POST", "/v1/predict", bad
-                    )
+                    status, _, payload = await request(server.port, "POST", "/v1/predict", bad)
                     assert status == 400
                     assert "unknown generator" in json.loads(payload)["error"]
                 assert server.service.breaker.state == "closed"
-                status, payload = await http_request(
-                    "127.0.0.1", server.port, "POST", "/v1/predict", good
-                )
+                status, _, payload = await request(server.port, "POST", "/v1/predict", good)
                 assert status == 200
                 served = np.asarray(json.loads(payload)["logits"])
                 assert np.array_equal(served, serial_logits)
@@ -271,7 +263,6 @@ class TestServeEndToEnd:
         (503 + Retry-After) -> half-open probe recovers bit-exact, on an
         engine whose shards run on two threads."""
         from repro.serve import ServingServer
-        from benchmarks.loadgen import http_request
 
         plan = FaultPlan(
             specs=(
@@ -288,29 +279,21 @@ class TestServeEndToEnd:
                 engine_factory=lambda c: self._factory(net, (1, 28, 28), c),
             )
             await server.start()
-            body = json.dumps({"images": images.tolist(), "return": "logits"}).encode()
+            body = {"images": images.tolist(), "return": "logits"}
             try:
                 with hooks.injected(plan):
                     for _ in range(3):  # three failing dispatches trip it
-                        status, _ = await http_request(
-                            "127.0.0.1", server.port, "POST", "/v1/predict", body
-                        )
+                        status, _, _ = await request(server.port, "POST", "/v1/predict", body)
                         assert status == 500
-                    status, payload = await http_request(
-                        "127.0.0.1", server.port, "POST", "/v1/predict", body
-                    )
+                    status, _, payload = await request(server.port, "POST", "/v1/predict", body)
                     assert status == 503
                     assert "circuit open" in json.loads(payload)["error"]
-                    health_status, health = await http_request(
-                        "127.0.0.1", server.port, "GET", "/healthz"
-                    )
+                    _, _, health = await request(server.port, "GET", "/healthz")
                     assert json.loads(health)["circuit"]["state"] in ("open", "half_open")
                     await asyncio.sleep(config.breaker_cooldown_s + 0.05)
                     # half-open probe: fault budget exhausted, so it
                     # succeeds, closes the circuit, and is bit-exact
-                    status, payload = await http_request(
-                        "127.0.0.1", server.port, "POST", "/v1/predict", body
-                    )
+                    status, _, payload = await request(server.port, "POST", "/v1/predict", body)
                     assert status == 200
                     served = np.asarray(json.loads(payload)["logits"])
                     assert np.array_equal(served, serial_logits)

@@ -34,6 +34,7 @@ class TestProposedRow:
         """Paper: ours has the highest area efficiency of the table."""
         rows = table3()
         ours = rows[-1]
+        assert ours.label.startswith("Proposed")
         assert ours.gops_per_mm2 == max(r.gops_per_mm2 for r in rows)
 
     def test_scales_with_array_size(self):

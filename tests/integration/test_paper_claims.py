@@ -6,16 +6,29 @@ the fast closed forms.  If a refactor breaks any of these, the repo no
 longer reproduces the paper.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.analysis import error_statistics, laplace_weights_for_target_latency
+from repro.analysis import (
+    conventional_error_stats,
+    error_statistics,
+    laplace_weights_for_target_latency,
+)
 from repro.core.bit_parallel import BitParallelMac
 from repro.core.signed import bisc_multiply_signed, exact_product_lsb, multiply_latency
 from repro.experiments import DIGITS_QUICK_SPEC, get_trained_model, table1_signed
 from repro.experiments.table2_area import PUBLISHED_TOTALS
 from repro.hw import MacArray, all_table2_designs, compare_mac_arrays, proposed_entry, proposed_mac
 from repro.nn import attach_engines
+from repro.sc.generators import generator_keys
+
+#: The SNG family matrix committed with the generator registry: per
+#: family, the N=8 lfsr-sc accuracy on the first 256 digits-quick test
+#: images, the floor the accuracy test holds each family to.
+BENCH_PR10 = Path(__file__).resolve().parents[2] / "BENCH_PR10.json"
 
 
 class TestSection2Claims:
@@ -127,3 +140,41 @@ class TestSection4Claims:
         small = MacArray(proposed_mac(9, bit_parallel=8), 64, 16)
         large = MacArray(proposed_mac(9, bit_parallel=8), 1024, 16)
         assert large.gops(1.5) == pytest.approx(16 * small.gops(1.5))
+
+
+class TestSngFamilyClaims:
+    """The MIP-synthesized SNG tables (Lee et al., arXiv:1902.05971)
+    against the LFSR pair of the conventional SC baseline, and every
+    other registry family against its committed accuracy."""
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_fig5_mip_beats_lfsr_over_a_full_period(self, n):
+        """§4.1, Fig. 5 at the last checkpoint 2^n: over every operand
+        pair, the MIP tables are at most as biased as the LFSR pair and
+        strictly less spread."""
+        mip = conventional_error_stats("mip", n, checkpoints=[2**n])
+        lfsr = conventional_error_stats("lfsr", n, checkpoints=[2**n])
+        assert abs(mip.mean[0]) <= abs(lfsr.mean[0])
+        assert mip.std[0] < lfsr.std[0]
+
+    def test_n8_digits_accuracy_per_family(self):
+        """§4.2, Fig. 6 without fine-tuning: the conventional SC engine at
+        N=8 is near chance on the LFSR pair, usable on the MIP tables.
+        Only the per-call ``generator`` varies, so a delta is the SNG
+        family's alone."""
+        m = get_trained_model(DIGITS_QUICK_SPEC)
+        x, y = m.dataset.x_test[:256], m.dataset.y_test[:256]
+        attach_engines(m.net, "lfsr-sc", m.ranges, n_bits=8)
+        try:
+            acc = {
+                spec: m.net.accuracy(x, y, batch=64, generator=spec)
+                for spec in generator_keys()
+            }
+        finally:
+            m.restore_float()
+        assert acc["mip"] >= 0.75
+        assert acc["mip"] >= acc["lfsr"] - 0.02
+        assert acc["halton"] >= acc["lfsr"] - 0.05
+        committed = json.loads(BENCH_PR10.read_text())["generator_matrix"]["accuracy"]
+        for spec, leg in committed["families"].items():
+            assert acc[spec] >= leg["accuracy"] - 0.05, (spec, acc)

@@ -305,8 +305,9 @@ class TestLfsrEngineParity:
             LfsrScEngine(n_bits=5).matmul(np.zeros((2, 3)), np.zeros((4, 5)))
 
     def test_chunk_parameter_is_gone(self):
-        with pytest.raises(TypeError):
-            LfsrScEngine(n_bits=5, chunk=16)
+        for engine_cls in (LfsrScEngine, FixedPointEngine):
+            with pytest.raises(TypeError):
+                engine_cls(n_bits=5, chunk=16)
 
 
 class TestFactory:

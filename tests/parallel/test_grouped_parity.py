@@ -157,10 +157,11 @@ def _check_overlapping_groups(images, workers):
     """Two tagged groups on one engine overlap and keep their generator.
 
     The server runs one group at a time, but an engine takes calls
-    from any caller, so two may overlap.  The net's forward is wrapped so that the ``mip`` group waits inside it
-    (for at most 5 s) until the ``halton`` group reaches its own
-    forward.  The groups send different images, which is how the
-    wrapper tells them apart on any shard thread.  ``halton`` must
+    from any caller, so two may overlap.  The net's forward is wrapped
+    so that the ``mip`` group waits inside it (for at most 5 s) until
+    the ``halton`` group reaches its own forward.  The groups send
+    different images, which is how the wrapper tells them apart on any
+    shard thread.  ``halton`` must
     enter while ``mip`` waits: a call carries its family as an
     argument, so nothing serializes calls on one engine.  Each answer
     must equal its serial value, and every conv engine must still be on

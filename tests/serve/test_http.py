@@ -25,6 +25,7 @@ from repro.serve import (
     ServingServer,
     pack_raw_request,
 )
+from tests.serve.client import http_payload, read_response, request
 
 SHARD = 4
 
@@ -78,31 +79,6 @@ def stub_factory(behave=None):
         return StubEngine(behave), (2, 2), {"benchmark": "stub"}
 
     return factory
-
-
-async def request(port, method, path, body=None, headers=()):
-    """One Connection: close exchange; returns (status, headers, body)."""
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    payload = json.dumps(body).encode() if body is not None else b""
-    head = f"{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n"
-    for name, value in headers:
-        head += f"{name}: {value}\r\n"
-    if payload:
-        head += f"Content-Length: {len(payload)}\r\n"
-    writer.write(head.encode() + b"\r\n" + payload)
-    await writer.drain()
-    status = int((await reader.readline()).split()[1])
-    resp_headers = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode().partition(":")
-        resp_headers[name.strip().lower()] = value.strip()
-    length = int(resp_headers.get("content-length", 0))
-    data = await reader.readexactly(length) if length else b""
-    writer.close()
-    return status, resp_headers, data
 
 
 def with_server(factory, coro, **config_kwargs):
@@ -206,6 +182,14 @@ class TestRoutingAndValidation:
                  (("x-deadline-ms", "soon"),), 400),
                 # json.dumps writes a bare NaN literal, which json.loads accepts
                 ("POST", "/v1/predict", {"images": [[float("nan"), 0], [0, 0]]}, (), 400),
+                # bodies sent as bytes: an int beyond float64, an int literal
+                # over Python's 4,300-digit limit, arrays nested 100,000 deep
+                ("POST", "/v1/predict", b'{"images": [[1' + b"0" * 400 + b", 0], [0, 0]]}",
+                 (), 400),
+                ("POST", "/v1/predict", b'{"images": [[' + b"1" * 4400 + b", 0], [0, 0]]}",
+                 (), 400),
+                ("POST", "/v1/predict", b'{"images": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+                 (), 400),
             ]
             # a deadline must be a finite number > 0, in the body or the header
             for deadline in ("soon", [1], True, float("nan"), 0, -5):
@@ -216,7 +200,7 @@ class TestRoutingAndValidation:
                               (("x-deadline-ms", deadline),), 400))
             for method, path, body, headers, expect in cases:
                 status, _, _ = await request(server.port, method, path, body, headers)
-                assert status == expect, (method, path, body, headers, status)
+                assert status == expect, (method, path, repr(body)[:80], headers, status)
             # every case is refused before admission: nothing reached the batcher
             assert server.service.accepted == 0
             # Raw garbage on the wire: 400, connection closed.
@@ -364,31 +348,6 @@ class TestDrain:
         with_server(stub_factory(), check, port_file=str(port_file))
 
 
-def _http_payload(method, path, body=b"", headers=(), connection=None):
-    head = f"{method} {path} HTTP/1.1\r\nHost: t\r\n"
-    if connection is not None:
-        head += f"Connection: {connection}\r\n"
-    for name, value in headers:
-        head += f"{name}: {value}\r\n"
-    if body:
-        head += f"Content-Length: {len(body)}\r\n"
-    return head.encode() + b"\r\n" + body
-
-
-async def _read_response(reader):
-    status = int((await reader.readline()).split()[1])
-    headers = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode().partition(":")
-        headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", 0))
-    data = await reader.readexactly(length) if length else b""
-    return status, headers, data
-
-
 PREDICT_BODY = json.dumps({"images": [[0, 0], [0, 0]]}).encode()
 
 
@@ -397,16 +356,16 @@ class TestKeepAlive:
         async def check(server):
             reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
             for _ in range(3):
-                writer.write(_http_payload("POST", "/v1/predict", PREDICT_BODY))
+                writer.write(http_payload("POST", "/v1/predict", PREDICT_BODY))
                 await writer.drain()
-                status, headers, _ = await _read_response(reader)
+                status, headers, _ = await read_response(reader)
                 assert status == 200
                 assert headers["connection"] == "keep-alive"
             # the same socket serves /metrics too, and the counters
             # show one connection reused for every request after the first
-            writer.write(_http_payload("GET", "/metrics"))
+            writer.write(http_payload("GET", "/metrics"))
             await writer.drain()
-            status, _, body = await _read_response(reader)
+            status, _, body = await read_response(reader)
             assert status == 200
             text = body.decode()
             assert "repro_http_connections_total 1" in text
@@ -419,10 +378,10 @@ class TestKeepAlive:
         async def check(server):
             reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
             writer.write(
-                _http_payload("POST", "/v1/predict", PREDICT_BODY, connection="close")
+                http_payload("POST", "/v1/predict", PREDICT_BODY, connection="close")
             )
             await writer.drain()
-            status, headers, _ = await _read_response(reader)
+            status, headers, _ = await read_response(reader)
             assert status == 200
             assert headers["connection"] == "close"
             assert await reader.read() == b""  # server closed its end
@@ -433,10 +392,10 @@ class TestKeepAlive:
     def test_half_closed_client_still_gets_its_response(self):
         async def check(server):
             reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-            writer.write(_http_payload("POST", "/v1/predict", PREDICT_BODY))
+            writer.write(http_payload("POST", "/v1/predict", PREDICT_BODY))
             await writer.drain()
             writer.write_eof()  # client half-closes after sending
-            status, _, body = await _read_response(reader)
+            status, _, body = await read_response(reader)
             assert status == 200
             assert json.loads(body)["n"] == 1
             assert await reader.read() == b""
@@ -450,11 +409,11 @@ class TestKeepAlive:
             # two requests in one write: the second is pipelined —
             # buffered before the first response goes out
             writer.write(
-                _http_payload("POST", "/v1/predict", PREDICT_BODY)
-                + _http_payload("POST", "/v1/predict", PREDICT_BODY)
+                http_payload("POST", "/v1/predict", PREDICT_BODY)
+                + http_payload("POST", "/v1/predict", PREDICT_BODY)
             )
             await writer.drain()
-            status, headers, _ = await _read_response(reader)
+            status, headers, _ = await read_response(reader)
             assert status == 200  # the in-flight request is still answered
             assert headers["connection"] == "close"
             assert await reader.read() == b""  # the pipelined one never is
@@ -469,15 +428,13 @@ def _f64(value) -> bytes:
     return np.array([value], dtype="<f8").tobytes()
 
 
-async def _post_raw(port, x):
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    writer.write(_http_payload(
-        "POST", "/v1/predict", pack_raw_request(x),
-        headers=(("Content-Type", RAW_CONTENT_TYPE),), connection="close",
-    ))
-    await writer.drain()
-    status, _, body = await _read_response(reader)
-    writer.close()
+RAW = (("Content-Type", RAW_CONTENT_TYPE),)
+
+
+async def _post_raw(port, x, headers=()):
+    status, _, body = await request(
+        port, "POST", "/v1/predict", pack_raw_request(x), RAW + headers
+    )
     return status, json.loads(body)
 
 
@@ -489,15 +446,10 @@ class TestRawDecode:
                 {"images": images.tolist(), "return": "logits"},
             )
             assert status == 200
-            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-            writer.write(_http_payload(
-                "POST", "/v1/predict", pack_raw_request(images),
-                headers=(("Content-Type", RAW_CONTENT_TYPE), ("x-return", "logits")),
-                connection="close",
-            ))
-            await writer.drain()
-            raw_status, _, raw_body = await _read_response(reader)
-            writer.close()
+            raw_status, _, raw_body = await request(
+                server.port, "POST", "/v1/predict", pack_raw_request(images),
+                RAW + (("x-return", "logits"),),
+            )
             assert raw_status == 200
             # byte-identical response bodies: same floats, same JSON
             assert raw_body == json_body
@@ -527,15 +479,9 @@ class TestRawDecode:
     def test_malformed_raw_body_is_400_not_500(self, mangle):
         async def check(server):
             good = pack_raw_request(np.zeros((1, 2, 2)))
-            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-            writer.write(_http_payload(
-                "POST", "/v1/predict", mangle(good),
-                headers=(("Content-Type", RAW_CONTENT_TYPE),),
-                connection="close",
-            ))
-            await writer.drain()
-            status, _, body = await _read_response(reader)
-            writer.close()
+            status, _, body = await request(
+                server.port, "POST", "/v1/predict", mangle(good), RAW
+            )
             assert status == 400
             assert "error" in json.loads(body)
 
@@ -544,15 +490,7 @@ class TestRawDecode:
     def test_decode_format_counters(self):
         async def check(server):
             await request(server.port, "POST", "/v1/predict", {"images": [[0, 0], [0, 0]]})
-            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-            writer.write(_http_payload(
-                "POST", "/v1/predict", pack_raw_request(np.zeros((1, 2, 2))),
-                headers=(("Content-Type", RAW_CONTENT_TYPE),),
-                connection="close",
-            ))
-            await writer.drain()
-            status, _, _ = await _read_response(reader)
-            writer.close()
+            status, _ = await _post_raw(server.port, np.zeros((1, 2, 2)))
             assert status == 200
             assert server.metrics.decode_total.value("json") == 1.0
             assert server.metrics.decode_total.value("raw") == 1.0
@@ -600,25 +538,14 @@ class TestNonFiniteInput:
         attach_engines(net, "proposed-sc", [LayerRanges(1.0, 1.0)] * 2, n_bits=8)
         net.conv_layers[0].engine.x_scale = 0.5
 
-        async def answer(port, x):
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            writer.write(_http_payload(
-                "POST", "/v1/predict", pack_raw_request(x),
-                headers=(("Content-Type", RAW_CONTENT_TYPE), ("x-return", "both")),
-                connection="close",
-            ))
-            await writer.drain()
-            status, _, body = await _read_response(reader)
-            writer.close()
-            return status, json.loads(body)
-
         async def check(server):
             huge, rail = images[:1].copy(), images[:1].copy()
             huge[0, 0, 3, 3] = 1.7e308
             rail[0, 0, 3, 3] = 2.0
-            status, doc = await answer(server.port, huge)
+            both = (("x-return", "both"),)
+            status, doc = await _post_raw(server.port, huge, both)
             assert status == 200, doc
-            assert doc == (await answer(server.port, rail))[1]
+            assert doc == (await _post_raw(server.port, rail, both))[1]
 
         with_server(real_factory(net), check, shard_batch=SHARD)
 

@@ -25,6 +25,7 @@ from repro.nn import attach_engines, build_mnist_net
 from repro.nn.calibration import LayerRanges
 from repro.parallel import BatchInferenceEngine, ParallelConfig
 from repro.serve import ServerConfig, ServingServer
+from tests.serve.client import request
 
 SHARD = 4
 WORKER_SWEEP = (0, 2, 3)
@@ -74,27 +75,7 @@ def reference():
 
 
 async def post_raw(port, doc: dict) -> tuple[int, dict]:
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    payload = json.dumps(doc).encode()
-    writer.write(
-        (
-            "POST /v1/predict HTTP/1.1\r\nHost: t\r\nConnection: close\r\n"
-            f"Content-Length: {len(payload)}\r\n\r\n"
-        ).encode()
-        + payload
-    )
-    await writer.drain()
-    status = int((await reader.readline()).split()[1])
-    length = 0
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode().partition(":")
-        if name.strip().lower() == "content-length":
-            length = int(value)
-    body = await reader.readexactly(length)
-    writer.close()
+    status, _, body = await request(port, "POST", "/v1/predict", doc)
     return status, json.loads(body)
 
 
@@ -260,6 +241,7 @@ class TestGeneratorAxis:
         ((1, 2, 3), "parallel"),
         ((4,), "mip"),
         ((5, 1), "lfsr"),
+        ((2, 5), "ed"),
     ]
 
     @pytest.mark.parametrize("workers", (0, 2))
