@@ -206,6 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile.add_argument("--benchmark", choices=("digits", "shapes"), default="digits")
     p_compile.add_argument("--engine", default="proposed-sc", help="conv arithmetic")
     p_compile.add_argument("--n-bits", type=int, default=8, help="precision incl. sign")
+    p_compile.add_argument(
+        "--generator",
+        default=None,
+        help="default SNG family of the conv engines, as `repro serve --generator` "
+        "boots with it: lfsr (default), halton, ed, mip, parallel",
+    )
     p_compile.add_argument("--key", default=None, help="override the artifact store key")
     p_inspect = cache_sub.add_parser(
         "inspect", help="parse + validate stored schedule artifacts"
@@ -429,11 +435,23 @@ def _cache_compile(args: argparse.Namespace, store) -> int:
     )
     from repro.nn import attach_engines
     from repro.parallel import ensure_compiled, schedule_artifact_key
+    from repro.sc.generators import resolve_generator
 
+    if args.generator is not None:
+        try:
+            resolve_generator(args.generator)
+        except ValueError as exc:
+            print(f"repro cache compile: {exc}", file=sys.stderr)
+            return 2
     spec = DIGITS_QUICK_SPEC if args.benchmark == "digits" else SHAPES_QUICK_SPEC
     model = get_trained_model(spec)
-    attach_engines(model.net, args.engine, model.ranges, n_bits=args.n_bits)
-    key = args.key or schedule_artifact_key(spec.name, args.engine, args.n_bits)
+    # the same engines and key as the serving boot (repro.serve.build_engine)
+    attach_engines(
+        model.net, args.engine, model.ranges, n_bits=args.n_bits, generator=args.generator
+    )
+    key = args.key or schedule_artifact_key(
+        spec.name, args.engine, args.n_bits, args.generator
+    )
     t0 = time.perf_counter()
     compiled = ensure_compiled(model.net, store, key)
     dt = time.perf_counter() - t0

@@ -30,16 +30,28 @@ LFSR-SC weight-row gather
 -------------------------
 :class:`LfsrScEngine` looks each operand pair's up/down count up in a
 ``(S, S)`` table, ``S = 2**N + 1``.  Instead of indexing the table pair
-by pair, it derives per layer and per SNG family the weight rows ``R``
-(``M x D*S``): row ``m`` holds ``table[w_off[m, j], :]`` for ``j =
-0..D-1``, laid back to back.  Then ``acc[m, p] = sum_j R[m, j*S +
-x_off[j, p]]`` is one ``np.take`` of ``R`` along its rows with the
-``(D, P)`` index ``x_off + S*arange(D)[:, None]`` (made from the
-offset words in one pass), shared by all ``M`` rows, into a contiguous
-``(M, D, P)`` block, and one sum over ``D``.
-A block above ``2**24`` elements (32 MiB of int16) is gathered in
-column slabs instead, which no served shape reaches.
+by pair, it derives per layer and per SNG family the weight rows ``R``,
+stored operand-major as ``(D*S, M)``: row ``j*S + x`` holds
+``table[w_off[:, j], x]``, the ``M`` counts of term ``j`` at word ``x``.
+Then ``acc[p, m] = sum_j R[j*S + x_off[j, p], m]``: one ``np.take`` of
+``R`` along axis 0 with the ``(D, P)`` index ``x_off +
+S*arange(D)[:, None]`` copies one contiguous ``M``-wide row per (term,
+pixel) into a ``(D, P, M)`` block, and one sum over ``D`` (the outer
+axis, so each term adds a contiguous ``(P, M)`` plane) gives the
+``(P, M)`` accumulator, transposed into the C-ordered ``(M, P)``
+result every engine returns.  Each index entry is read once, not once
+per output channel.
 
+* **Column slabs.**  The product is gathered and summed in slabs of
+  ``P' = _BLOCK_BOUND // (M*D)`` columns (at least one), each index
+  built from its slab of the offset words in one pass, so a
+  ``(D, P', M)`` block of at most ``2**20`` elements (2 MiB of int16)
+  is summed while it is still in cache; the last slab may be narrower.
+  The bound is measured (EXPERIMENTS.md, "Operand-major LFSR-SC weight
+  rows"): with two shards running at once, as served, it beats
+  ``2**18`` on the digits net's 8-image shapes, and it is up to 1.7x
+  faster than ``2**24`` on the shapes net's 16-image layers, where
+  ``2**18`` would be faster still on one thread.
 * **Dtype rule.**  Counts lie in ``[-2**N, 2**N]``, so ``R`` is int16
   while ``2**N < 2**15`` (every N <= 14, which covers every table that
   fits in memory) and int32 beyond.  The sum over ``D`` is int32 while
@@ -51,9 +63,12 @@ column slabs instead, which no served shape reaches.
   by what fixes the table (the family spec, or the seed pair for the
   LFSR default, plus N) and by the weight content.  A weight edit or a
   family switch therefore never serves stale rows, and a warm call
-  builds nothing.  On the digits net with all five families the memo
-  holds 8.7 MB.  Pickling or copying an engine drops it.
-* There is no ``chunk=`` parameter any more: nothing loops over ``D``.
+  builds nothing.  ``R`` is read-only, like every array the process
+  cache hands out, so no caller can write into a later answer.  On the
+  digits net with all five families the memo holds 8.7 MB.  Pickling
+  or copying an engine drops it.
+* There is no ``chunk=`` parameter any more: only ``saturate="term"``
+  loops over ``D``.
 
 Integer-native conv layers
 --------------------------
@@ -129,9 +144,11 @@ _SAT_MODES = ("term", "final", None)
 #: ``D * 2**N`` is below ``_I32_SUM_BOUND`` and int64 beyond.
 _I16_ROW_BOUND = 1 << 15
 _I32_SUM_BOUND = 1 << 31
-#: Largest ``(M, D, P)`` gather block, in elements (32 MiB of int16);
-#: larger products are gathered in column slabs of at most this size.
-_BLOCK_BOUND = 1 << 24
+#: Largest ``(D, P', M)`` gather block, in elements (2 MiB of int16):
+#: the product is gathered and summed in column slabs of at most this
+#: size, so each slab is summed while it is still in cache (measured:
+#: EXPERIMENTS.md, "Operand-major LFSR-SC weight rows").
+_BLOCK_BOUND = 1 << 20
 #: :class:`FixedPointEngine` sums its reduced products over ``D`` in
 #: slabs of this many terms.
 _FIXED_CHUNK = 64
@@ -370,13 +387,16 @@ class LfsrScEngine(MatmulEngine):
         return self._table(self._table_key(self.generator))
 
     def _weight_rows(self, w_off: np.ndarray, key: tuple) -> np.ndarray:
-        """``R`` of ``w_off`` under the table of ``key`` (memoized)."""
+        """Read-only ``R`` of ``w_off`` under the table of ``key`` (memoized)."""
         hit = self._rows.get(key)
         if hit is not None and np.array_equal(hit[0], w_off):
             return hit[1]
         table = self._table(key)
         dtype = np.int16 if 1 << self.n_bits < _I16_ROW_BOUND else np.int32
-        rows = table[w_off].astype(dtype).reshape(w_off.shape[0], w_off.shape[1] * table.shape[1])
+        # row j*S + x holds table[w_off[:, j], x]: the M counts of term j at word x
+        rows = np.ascontiguousarray(table[w_off.T].transpose(0, 2, 1), dtype=dtype)
+        rows = rows.reshape(-1, w_off.shape[0])
+        rows.setflags(write=False)
         self._rows[key] = (w_off, rows)
         return rows
 
@@ -394,28 +414,30 @@ class LfsrScEngine(MatmulEngine):
         p = x_off.shape[1]
         family = self.generator if generator is None else generator
         rows = self._weight_rows(w_off, self._table_key(family))
-        # the gather index: term j reads segment j of R
         segments = ((1 << self.n_bits) + 1) * np.arange(d)[:, None]
-        x_off = np.add(x_off, segments, dtype=np.intp)
         # Raw up/down counts are double-scale: widen limits by one bit.
         lo, hi = self._acc_limits
         lo, hi = 2 * lo, 2 * hi
         wide = self.saturate == "term" or d << self.n_bits >= _I32_SUM_BOUND
-        acc = np.zeros((m, p), dtype=np.int64 if wide else np.int32)
+        acc = np.zeros((p, m), dtype=np.int64 if wide else np.int32)
         step = max(1, _BLOCK_BOUND // max(1, m * d))
         for p0 in range(0, p, step):
-            block = np.take(rows, x_off[:, p0 : p0 + step], axis=1)
-            out = acc[:, p0 : p0 + step]
+            # the gather index: term j reads segment j of R
+            index = np.add(x_off[:, p0 : p0 + step], segments, dtype=np.intp)
+            # (D, P', M): one contiguous M-wide row per (term, pixel)
+            block = np.take(rows, index, axis=0)
+            out = acc[p0 : p0 + step]
             if self.saturate == "term":
                 # the per-term clip depends on order: add term by term
-                for j in range(d):
-                    np.clip(out + block[:, j], lo, hi, out=out)
+                for term in block:
+                    np.clip(out + term, lo, hi, out=out)
             else:
-                block.sum(axis=1, dtype=acc.dtype, out=out)
+                block.sum(axis=0, dtype=acc.dtype, out=out)
         if self.saturate == "final":
             acc = np.clip(acc, lo, hi)
-        # halve the raw count (hardware drops the counter LSB at readout)
-        return self._dequantize(acc) / 2.0
+        # (M, P) in C order, as callers reshape it; halve the raw count
+        # (hardware drops the counter LSB at readout)
+        return self._dequantize(np.ascontiguousarray(acc.T)) / 2.0
 
 
 class ProposedScEngine(MatmulEngine):

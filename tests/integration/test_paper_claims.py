@@ -95,6 +95,38 @@ class TestSection4Claims:
         assert std["proposed"] < std["halton"] < std["lfsr"] < 0.1
         assert std["ed"] > std["halton"]
 
+    def test_fig5_ordering_on_the_conv_engines(self):
+        """§4.1, Fig. 5 read off the conv engines' own kernels: on the real
+        conv operands of a seeded 32-image digits batch at N=8, the
+        ``LfsrScEngine`` output error under each of the paper's three
+        conventional generators spreads wider than ``ProposedScEngine``'s,
+        on both conv layers.  The error is in output LSBs, against the
+        exact product of the quantized operands (a plain integer matmul),
+        with no saturation.  Fig. 5 does not rank mip and parallel."""
+        from repro.nn.engines import LfsrScEngine, ProposedScEngine
+        from repro.nn.im2col import im2col
+
+        n = 8
+        m = get_trained_model(DIGITS_QUICK_SPEC)
+        batch = np.random.default_rng(2017).choice(len(m.dataset.x_test), 32, replace=False)
+        inputs = m.net.conv_inputs(m.dataset.x_test[batch])  # the float net's
+        for conv, x, r in zip(m.net.conv_layers, inputs, m.ranges):
+            kw = dict(n_bits=n, saturate=None, w_scale=r.w_scale, x_scale=r.x_scale)
+            proposed, conventional = ProposedScEngine(**kw), LfsrScEngine(**kw)
+            words, _ = im2col(proposed.encode(x), conv.kernel, conv.stride, conv.pad,
+                              fill=proposed.zero_word)
+            w = conv.weight.value.reshape(conv.out_channels, -1)
+            w_int = proposed.quantize_weights(w).astype(np.int64)
+            exact = w_int @ (words.astype(np.int64) - proposed.zero_word) / (1 << (n - 1))
+            lsb = r.w_scale * r.x_scale / (1 << (n - 1))  # scales are powers of two
+
+            def error_std(engine, generator=None):
+                return float(np.std(engine.matmul(w, words, generator=generator) / lsb - exact))
+
+            ours = error_std(proposed)
+            for generator in ("lfsr", "halton", "ed"):
+                assert error_std(conventional, generator) > ours, (conv, generator, ours)
+
     @pytest.mark.slow
     def test_fig6_proposed_matches_fixed_point(self):
         """§4.2: 'our SC-CNN achieves almost the same accuracy as the

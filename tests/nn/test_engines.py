@@ -271,8 +271,19 @@ class TestLfsrEngineParity:
             assert np.array_equal(engine.matmul(w, x), cached_oracle("conv2", 5, saturate, "ed"))
             w_off, rows = engine._rows[engine._table_key("ed")]
             assert rows.dtype == np.int32
-            # segment 0 of row m is the process cache's table row w_off[m, 0]
-            assert np.array_equal(rows[:, : table.shape[1]], table[w_off[:, 0]])
+            # segment 0 holds term 0: row x, column m is table[w_off[m, 0], x]
+            assert np.array_equal(rows[: table.shape[1]], table[w_off[:, 0]].T)
+
+    def test_memoized_rows_are_read_only(self):
+        w, x = lfsr_operands("conv2")
+        engine = LfsrScEngine(n_bits=5, generator="halton")
+        first = engine.matmul(w, x)
+        _, rows = engine._rows[engine._table_key("halton")]
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 7
+        with pytest.raises(ValueError, match="read-only"):
+            rows += 1
+        assert np.array_equal(engine.matmul(w, x), first)
 
     @pytest.mark.parametrize("bound, dtype", ((None, np.int32), (1, np.int64)))
     def test_sum_dtype_branches(self, monkeypatch, bound, dtype):
@@ -293,12 +304,18 @@ class TestLfsrEngineParity:
 
     @pytest.mark.parametrize("saturate", ("final", "term"))
     def test_column_slabs_match_one_block(self, monkeypatch, saturate):
-        # 200 of conv1's 4608 columns per slab: 23 full slabs and a ragged one
-        monkeypatch.setattr(engines_mod, "_BLOCK_BOUND", 200 * 8 * 25)
-        w, x = lfsr_operands("conv1")
-        engine = LfsrScEngine(n_bits=5, saturate=saturate, generator="parallel")
-        expected = cached_oracle("conv1", 5, saturate, "parallel")
-        assert np.array_equal(engine.matmul(w, x), expected)
+        """Column slabs, the last one ragged: conv2's 512 columns at the
+        module's bound (327 per slab: one full slab and 185 columns), then
+        conv1's 4608 at 200 per slab (23 full slabs and 8 columns)."""
+        for shape, columns in (("conv2", None), ("conv1", 200)):
+            m, d, p = LFSR_SHAPES[shape]
+            if columns is not None:
+                monkeypatch.setattr(engines_mod, "_BLOCK_BOUND", columns * m * d)
+            step = engines_mod._BLOCK_BOUND // (m * d)
+            assert 1 < step < p and p % step  # several slabs, the last one ragged
+            engine = LfsrScEngine(n_bits=5, saturate=saturate, generator="parallel")
+            expected = cached_oracle(shape, 5, saturate, "parallel")
+            assert np.array_equal(engine.matmul(*lfsr_operands(shape)), expected)
 
     def test_inner_dimension_mismatch_raises(self):
         with pytest.raises(ValueError, match="shape mismatch"):

@@ -273,6 +273,46 @@ class TestCacheCommand:
         out = capsys.readouterr().out
         assert "format v1" in out and "layer-coeff=2" in out
 
+    def test_compile_generator_is_the_artifact_the_server_boots_from(self, capsys, caplog):
+        """``--generator mip`` compiles the ``gmip`` artifact ``repro serve`` loads as it is.
+
+        The serving boot finds it covering every table it needs: no
+        ``stale`` event, no recompile over it, and no table built while
+        a group is served.
+        """
+        import logging
+
+        import numpy as np
+
+        from repro.parallel.cache import detach_compiled, get_worker_cache, reset_worker_cache
+        from repro.serve import ServerConfig, build_engine
+
+        key = "sched-digits-quick-lfsr-sc-n8-gmip"
+        assert main(["cache", "compile", "--engine", "lfsr-sc", "--generator", "mip"]) == 0
+        assert f"compiled {key}" in capsys.readouterr().out
+        blob = (self.root / f"{key}.sched").read_bytes()
+        detach_compiled()
+        reset_worker_cache()
+        try:
+            with caplog.at_level(logging.INFO, logger="repro.artifacts"):
+                engine, shape, meta = build_engine(
+                    ServerConfig(engine="lfsr-sc", generator="mip", workers=0)
+                )
+            assert meta["schedule_artifact"]["key"] == key
+            assert f"event=hit key={key}" in caplog.text
+            assert "event=stale" not in caplog.text
+            engine.logits_grouped([np.random.default_rng(0).uniform(0.0, 1.0, (2, *shape))])
+            assert get_worker_cache().stats()["rebuilds"] == 0
+        finally:
+            detach_compiled()
+            reset_worker_cache()
+        assert (self.root / f"{key}.sched").read_bytes() == blob
+
+    def test_compile_rejects_an_unknown_generator(self, capsys):
+        assert main(["cache", "compile", "--generator", "sobol"]) == 2
+        assert "unknown generator 'sobol'" in capsys.readouterr().err
+        assert not list(self.root.glob("*.sched")) and not list(self.root.glob("*.npz"))
+
     def test_inspect_flags_corrupt_artifact(self, capsys):
         (self.root / "bogus.sched").write_bytes(b"not a schedule artifact")
         assert main(["cache", "inspect"]) == 1
