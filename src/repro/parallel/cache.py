@@ -23,8 +23,8 @@ their source's key plus a suffix.
 One private lookup serves every entry, in one order: the memo, then the
 attached artifact (an entry of the wrong shape, or a table of the wrong
 dtype, is a miss there, not an error), then a build outside the lock.
-It alone holds the lock, the poison check, the shape check of a served
-memo entry, the counters and the LRU bounds (``max_layers`` layers,
+It alone holds the lock, the shape check of a served memo entry, the
+counters and the LRU bounds (``max_layers`` layers,
 four times as many derived layouts; tables stay).  ``hits`` /
 ``misses`` and the ``hook`` count the lookups an engine call makes (one
 per up/down table, one per layer); ``compiled_hits`` counts artifact
@@ -126,11 +126,10 @@ def _d_major(coeff_t: np.ndarray, n_bits: int) -> np.ndarray:
 class CachePoisonedError(RuntimeError):
     """A cached schedule failed validation and must not be served.
 
-    Raised either because :meth:`ScheduleCache.poison` was called
-    (fault injection in tests) or because a memo entry no longer has
-    the shape its key promises.  The call fails loudly instead of
-    computing on garbage; :func:`reset_worker_cache` drops the cache,
-    and the next call rebuilds from the weights.
+    Raised when a memo entry no longer has the shape its key promises.
+    The call fails loudly instead of computing on garbage;
+    :func:`reset_worker_cache` drops the cache, and the next call
+    rebuilds from the weights.
     """
 
 
@@ -150,7 +149,6 @@ class ScheduleCache:
         self.compiled = compiled
         #: key -> (kind, read-only array), least recently used first
         self._memo: OrderedDict[str, tuple[str, np.ndarray]] = OrderedDict()
-        self._poisoned = False
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -169,8 +167,6 @@ class ScheduleCache:
         or of another ``dtype`` where one is given, is a miss.
         """
         with self._lock:
-            if self._poisoned:
-                raise CachePoisonedError("schedule cache was poisoned; drop and rebuild")
             cached = self._memo.get(key)
             if cached is not None:
                 entry = cached[1]
@@ -269,19 +265,6 @@ class ScheduleCache:
         )
         const = self._lookup(f"{digest}/const", "layer-const", (m,), partial(w.sum, axis=1))
         return digest, coeff_t, const
-
-    def poison(self) -> None:
-        """Deliberately corrupt the cache (fault injection only).
-
-        Every memo entry is replaced with garbage and a sticky flag
-        makes the next lookup raise :class:`CachePoisonedError` even if
-        the cache is empty — the poisoning is always *detectable*, so a
-        call fails loudly rather than serving a wrong result.
-        """
-        with self._lock:
-            for key, (kind, _) in list(self._memo.items()):
-                self._memo[key] = (kind, np.empty(0))
-            self._poisoned = True
 
     # -- the fast batched matmul ------------------------------------------
     def sc_matmul(
@@ -422,7 +405,7 @@ def get_worker_cache() -> ScheduleCache:
 
 
 def reset_worker_cache() -> None:
-    """Drop the process-global cache (tests, a poisoned cache)."""
+    """Drop the process-global cache (tests, or after a :class:`CachePoisonedError`)."""
     global _WORKER_CACHE
     with _WORKER_CACHE_LOCK:
         _WORKER_CACHE = None

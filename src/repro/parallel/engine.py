@@ -46,7 +46,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.faults import hooks as _faults
 from repro.sc.generators import resolve_generator
 
 __all__ = [
@@ -270,24 +269,21 @@ class BatchInferenceEngine:
         engine = BatchInferenceEngine(net, ParallelConfig(workers=4))
         labels = engine.predict(x)
 
-    ``hooks`` is a small observability protocol: each entry is a
+    :meth:`add_hook` registers a small observability protocol: a
     callable ``hook(n_images, seconds, workers)`` invoked after every
     engine dispatch.  The serving layer registers its metrics adapter
-    here; the engine itself stays importable without :mod:`repro.serve`
+    there; the engine itself stays importable without :mod:`repro.serve`
     (hooks are plain callables, no serve types involved).
-
-    Each call fires the ``engine.dispatch`` fault site with the key
-    ``"logits"`` or ``"grouped"``.
 
     Calls on one engine may overlap: a call carries its SNG family as
     an argument instead of setting it on the shared conv engines, so
     two callers' groups each run under their own family.
     """
 
-    def __init__(self, net, config: ParallelConfig | int | None = None, hooks=()) -> None:
+    def __init__(self, net, config: ParallelConfig | int | None = None) -> None:
         self.net = net
         self.config = resolve_parallelism(config)
-        self.hooks = list(hooks)
+        self.hooks = []
 
     def add_hook(self, hook) -> None:
         """Register a ``hook(n_images, seconds, workers)`` observer."""
@@ -298,8 +294,6 @@ class BatchInferenceEngine:
             hook(n_images, seconds, self.config.workers)
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        if _faults.enabled():
-            _faults.fire("engine.dispatch", key="logits")
         t0 = time.perf_counter()
         out = predict_logits(self.net, x, self.config)
         self._notify(int(np.asarray(x).shape[0]), time.perf_counter() - t0)
@@ -315,8 +309,6 @@ class BatchInferenceEngine:
         Each shard runs under its own request's family, passed down as
         an argument, so overlapping groups each keep their own.
         """
-        if _faults.enabled():
-            _faults.fire("engine.dispatch", key="grouped")
         t0 = time.perf_counter()
         out = predict_logits_grouped(self.net, xs, self.config, generator)
         n = sum(int(np.asarray(x).shape[0]) for x in xs)

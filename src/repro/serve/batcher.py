@@ -4,9 +4,9 @@ Requests (each a small image batch) arrive on an asyncio queue and are
 coalesced into *groups* of at most ``max_batch_size`` images; a group
 is dispatched as soon as it is full, or when the oldest request in it
 has waited ``max_wait_ms``.  Each group is one runner call: the runner
-receives the group as a *list* of per-request arrays (with ``tags=``,
-one tag per request in order, when any request is tagged) and must
-return one result per request — the engine side is
+receives the group as a *list* of per-request arrays and a list of
+their tags, one per request in order, and must return one result per
+request — the engine side is
 :meth:`repro.parallel.BatchInferenceEngine.logits_grouped`, which
 shards at request boundaries and runs each shard under its own
 request's tag, so coalescing can never change a request's bits (see
@@ -35,8 +35,6 @@ answered.
 from __future__ import annotations
 
 import asyncio
-import functools
-import inspect
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -61,15 +59,6 @@ class _Request:
         return int(self.x.shape[0])
 
 
-def _runner_accepts_tags(runner) -> bool:
-    """Whether ``runner`` can take the per-request ``tags=`` keyword."""
-    try:
-        inspect.signature(runner).bind([], tags=None)
-    except (TypeError, ValueError):
-        return False
-    return True
-
-
 #: Queue sentinel marking the end of accepted traffic during drain.
 _DRAIN = object()
 
@@ -77,12 +66,11 @@ _DRAIN = object()
 class MicroBatcher:
     """Coalesce request arrays into bounded groups for one runner.
 
-    ``runner`` is a synchronous callable ``runner(list_of_arrays) ->
-    list_of_results`` executed off-loop, once per group; a group with a
-    tagged request calls ``runner(list_of_arrays, tags=list_of_tags)``,
-    one tag per request in order (``None`` for untagged ones).
-    ``max_batch_size`` bounds the images per group and ``max_wait_ms``
-    the coalescing delay.
+    ``runner`` is a synchronous callable ``runner(list_of_arrays,
+    list_of_tags) -> list_of_results`` executed off-loop, once per
+    group, with one tag per request in order (``None`` for untagged
+    ones).  ``max_batch_size`` bounds the images per group and
+    ``max_wait_ms`` the coalescing delay.
     """
 
     def __init__(
@@ -97,7 +85,6 @@ class MicroBatcher:
         if max_wait_ms < 0:
             raise ValueError("max_wait_ms must be >= 0")
         self.runner = runner
-        self._runner_takes_tags = _runner_accepts_tags(runner)
         self.max_batch_size = max_batch_size
         self.max_wait_ms = max_wait_ms
         self.metrics = metrics or ServiceMetrics()
@@ -257,16 +244,7 @@ class MicroBatcher:
         try:
             xs = [r.x for r in group]
             tags = [r.tag for r in group]
-            if all(tag is None for tag in tags):
-                call = functools.partial(self.runner, xs)
-            elif self._runner_takes_tags:
-                call = functools.partial(self.runner, xs, tags=tags)
-            else:
-                raise RuntimeError(
-                    f"runner {self.runner!r} does not accept per-request "
-                    f"tags (requests tagged {sorted(set(tags) - {None})!r})"
-                )
-            results = await loop.run_in_executor(self._executor, call)
+            results = await loop.run_in_executor(self._executor, self.runner, xs, tags)
             if len(results) != len(group):
                 raise RuntimeError(
                     f"runner returned {len(results)} results "

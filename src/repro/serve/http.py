@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import itertools
 import json
 import math
 import signal
@@ -69,6 +70,10 @@ __all__ = [
 
 #: Hard cap on request bodies (a 64-image CIFAR batch is ~6 MB of JSON).
 MAX_BODY_BYTES = 32 * 1024 * 1024
+
+#: Most header lines one request may carry; one more answers 431.  Each
+#: line is bounded too, by the stream's 64 KiB line limit.
+MAX_HEADER_LINES = 100
 
 #: Content type selecting the zero-copy raw-float request decode path.
 RAW_CONTENT_TYPE = "application/x-repro-float64"
@@ -187,11 +192,10 @@ def build_engine(config: ServerConfig):
 class ServingServer:
     """One serving process: engine + batcher + service + HTTP listener."""
 
-    def __init__(self, config: ServerConfig, engine_factory=None,
-                 metrics: ServiceMetrics | None = None) -> None:
+    def __init__(self, config: ServerConfig, engine_factory=None) -> None:
         self.config = config
         self.engine_factory = engine_factory or build_engine
-        self.metrics = metrics or ServiceMetrics()
+        self.metrics = ServiceMetrics()
         self.engine = None
         self.batcher: MicroBatcher | None = None
         self.service: InferenceService | None = None
@@ -509,7 +513,8 @@ class ServingServer:
 
 _STATUS_TEXT = {
     200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
-    413: "Payload Too Large", 429: "Too Many Requests", 500: "Internal Server Error",
+    413: "Payload Too Large", 414: "URI Too Long", 429: "Too Many Requests",
+    431: "Request Header Fields Too Large", 500: "Internal Server Error",
     503: "Service Unavailable", 504: "Gateway Timeout",
 }
 
@@ -553,8 +558,16 @@ def _has_buffered_request(reader: asyncio.StreamReader) -> bool:
 
 
 async def _read_request(reader: asyncio.StreamReader):
-    """Parse one request; ``None`` at EOF; :class:`_HttpError` on garbage."""
-    line = await reader.readline()
+    """Parse one request; ``None`` at EOF; :class:`_HttpError` on garbage.
+
+    ``readline`` raises ``ValueError`` for a line past the stream's
+    limit: that answers 414 for the request line and 431 for a header
+    line, as do more than :data:`MAX_HEADER_LINES` header lines.
+    """
+    try:
+        line = await reader.readline()
+    except ValueError:
+        raise _HttpError(414, "request line too long") from None
     if not line:
         return None
     parts = line.decode("latin1").strip().split()
@@ -562,12 +575,17 @@ async def _read_request(reader: asyncio.StreamReader):
         raise _HttpError(400, "malformed request line")
     method, path = parts[0].upper(), parts[1]
     headers: dict[str, str] = {}
-    while True:
-        raw = await reader.readline()
+    for n_lines in itertools.count(1):
+        try:
+            raw = await reader.readline()
+        except ValueError:
+            raise _HttpError(431, "header line too long") from None
         if raw in (b"\r\n", b"\n"):
             break
         if not raw:
             raise _HttpError(400, "truncated headers")
+        if n_lines > MAX_HEADER_LINES:
+            raise _HttpError(431, f"more than {MAX_HEADER_LINES} header lines")
         key, sep, value = raw.decode("latin1").partition(":")
         if not sep:
             raise _HttpError(400, f"malformed header {raw!r}")

@@ -210,18 +210,6 @@ class Histogram(Metric):
     def sum(self) -> float:
         return self._sum
 
-    def quantile(self, q: float) -> float:
-        """Bucket-resolution quantile estimate (upper bound of the bucket)."""
-        if self._count == 0:
-            return 0.0
-        target = q * self._count
-        seen = 0
-        for i, bound in enumerate(self.buckets):
-            seen += self._counts[i]
-            if seen >= target:
-                return bound
-        return float("inf")
-
     def samples(self):
         rows = []
         cumulative = 0

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.faults import hooks as _faults
 from repro.serve.batcher import MicroBatcher
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.metrics import ServiceMetrics
@@ -144,8 +143,6 @@ class InferenceService:
         admission); ``None`` keeps the engine's configured family.
         """
         m = self.metrics
-        if _faults.enabled():
-            _faults.fire("serve.request")
         if self._draining or not self.batcher.is_running:
             m.rejected_total.inc(1.0, "shutdown")
             raise ShuttingDownError("service is draining")

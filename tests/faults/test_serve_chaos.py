@@ -2,8 +2,9 @@
 
 The breaker unit tests drive state transitions on a fake clock (no
 sleeping); the service-level tests use a failable stub runner; the
-end-of-file tests run the real stack — HTTP server over a real engine —
-and still demand bit-exact answers.
+end-of-file tests run the real stack — HTTP server over a real engine,
+or over a real engine that fails its first calls, served through
+``engine_factory`` — and still demand bit-exact answers.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.faults import FaultInjected, FaultPlan, FaultSpec, hooks
 from repro.serve import (
     CircuitBreaker,
     CircuitOpenError,
@@ -100,7 +100,7 @@ def failing_then_ok_runner(fail_first_n: int):
     """Stub engine: the first N dispatches raise, the rest echo."""
     calls = {"n": 0}
 
-    def run(xs):
+    def run(xs, tags):
         calls["n"] += 1
         if calls["n"] <= fail_first_n:
             raise RuntimeError(f"engine failure #{calls['n']}")
@@ -178,20 +178,6 @@ class TestServiceCircuit:
 
         asyncio.run(run())
 
-    def test_serve_request_fault_site_fires(self):
-        async def run():
-            service = await _service(lambda xs: [x for x in xs], breaker=None)
-            plan = FaultPlan(specs=(FaultSpec("serve.request", "raise"),))
-            with hooks.injected(plan):
-                with pytest.raises(FaultInjected):
-                    await service.predict(one_image())
-            # budget consumed: the next request flows normally
-            out = await service.predict(one_image(1))
-            assert np.array_equal(out, one_image(1))
-            await service.drain()
-
-        asyncio.run(run())
-
 
 class TestServeEndToEnd:
     """The real stack: HTTP front end over a real engine."""
@@ -214,10 +200,10 @@ class TestServeEndToEnd:
         return ServerConfig(**defaults)
 
     @staticmethod
-    def _factory(net, input_shape, config):
+    def _factory(net, input_shape, config, engine_class=None):
         from repro.parallel import BatchInferenceEngine, ParallelConfig
 
-        engine = BatchInferenceEngine(
+        engine = (engine_class or BatchInferenceEngine)(
             net, ParallelConfig(workers=config.workers, batch_size=config.shard_batch)
         )
         return engine, input_shape, {"benchmark": "chaos-net"}
@@ -259,45 +245,48 @@ class TestServeEndToEnd:
     def test_engine_dispatch_fault_storm_opens_circuit_then_recovers(
         self, net, images, serial_logits
     ):
-        """Repeated engine.dispatch failures -> 500s -> circuit opens
-        (503 + Retry-After) -> half-open probe recovers bit-exact, on an
-        engine whose shards run on two threads."""
+        """Repeated engine failures -> 500s -> circuit opens (503 +
+        Retry-After) -> half-open probe recovers bit-exact, on an engine
+        whose shards run on two threads."""
+        from repro.parallel import BatchInferenceEngine
         from repro.serve import ServingServer
 
-        plan = FaultPlan(
-            specs=(
-                FaultSpec(
-                    "engine.dispatch", "raise", times=3, key="grouped"
-                ),
-            )
-        )
+        class FailingEngine(BatchInferenceEngine):
+            """A real engine whose first three grouped calls raise."""
+
+            failures_left = 3
+
+            def logits_grouped(self, xs, generator=None):
+                if self.failures_left:
+                    self.failures_left -= 1
+                    raise RuntimeError("engine dispatch failed")
+                return super().logits_grouped(xs, generator)
 
         async def run():
             config = self._config()
             server = ServingServer(
                 config,
-                engine_factory=lambda c: self._factory(net, (1, 28, 28), c),
+                engine_factory=lambda c: self._factory(net, (1, 28, 28), c, FailingEngine),
             )
             await server.start()
             body = {"images": images.tolist(), "return": "logits"}
             try:
-                with hooks.injected(plan):
-                    for _ in range(3):  # three failing dispatches trip it
-                        status, _, _ = await request(server.port, "POST", "/v1/predict", body)
-                        assert status == 500
-                    status, _, payload = await request(server.port, "POST", "/v1/predict", body)
-                    assert status == 503
-                    assert "circuit open" in json.loads(payload)["error"]
-                    _, _, health = await request(server.port, "GET", "/healthz")
-                    assert json.loads(health)["circuit"]["state"] in ("open", "half_open")
-                    await asyncio.sleep(config.breaker_cooldown_s + 0.05)
-                    # half-open probe: fault budget exhausted, so it
-                    # succeeds, closes the circuit, and is bit-exact
-                    status, _, payload = await request(server.port, "POST", "/v1/predict", body)
-                    assert status == 200
-                    served = np.asarray(json.loads(payload)["logits"])
-                    assert np.array_equal(served, serial_logits)
-                    assert server.service.breaker.state == "closed"
+                for _ in range(3):  # three failing dispatches trip it
+                    status, _, _ = await request(server.port, "POST", "/v1/predict", body)
+                    assert status == 500
+                status, _, payload = await request(server.port, "POST", "/v1/predict", body)
+                assert status == 503
+                assert "circuit open" in json.loads(payload)["error"]
+                _, _, health = await request(server.port, "GET", "/healthz")
+                assert json.loads(health)["circuit"]["state"] in ("open", "half_open")
+                await asyncio.sleep(config.breaker_cooldown_s + 0.05)
+                # half-open probe: the engine's failures are spent, so
+                # it succeeds, closes the circuit, and is bit-exact
+                status, _, payload = await request(server.port, "POST", "/v1/predict", body)
+                assert status == 200
+                served = np.asarray(json.loads(payload)["logits"])
+                assert np.array_equal(served, serial_logits)
+                assert server.service.breaker.state == "closed"
             finally:
                 await server.drain_and_stop()
 

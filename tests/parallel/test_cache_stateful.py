@@ -2,10 +2,11 @@
 
 Hypothesis drives random interleavings of lookups, in-place weight
 mutation (the fine-tuning hazard the content keying exists for), LRU
-eviction pressure, poisoning, and recovery, asserting after every
+eviction pressure, memo corruption, and recovery, asserting after every
 lookup that the served schedule is bit-identical to a fresh recompute
 of the weight's *current* content — i.e. the cache is observationally
-equivalent to no cache at all, just faster.
+equivalent to no cache at all, just faster — or, for a corrupted
+entry, that the lookup refuses it with :class:`CachePoisonedError`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.mvm import sc_matmul
-from repro.parallel.cache import CachePoisonedError, ScheduleCache
+from repro.keys import layer_digest
+from repro.parallel.cache import (
+    CachePoisonedError,
+    ScheduleCache,
+    get_worker_cache,
+    reset_worker_cache,
+)
 
 N_BITS = 4
 SHAPE = (3, 4)
@@ -27,6 +34,14 @@ MAX_LAYERS = 3  # small on purpose: eviction pressure in every run
 def fresh_coeff(w: np.ndarray):
     """Ground truth: what an empty cache computes for today's content."""
     return ScheduleCache().layer_coeff(w, N_BITS)
+
+
+def corrupt_memo(cache: ScheduleCache, keys=None) -> None:
+    """Rewrite resident memo entries (all, or ``keys``) to a wrong shape."""
+    with cache._lock:
+        for key in list(cache._memo) if keys is None else keys:
+            kind, _ = cache._memo[key]
+            cache._memo[key] = (kind, np.empty(0))
 
 
 class CacheMachine(RuleBasedStateMachine):
@@ -41,15 +56,32 @@ class CacheMachine(RuleBasedStateMachine):
         self.poisoned = False
         self.lookups = 0
 
+    def _counted(self, call):
+        """Run one engine-style call; ``None`` if it refused a corrupted entry.
+
+        A served call counts one lookup.  A refused one counts at most
+        one: its layer's coefficients were either refused before any
+        counting or looked up before a later entry was refused.
+        """
+        before = self.cache.hits + self.cache.misses
+        try:
+            result = call()
+        except CachePoisonedError:
+            assert self.poisoned, "refused an entry nothing corrupted"
+            counted = self.cache.hits + self.cache.misses - before
+            assert counted <= 1
+            self.lookups += counted
+            return None
+        self.lookups += 1
+        return result
+
     @rule(i=st.integers(min_value=0, max_value=4))
     def lookup(self, i):
         w = self.weights[i]
-        if self.poisoned:
-            with pytest.raises(CachePoisonedError):
-                self.cache.layer_coeff(w, N_BITS)
+        served = self._counted(lambda: self.cache.layer_coeff(w, N_BITS))
+        if served is None:
             return
-        coeff, const = self.cache.layer_coeff(w, N_BITS)
-        self.lookups += 1
+        coeff, const = served
         ref_coeff, ref_const = fresh_coeff(w)
         assert coeff.dtype == ref_coeff.dtype
         assert np.array_equal(coeff, ref_coeff), "served a stale/wrong schedule"
@@ -67,17 +99,17 @@ class CacheMachine(RuleBasedStateMachine):
 
     @rule(i=st.integers(min_value=0, max_value=4), seed=st.integers(0, 2**16))
     def matmul_parity(self, i, seed):
-        if self.poisoned:
-            return
         x = np.random.default_rng(seed).integers(-7, 8, size=(SHAPE[1], 5))
-        got = self.cache.sc_matmul(self.weights[i], x, N_BITS)
-        self.lookups += 1
+        got = self._counted(lambda: self.cache.sc_matmul(self.weights[i], x, N_BITS))
+        if got is None:
+            return
         ref = sc_matmul(self.weights[i], x, N_BITS)
         assert np.array_equal(got, ref)
 
     @rule()
     def poison(self):
-        self.cache.poison()
+        """Every resident entry loses the shape its key promises."""
+        corrupt_memo(self.cache)
         self.poisoned = True
 
     @rule()
@@ -101,3 +133,33 @@ TestScheduleCacheStateful = CacheMachine.TestCase
 TestScheduleCacheStateful.settings = settings(
     max_examples=25, stateful_step_count=40, deadline=None
 )
+
+
+class TestCorruptedEntry:
+    """A memo entry of the wrong shape is refused, and a new store recovers."""
+
+    W = np.random.default_rng(1).integers(-7, 8, size=(4, 5))
+
+    def _check(self, cache, fresh_store):
+        coeff, const = cache.layer_coeff(self.W, N_BITS)
+        corrupt_memo(cache, [f"{layer_digest(self.W, N_BITS)}/coeff"])
+        with pytest.raises(CachePoisonedError, match="failed shape validation"):
+            cache.layer_coeff(self.W, N_BITS)
+        recomputed = fresh_store().layer_coeff(self.W, N_BITS)
+        for got, want in zip(recomputed, fresh_coeff(self.W), strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(recomputed[0], coeff) and np.array_equal(recomputed[1], const)
+
+    def test_a_fresh_store_serves_the_recompute(self):
+        self._check(ScheduleCache(), ScheduleCache)
+
+    def test_reset_worker_cache_serves_the_recompute(self):
+        reset_worker_cache()
+        try:
+            def fresh_process_store():
+                reset_worker_cache()
+                return get_worker_cache()
+
+            self._check(get_worker_cache(), fresh_process_store)
+        finally:
+            reset_worker_cache()

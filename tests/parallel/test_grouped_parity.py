@@ -135,10 +135,8 @@ def test_engine_logits_grouped_matches_function(net, images):
 
 def test_engine_hooks_observe_grouped_dispatch(net, images):
     events = []
-    engine = BatchInferenceEngine(
-        net, ParallelConfig(workers=0, batch_size=4),
-        hooks=[lambda n, s, w: events.append((n, w))],
-    )
+    engine = BatchInferenceEngine(net, ParallelConfig(workers=0, batch_size=4))
+    engine.add_hook(lambda n, s, w: events.append((n, w)))
     engine.logits_grouped([images[:2], images[2:5]])
     assert events == [(5, 0)]
 

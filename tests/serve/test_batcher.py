@@ -27,7 +27,7 @@ def id_array(i: int, size: int) -> np.ndarray:
 def echo_runner(calls):
     """Runner returning each request's own array + 0.5, recording groups."""
 
-    def run(xs):
+    def run(xs, tags):
         calls.append([x.copy() for x in xs])
         return [x + 0.5 for x in xs]
 
@@ -138,7 +138,7 @@ class TestTags:
         """
         calls = []
 
-        def runner(xs, tags=None):
+        def runner(xs, tags):
             calls.append(([int(x[0, 0]) for x in xs], tags))
             return [x + 0.5 for x in xs]
 
@@ -156,18 +156,53 @@ class TestTags:
         for i, res in enumerate(results):
             assert np.array_equal(res, id_array(i, 1) + 0.5)
 
-    def test_a_tagged_request_fails_its_group_on_a_runner_without_tags(self):
+    def test_an_untagged_group_is_one_runner_call_with_a_none_per_request(self):
+        calls = []
+
+        def runner(xs, tags):
+            calls.append(([int(x[0, 0]) for x in xs], tags))
+            return [x + 0.5 for x in xs]
+
         async def run():
-            b = MicroBatcher(echo_runner([]), max_batch_size=2, max_wait_ms=10_000)
+            b = MicroBatcher(runner, max_batch_size=3, max_wait_ms=10_000)
             await b.start()
-            futures = [b.submit(id_array(0, 1)), b.submit(id_array(1, 1), tag="mip")]
-            results = await asyncio.gather(*futures, return_exceptions=True)
+            results = await asyncio.gather(*(b.submit(id_array(i, 1)) for i in range(3)))
             await b.drain()
             return results
 
         results = asyncio.run(run())
-        assert all(isinstance(r, RuntimeError) for r in results)
-        assert "does not accept per-request tags" in str(results[0])
+        assert calls == [([0, 1, 2], [None, None, None])]
+        for i, res in enumerate(results):
+            assert np.array_equal(res, id_array(i, 1) + 0.5)
+
+    def test_an_untagged_group_through_the_engine_pool_is_bit_exact(self):
+        """Untagged requests served via :class:`EnginePool` run under the
+        engine's own SNG family: each answer equals ``logits_grouped(xs)``."""
+        from repro.nn import attach_engines, build_mnist_net
+        from repro.nn.calibration import LayerRanges
+        from repro.parallel import BatchInferenceEngine, ParallelConfig
+        from repro.serve import EnginePool
+
+        net = build_mnist_net(seed=3, c1=2, c2=3, fc=16)
+        ranges = [LayerRanges(1.0, 1.0) for _ in net.conv_layers]
+        attach_engines(net, "lfsr-sc", ranges, n_bits=6, generator="halton")
+        engine = BatchInferenceEngine(net, ParallelConfig(workers=0, batch_size=2))
+        rng = np.random.default_rng(5)
+        xs = [rng.normal(0.0, 0.5, size=(n, 1, 28, 28)) for n in (3, 1, 2)]
+
+        async def run():
+            b = MicroBatcher(EnginePool(engine).run_grouped, max_batch_size=6, max_wait_ms=10_000)
+            await b.start()
+            results = await asyncio.gather(*(b.submit(x) for x in xs))
+            await b.drain()
+            return results
+
+        groups = []
+        engine.add_hook(lambda n, seconds, workers: groups.append(n))
+        served = asyncio.run(run())
+        assert groups == [6]  # the three requests coalesced into one call
+        for got, want in zip(served, engine.logits_grouped(xs), strict=True):
+            assert np.array_equal(got, want)
 
 
 class TestLifecycleAndErrors:
@@ -188,7 +223,7 @@ class TestLifecycleAndErrors:
             release = threading.Event()
             calls = []
 
-            def slow(xs):
+            def slow(xs, tags):
                 release.wait(2.0)
                 calls.append(list(xs))
                 return [x + 0.5 for x in xs]
@@ -209,7 +244,7 @@ class TestLifecycleAndErrors:
 
     def test_runner_exception_fans_out_to_whole_group(self):
         async def run():
-            def boom(xs):
+            def boom(xs, tags):
                 raise ValueError("engine on fire")
 
             b = MicroBatcher(boom, max_batch_size=8, max_wait_ms=1.0)
@@ -223,7 +258,7 @@ class TestLifecycleAndErrors:
 
     def test_runner_length_mismatch_is_an_error(self):
         async def run():
-            b = MicroBatcher(lambda xs: [xs[0]], max_batch_size=8, max_wait_ms=1.0)
+            b = MicroBatcher(lambda xs, tags: [xs[0]], max_batch_size=8, max_wait_ms=1.0)
             await b.start()
             futures = [b.submit(id_array(i, 1)) for i in range(2)]
             results = await asyncio.gather(*futures, return_exceptions=True)
@@ -234,6 +269,6 @@ class TestLifecycleAndErrors:
 
     def test_knob_validation(self):
         with pytest.raises(ValueError):
-            MicroBatcher(lambda xs: xs, max_batch_size=0)
+            MicroBatcher(lambda xs, tags: xs, max_batch_size=0)
         with pytest.raises(ValueError):
-            MicroBatcher(lambda xs: xs, max_wait_ms=-1.0)
+            MicroBatcher(lambda xs, tags: xs, max_wait_ms=-1.0)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import threading
 import time
 
@@ -211,6 +212,52 @@ class TestRoutingAndValidation:
             writer.close()
 
         with_server(stub_factory(), check)
+
+
+class TestOversizedHead:
+    """A request head past a limit answers its status, then the server goes on."""
+
+    @pytest.mark.parametrize(
+        "payload, expect",
+        [
+            pytest.param(
+                http_payload("GET", "/healthz", headers=[("X-Big", "x" * 70_000)]), 431,
+                id="header-line",
+            ),
+            pytest.param(http_payload("GET", "/" + "p" * 70_000), 414, id="request-line"),
+            pytest.param(  # with Host, one line past MAX_HEADER_LINES
+                http_payload("GET", "/healthz", headers=[(f"X-H{i}", "1") for i in range(100)]),
+                431, id="101-header-lines",
+            ),
+        ],
+    )
+    def test_answers_its_status_and_the_next_connection_is_served(
+        self, payload, expect, caplog
+    ):
+        async def check(server):
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(payload)
+            await writer.drain()
+            status, headers, _ = await read_response(reader)
+            assert (status, headers["connection"]) == (expect, "close")
+            assert await reader.read() == b""
+            writer.close()
+            status, _, _ = await request(server.port, "GET", "/healthz")
+            assert status == 200
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with_server(stub_factory(), check)
+        assert not caplog.records, caplog.text
+
+    def test_a_full_header_block_is_served(self):
+        # with Host and Connection, exactly MAX_HEADER_LINES
+        headers = [(f"X-H{i}", "1") for i in range(98)]
+
+        async def check(server):
+            status, _, _ = await request(server.port, "GET", "/healthz", headers=headers)
+            return status
+
+        assert with_server(stub_factory(), check) == 200
 
 
 class TestOverloadAndDeadlines:

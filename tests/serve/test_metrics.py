@@ -65,14 +65,6 @@ class TestHistogram:
         assert "lat_count 4" in text
         assert h.count == 4 and h.sum == pytest.approx(6.05)
 
-    def test_quantile_is_bucket_resolution(self):
-        h = Histogram("lat", "latency", (0.1, 1.0, 10.0))
-        for v in (0.05, 0.05, 0.5, 8.0):
-            h.observe(v)
-        assert h.quantile(0.5) == 0.1
-        assert h.quantile(0.99) == 10.0
-        assert Histogram("e", "empty", (1.0,)).quantile(0.5) == 0.0
-
     def test_needs_buckets(self):
         with pytest.raises(ValueError):
             Histogram("bad", "no buckets", ())

@@ -20,7 +20,7 @@ from repro.serve import (
 def blocking_runner(release: threading.Event):
     """Runner that parks in the executor until the test releases it."""
 
-    def run(xs):
+    def run(xs, tags):
         release.wait(5.0)
         return [x + 1.0 for x in xs]
 
@@ -61,7 +61,7 @@ class TestBackpressure:
 
     def test_inflight_slot_freed_after_completion(self):
         async def run():
-            service = await started_service(lambda xs: [x for x in xs], queue_depth=1)
+            service = await started_service(lambda xs, tags: [x for x in xs], queue_depth=1)
             for i in range(3):  # sequential requests reuse the one slot
                 await service.predict(one_image(i))
             assert service.inflight == 0
@@ -100,7 +100,7 @@ class TestDeadlines:
 
     def test_generous_deadline_still_answers(self):
         async def run():
-            service = await started_service(lambda xs: [x * 2 for x in xs])
+            service = await started_service(lambda xs, tags: [x * 2 for x in xs])
             result = await service.predict(one_image(3), deadline_ms=5000.0)
             assert np.array_equal(result, one_image(3) * 2)
             await service.drain()
@@ -113,7 +113,7 @@ class TestDrain:
         async def run():
             import time
 
-            def slowish(xs):
+            def slowish(xs, tags):
                 time.sleep(0.05)
                 return [x + 1.0 for x in xs]
 
@@ -134,7 +134,7 @@ class TestDrain:
 
     def test_ready_tracks_lifecycle(self):
         async def run():
-            service = await started_service(lambda xs: list(xs))
+            service = await started_service(lambda xs, tags: list(xs))
             assert service.ready
             assert service.metrics.ready.value() == 1.0
             await service.drain()
@@ -144,6 +144,6 @@ class TestDrain:
         asyncio.run(run())
 
     def test_queue_depth_validation(self):
-        batcher = MicroBatcher(lambda xs: xs)
+        batcher = MicroBatcher(lambda xs, tags: xs)
         with pytest.raises(ValueError):
             InferenceService(batcher, queue_depth=0)

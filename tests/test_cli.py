@@ -223,11 +223,31 @@ class TestInferCheck:
         assert "bit-exact vs serial: OK" in capsys.readouterr().out
 
 
+@pytest.fixture(scope="module")
+def trained_store(tmp_path_factory):
+    """A store holding the digits-quick checkpoint, trained once per module."""
+    from repro.experiments import get_trained_model
+    from repro.experiments.common import DIGITS_QUICK_SPEC
+
+    root = tmp_path_factory.mktemp("trained-store")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR", str(root))
+        get_trained_model(DIGITS_QUICK_SPEC)
+    return root
+
+
 class TestCacheCommand:
     @pytest.fixture(autouse=True)
     def _tmp_store(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         self.root = tmp_path
+
+    def _seed_checkpoint(self, trained_store):
+        """Copy the trained checkpoint and its sidecar into this test's store."""
+        import shutil
+
+        for name in ("digits-quick.npz", "digits-quick.npz.sha256"):
+            shutil.copy2(trained_store / name, self.root / name)
 
     def test_ls_empty(self, capsys):
         assert main(["cache", "ls"]) == 0
@@ -262,10 +282,15 @@ class TestCacheCommand:
         assert main(["cache", "inspect"]) == 0
         assert "(no schedule artifacts)" in capsys.readouterr().out
 
-    def test_compile_then_inspect(self, capsys):
-        assert main(
-            ["cache", "compile", "--benchmark", "digits", "--n-bits", "6"]
-        ) == 0
+    def test_compile_then_inspect(self, capsys, caplog, trained_store):
+        import logging
+
+        self._seed_checkpoint(trained_store)
+        with caplog.at_level(logging.INFO, logger="repro.artifacts"):
+            assert main(
+                ["cache", "compile", "--benchmark", "digits", "--n-bits", "6"]
+            ) == 0
+        assert "event=retrain" not in caplog.text
         out = capsys.readouterr().out
         assert "compiled sched-digits-quick-proposed-sc-n6" in out
         assert (self.root / "sched-digits-quick-proposed-sc-n6.sched").exists()
@@ -273,7 +298,9 @@ class TestCacheCommand:
         out = capsys.readouterr().out
         assert "format v1" in out and "layer-coeff=2" in out
 
-    def test_compile_generator_is_the_artifact_the_server_boots_from(self, capsys, caplog):
+    def test_compile_generator_is_the_artifact_the_server_boots_from(
+        self, capsys, caplog, trained_store
+    ):
         """``--generator mip`` compiles the ``gmip`` artifact ``repro serve`` loads as it is.
 
         The serving boot finds it covering every table it needs: no
@@ -288,7 +315,11 @@ class TestCacheCommand:
         from repro.serve import ServerConfig, build_engine
 
         key = "sched-digits-quick-lfsr-sc-n8-gmip"
-        assert main(["cache", "compile", "--engine", "lfsr-sc", "--generator", "mip"]) == 0
+        self._seed_checkpoint(trained_store)
+        with caplog.at_level(logging.INFO, logger="repro.artifacts"):
+            assert main(["cache", "compile", "--engine", "lfsr-sc", "--generator", "mip"]) == 0
+        assert "event=retrain" not in caplog.text
+        caplog.clear()
         assert f"compiled {key}" in capsys.readouterr().out
         blob = (self.root / f"{key}.sched").read_bytes()
         detach_compiled()
@@ -301,6 +332,7 @@ class TestCacheCommand:
             assert meta["schedule_artifact"]["key"] == key
             assert f"event=hit key={key}" in caplog.text
             assert "event=stale" not in caplog.text
+            assert "event=retrain" not in caplog.text
             engine.logits_grouped([np.random.default_rng(0).uniform(0.0, 1.0, (2, *shape))])
             assert get_worker_cache().stats()["rebuilds"] == 0
         finally:
