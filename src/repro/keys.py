@@ -1,14 +1,14 @@
 """Canonical content keys for schedule state.
 
 Every piece of content-keyed schedule state — per-layer appearance-count
-coefficient matrices, operand bit tables, LFSR up/down tables and
-state orbits — is addressed by one string key produced here.  The
+coefficient matrices, operand bit tables and the up/down tables of the
+SNG families — is addressed by one string key produced here.  The
 process schedule store (:class:`~repro.parallel.cache.ScheduleCache`)
-keeps every entry in one memo under these strings, the ahead-of-time
+keeps every entry in one memo under these strings and the ahead-of-time
 compiled artifact (:mod:`repro.parallel.compiled`) stores its entries
-under the same ones, and the orbit cache in :mod:`repro.sc.lfsr` agrees
-with both, so "the same schedule" means one thing everywhere and a store
-lookup can fall through from its memo to the artifact by key alone.  A
+under the same ones, so "the same schedule" means one thing everywhere
+and a store lookup can fall through from its memo to the artifact by
+key alone.  A
 layer's two entries are ``<layer_digest>/coeff`` and
 ``<layer_digest>/const``; the store's derived layouts append their own
 suffix to the key of their source.
@@ -29,9 +29,7 @@ __all__ = [
     "content_key",
     "layer_digest",
     "bit_table_key",
-    "ud_table_key",
     "sng_ud_table_key",
-    "orbit_key",
 ]
 
 
@@ -74,38 +72,13 @@ def bit_table_key(n_bits: int) -> str:
     return content_key("bit-table", int(n_bits))
 
 
-def ud_table_key(
-    n_bits: int,
-    seed_w: int,
-    seed_x: int,
-    taps_w: tuple[int, ...],
-    taps_x: tuple[int, ...],
-) -> str:
-    """Key of the shared-LFSR XNOR up/down table.
-
-    The tap polynomials are part of the key — the orbit fingerprint —
-    because two LFSRs with equal seeds but different feedback produce
-    entirely different sequences.  (The pre-unification caches keyed on
-    ``(n_bits, seed_w, seed_x)`` only.)
-    """
-    return content_key(
-        "ud-table", int(n_bits), int(seed_w), int(seed_x), tuple(taps_w), tuple(taps_x)
-    )
-
-
 def sng_ud_table_key(n_bits: int, fingerprint: tuple) -> str:
-    """Key of a generator-built XNOR up/down table.
+    """Key of one SNG family's XNOR up/down table.
 
     ``fingerprint`` is the registered SNG family's content fingerprint
     (:meth:`repro.sc.generators.SngFamily.fingerprint`) — family key
     plus whatever pins its sequences (table versions, lane layout,
-    seeds) — so a family revision can never serve a stale table.  The
-    default shared-LFSR pair keeps its dedicated :func:`ud_table_key`
-    so existing compiled artifacts stay byte-identical.
+    seeds and tap polynomials) — so a family revision can never serve a
+    stale table.
     """
     return content_key("sng-ud-table", int(n_bits), tuple(fingerprint))
-
-
-def orbit_key(n_bits: int, taps: tuple[int, ...]) -> str:
-    """Key of one LFSR state orbit (cyclic state sequence)."""
-    return content_key("lfsr-orbit", int(n_bits), tuple(taps))

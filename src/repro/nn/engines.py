@@ -60,10 +60,10 @@ per output channel.
   from the same block and keeps its per-term clip in int64, because
   that clip depends on order.
 * **Memo.**  ``R`` is kept on the engine, one entry per family, keyed
-  by what fixes the table (the family spec, or the seed pair for the
-  LFSR default, plus N) and by the weight content.  A weight edit or a
-  family switch therefore never serves stale rows, and a warm call
-  builds nothing.  ``R`` is read-only, like every array the process
+  by what fixes the table (the family spec and N, so ``None`` and
+  ``"lfsr"`` share one entry) and by the weight content.  A weight
+  edit or a family switch therefore never serves stale rows, and a warm
+  call builds nothing.  ``R`` is read-only, like every array the process
   cache hands out, so no caller can write into a later answer.  On the
   digits net with all five families the memo holds 8.7 MB.  Pickling
   or copying an engine drops it.
@@ -122,8 +122,8 @@ import numpy as np
 
 from repro.parallel.cache import get_worker_cache
 from repro.sc.encoding import quantize_signed
+from repro.sc.generators import DEFAULT_GENERATOR
 from repro.sc.multipliers import lfsr_ud_table  # noqa: F401 - perfbench/tracing.py patches it
-from repro.sc.multipliers import select_low_bias_seeds
 
 __all__ = [
     "MatmulEngine",
@@ -167,7 +167,7 @@ class MatmulEngine:
     registry key) feeding the conventional SC path; a ``matmul`` call
     may name another.  It is a *spec string*, so it pickles and copies
     with the engine and is resolved where the table is built.  ``None``
-    and ``"lfsr"`` both keep the shared-LFSR fast path byte-identical.
+    is the registry default, the shared-LFSR pair ``"lfsr"``.
     Engines without stochastic number sources (float/fixed/proposed —
     the proposed multiplier is deterministic by construction) carry the
     field but ignore it.
@@ -335,63 +335,41 @@ class LfsrScEngine(MatmulEngine):
     accuracy-vs-cost trade-off of Section 1).  The raw count is twice
     the product in output LSBs; accumulation halves at readout.
 
-    The table comes from the process
+    The table of the call's SNG family (:meth:`family`; by default the
+    registry's ``lfsr`` pair) comes from the process
     :class:`~repro.parallel.cache.ScheduleCache`, including out of a
-    precompiled artifact.  When the call's family (``matmul``'s
-    ``generator``, else the engine's) is a non-default registry family,
-    the table is built from that family's stream matrices
-    (:func:`repro.sc.generators.generator_ud_table`).
+    precompiled artifact; a miss builds it from that family's stream
+    matrices (:func:`repro.sc.generators.generator_ud_table`).
 
     ``matmul`` never indexes the table pair by pair: it gathers from
     weight rows derived once per layer and family (module docstring:
     "LFSR-SC weight-row gather").  The rows are memoized on the engine,
-    keyed by the family spec (or the LFSR seed pair) and N, and by the
-    weight content, so a family switch or an in-place weight edit never
-    serves stale rows.  The memo does not survive pickling or copying,
-    so a copy carries only the seeds.
+    keyed by the family spec and N, and by the weight content, so a
+    family switch or an in-place weight edit never serves stale rows.
+    The memo does not survive pickling or copying.
     """
 
-    def __init__(
-        self,
-        seed_w: int | None = None,
-        seed_x: int | None = None,
-        **kwargs,
-    ) -> None:
+    def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
         self.name = "lfsr-sc"
-        if seed_w is None or seed_x is None:
-            auto_w, auto_x = select_low_bias_seeds(self.n_bits)
-            seed_w = auto_w if seed_w is None else seed_w
-            seed_x = auto_x if seed_x is None else seed_x
-        self.seed_w = int(seed_w)
-        self.seed_x = int(seed_x)
         self._rows: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _table_key(self, generator: str | None) -> tuple:
-        """What fixes the table: family spec or LFSR seed pair, plus N."""
-        if generator in (None, "lfsr"):
-            return (None, self.n_bits, self.seed_w, self.seed_x)
-        return (generator, self.n_bits)
-
-    @staticmethod
-    def _table(key: tuple) -> np.ndarray:
-        """The up/down table of ``key``, from the process cache."""
-        generator, n_bits, *seeds = key
-        if generator is not None:
-            return get_worker_cache().sng_ud_table(generator, n_bits)
-        return get_worker_cache().ud_table(n_bits, *seeds)
+    def family(self, generator: str | None = None) -> str:
+        """The SNG family of a call: ``generator``, else the engine's, else the default."""
+        return generator or self.generator or DEFAULT_GENERATOR
 
     @property
     def ud_table(self) -> np.ndarray:
         """Up/down count per pair == 2 * product in output LSBs."""
-        return self._table(self._table_key(self.generator))
+        return get_worker_cache().sng_ud_table(self.family(), self.n_bits)
 
-    def _weight_rows(self, w_off: np.ndarray, key: tuple) -> np.ndarray:
-        """Read-only ``R`` of ``w_off`` under the table of ``key`` (memoized)."""
+    def _weight_rows(self, w_off: np.ndarray, family: str) -> np.ndarray:
+        """Read-only ``R`` of ``w_off`` under the table of ``family`` (memoized)."""
+        key = (family, self.n_bits)
         hit = self._rows.get(key)
         if hit is not None and np.array_equal(hit[0], w_off):
             return hit[1]
-        table = self._table(key)
+        table = get_worker_cache().sng_ud_table(family, self.n_bits)
         dtype = np.int16 if 1 << self.n_bits < _I16_ROW_BOUND else np.int32
         # row j*S + x holds table[w_off[:, j], x]: the M counts of term j at word x
         rows = np.ascontiguousarray(table[w_off.T].transpose(0, 2, 1), dtype=dtype)
@@ -412,8 +390,7 @@ class LfsrScEngine(MatmulEngine):
         if x_off.shape[0] != d:
             raise ValueError(f"shape mismatch: {w_off.shape} @ {x_off.shape}")
         p = x_off.shape[1]
-        family = self.generator if generator is None else generator
-        rows = self._weight_rows(w_off, self._table_key(family))
+        rows = self._weight_rows(w_off, self.family(generator))
         segments = ((1 << self.n_bits) + 1) * np.arange(d)[:, None]
         # Raw up/down counts are double-scale: widen limits by one bit.
         lo, hi = self._acc_limits

@@ -12,8 +12,8 @@ Every entry is a pure function of content, and the store keeps them
 all in one memo under the :mod:`repro.keys` string a compiled artifact
 (:mod:`repro.parallel.compiled`) uses for the same content:
 ``bit_table`` (the ``(N, 2**N)`` MSB-first bit matrix of every offset
-word), ``ud_table`` / ``sng_ud_table`` (the conventional-SC up/down
-tables of the shared-LFSR pair and of the registry SNG families),
+word), ``sng_ud_table`` (the conventional-SC up/down table of each
+registry SNG family, the default shared-LFSR pair included),
 ``layer_coeff`` (``<layer digest>/coeff`` and ``/const``: a weight
 matrix's sign-folded coefficients and count constant, keyed by the
 weight bytes, so in-place fine-tuning never serves stale schedules),
@@ -63,14 +63,8 @@ import numpy as np
 from repro.core.accumulator import check_acc_bits
 from repro.core.fsm_generator import coefficient_vector
 from repro.core.mvm import sc_matmul
-from repro.keys import (
-    bit_table_key,
-    layer_digest,
-    sng_ud_table_key,
-    ud_table_key,
-)
+from repro.keys import bit_table_key, layer_digest, sng_ud_table_key
 from repro.sc.encoding import bits_msb_first, signed_range
-from repro.sc.lfsr import _ALT_TAPS, MAXIMAL_TAPS
 
 __all__ = [
     "CachePoisonedError",
@@ -214,27 +208,14 @@ class ScheduleCache:
             partial(_bit_table, n_bits), np.float32,
         )
 
-    def ud_table(self, n_bits: int, seed_w: int, seed_x: int) -> np.ndarray:
-        """Shared-LFSR XNOR up/down table for a conventional SC multiply.
-
-        Keyed with the full orbit fingerprint (seeds *and* tap
-        polynomials) via :func:`repro.keys.ud_table_key`; built by
-        :func:`repro.sc.multipliers.lfsr_ud_table`, whose LRU then holds
-        the same read-only array.
-        """
-        from repro.sc import multipliers
-
-        side = (1 << n_bits) + 1
-        key = ud_table_key(n_bits, seed_w, seed_x, MAXIMAL_TAPS[n_bits], _ALT_TAPS[n_bits])
-        build = partial(multipliers.lfsr_ud_table, n_bits, seed_w, seed_x)
-        return self._lookup(key, "ud-table", (side, side), build, np.int64)
-
     def sng_ud_table(self, generator: str, n_bits: int) -> np.ndarray:
-        """Generator-built XNOR up/down table (non-default SNG families).
+        """XNOR up/down table of one registry SNG family, the default included.
 
         Keyed by the registered family's content fingerprint via
-        :func:`repro.keys.sng_ud_table_key`, so compiled artifacts and
-        the memo agree across family revisions.
+        :func:`repro.keys.sng_ud_table_key` (for ``lfsr``: its seed pair
+        and both tap polynomials), so compiled artifacts and the memo
+        agree across family revisions; built by
+        :func:`repro.sc.generators.generator_ud_table`.
         """
         from repro.sc import generators
 
@@ -361,21 +342,13 @@ _PROCESS_COMPILED = None
 def attach_compiled(compiled) -> None:
     """Install a compiled schedule artifact for this process.
 
-    The live process cache (if any) starts reading it immediately, and
-    any precompiled LFSR orbits are adopted into the
-    :mod:`repro.sc.lfsr` orbit cache so sequence generation gathers
-    instead of stepping.
+    The live process cache (if any) starts reading it immediately.
     """
     global _PROCESS_COMPILED
     with _WORKER_CACHE_LOCK:
         _PROCESS_COMPILED = compiled
         if _WORKER_CACHE is not None:
             _WORKER_CACHE.compiled = compiled
-    if compiled is not None:
-        from repro.sc.lfsr import adopt_orbit
-
-        for n_bits, taps, orbit in compiled.orbit_entries():
-            adopt_orbit(n_bits, taps, orbit)
 
 
 def detach_compiled() -> None:

@@ -1,12 +1,12 @@
 """Ahead-of-time compiled schedule artifacts.
 
-Every schedule the BISC-MVM engines need — operand bit tables, signed
-appearance-count coefficient matrices, LFSR up/down tables and state
-orbits — is a pure function of the model weights and engine
-parameters, identical for every call.  This module compiles all of
-them **once** at model-load time into one versioned binary artifact,
-persisted through the artifact store (atomic rename + SHA-256
-sidecar) and attached process-wide as a read-only buffer
+Every schedule the SC engines need — operand bit tables, signed
+appearance-count coefficient matrices and the conventional-SC up/down
+tables of the SNG families — is a pure function of the model weights
+and engine parameters, identical for every call.  This module
+compiles all of them **once** at model-load time into one versioned
+binary artifact, persisted through the artifact store (atomic rename
++ SHA-256 sidecar) and attached process-wide as a read-only buffer
 (:func:`~repro.parallel.cache.attach_compiled`).  The process
 :class:`~repro.parallel.cache.ScheduleCache` reads it as the second
 step of its one lookup (memo → artifact → build), so an artifact that
@@ -52,15 +52,8 @@ from typing import Any, Iterable, Iterator
 import numpy as np
 
 from repro.errors import ArtifactVersionError
-from repro.keys import (
-    bit_table_key,
-    layer_digest,
-    orbit_key,
-    sng_ud_table_key,
-    ud_table_key,
-)
+from repro.keys import bit_table_key, layer_digest, sng_ud_table_key
 from repro.parallel.cache import ScheduleCache
-from repro.sc.lfsr import _ALT_TAPS, MAXIMAL_TAPS, orbit_table
 
 __all__ = [
     "MAGIC",
@@ -105,7 +98,7 @@ class ScheduleEntry:
     """One compiled array: content key, kind tag, params, payload."""
 
     key: str
-    kind: str  #: "layer-coeff", "layer-const", "bit-table", "ud-table", "orbit"
+    kind: str  #: "layer-coeff", "layer-const", "bit-table", "ud-table"
     params: dict[str, Any] = field(default_factory=dict)
     array: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
@@ -225,21 +218,6 @@ class CompiledSchedules:
         """The entry array for ``key`` (read-only view), or ``None``."""
         return self._arrays.get(key)
 
-    def orbit_entries(self) -> list[tuple[int, tuple[int, ...], np.ndarray]]:
-        """All precompiled LFSR orbits as ``(n_bits, taps, orbit)``."""
-        out = []
-        for key, rec in self._records.items():
-            if rec.get("kind") != "orbit":
-                continue
-            params = rec.get("params") or {}
-            try:
-                n_bits = int(params["n_bits"])
-                taps = tuple(int(t) for t in params["taps"])
-            except (KeyError, TypeError, ValueError):
-                continue
-            out.append((n_bits, taps, self._arrays[key]))
-        return out
-
     def keys(self) -> list[str]:
         return list(self._records)
 
@@ -293,36 +271,24 @@ class CompiledSchedules:
 def _walk(net, cache: ScheduleCache):
     """Yield ``(key, kind, params, build)`` for every entry ``net`` needs.
 
-    One pass over ``net.conv_layers``: an lfsr-sc layer needs its
-    up/down table (and, for the shared-LFSR pair, both state orbits), a
-    proposed-sc layer its coefficients, its count constant and the bit
-    table.  ``build()`` makes the entry's array through ``cache`` (the
-    on-demand path the engines use) or returns ``None`` for an orbit
-    that does not close.  Yielding builds nothing; only proposed-sc
-    weights are quantized, to key them.
+    One pass over ``net.conv_layers``: an lfsr-sc layer needs the
+    up/down table of its engine's SNG family (the default ``lfsr`` pair
+    like any other), a proposed-sc layer its coefficients, its count
+    constant and the bit table.  ``build()`` makes the entry's array
+    through ``cache``, the on-demand path the engines use.  Yielding
+    builds nothing; only proposed-sc weights are quantized, to key them.
     """
     from repro.nn.engines import LfsrScEngine, ProposedScEngine
     from repro.sc.generators import generator_fingerprint
 
     for conv in net.conv_layers:
         engine, n = conv.engine, int(conv.engine.n_bits)
-        gen = engine.generator
-        if isinstance(engine, LfsrScEngine) and gen not in (None, "lfsr"):
+        if isinstance(engine, LfsrScEngine):
+            family = engine.family()
             yield (
-                sng_ud_table_key(n, generator_fingerprint(gen, n)), "ud-table",
-                {"n_bits": n, "generator": gen}, partial(cache.sng_ud_table, gen, n),
+                sng_ud_table_key(n, generator_fingerprint(family, n)), "ud-table",
+                {"n_bits": n, "generator": family}, partial(cache.sng_ud_table, family, n),
             )
-        elif isinstance(engine, LfsrScEngine):
-            seed_w, seed_x = int(engine.seed_w), int(engine.seed_x)
-            taps = (MAXIMAL_TAPS[n], _ALT_TAPS[n])
-            yield (
-                ud_table_key(n, seed_w, seed_x, *taps), "ud-table",
-                {"n_bits": n, "seed_w": seed_w, "seed_x": seed_x},
-                partial(cache.ud_table, n, seed_w, seed_x),
-            )
-            for t in taps:
-                orbit = partial(orbit_table, n, t)
-                yield orbit_key(n, t), "orbit", {"n_bits": n, "taps": list(t)}, orbit
         elif isinstance(engine, ProposedScEngine):
             w_int = engine.quantize_weights(conv.weight.value.reshape(conv.out_channels, -1))
             digest = layer_digest(w_int, n)
@@ -362,11 +328,7 @@ def compile_network_schedules(net) -> tuple[list[ScheduleEntry], dict[str, Any]]
     uses — bit-identical by construction.
     """
     walk = list(_walk(net, ScheduleCache(max_layers=1 << 30)))
-    entries = []
-    for key, kind, params, build in walk:
-        array = build()
-        if array is not None:
-            entries.append(ScheduleEntry(key, kind, params, array))
+    entries = [ScheduleEntry(key, kind, params, build()) for key, kind, params, build in walk]
     return entries, _meta(net, walk)
 
 
@@ -377,8 +339,7 @@ def schedule_artifact_key(
 
     A non-default SNG ``generator`` joins the key so artifacts compiled
     for different families never collide; the default (``None`` /
-    ``"lfsr"``) keeps the historical key and existing artifacts stay
-    byte-identical.
+    ``"lfsr"``) keeps the unsuffixed key.
     """
     base = f"sched-{benchmark}-{engine}-n{int(n_bits)}"
     if generator in (None, "lfsr"):

@@ -13,8 +13,8 @@ Registered families
 -------------------
 ``lfsr``
     The conventional shared-LFSR pair (low-bias seed scan, alternate
-    taps for the ``x`` operand) — the repo-wide default; resolving it
-    leaves every existing code path byte-identical.
+    taps for the ``x`` operand) — the repo-wide default, the paper's
+    conventional-SC baseline.
 ``halton``
     Halton low-discrepancy sources, base 3 for ``w`` / base 2 for ``x``
     (paper footnote 3).
@@ -72,8 +72,8 @@ __all__ = [
 
 #: The registry's default spec — the conventional shared-LFSR pair.
 #: ``resolve_generator(None)`` returns this family, and engines treat
-#: ``generator=None`` and ``generator="lfsr"`` identically (both keep
-#: the pre-registry LFSR fast path, byte for byte).
+#: ``generator=None`` and ``generator="lfsr"`` identically: one table,
+#: built and keyed like every other family's.
 DEFAULT_GENERATOR = "lfsr"
 
 
@@ -376,9 +376,9 @@ def generator_ud_table(spec: str | SngFamily | None, n_bits: int) -> np.ndarray:
 
     ``table[w_off, x_off]`` is the up/down count after ``2**n`` cycles —
     twice the product in output-LSB units, exactly the contract of
-    :func:`repro.sc.multipliers.lfsr_ud_table` (which remains the
-    default-path fast builder; this generic form feeds the LFSR-SC
-    engine for every *other* registered family).
+    :func:`repro.sc.multipliers.lfsr_ud_table`.  It builds the LFSR-SC
+    engine's table for every registered family; for ``lfsr`` it is
+    byte-equal to ``lfsr_ud_table`` at the scanned seed pair.
     """
     family = resolve_generator(spec)
     length = 1 << n_bits

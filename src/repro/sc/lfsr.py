@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["MAXIMAL_TAPS", "Lfsr", "adopt_orbit", "orbit_table"]
+__all__ = ["MAXIMAL_TAPS", "Lfsr"]
 
 #: Cached state orbits, keyed by ``(n_bits, taps)``.  An orbit is a
 #: cyclic state sequence; caching it (plus each state's phase on it)
@@ -214,39 +214,3 @@ class Lfsr:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Lfsr(n_bits={self.n_bits}, taps={self.taps}, state={self._state})"
-
-
-def orbit_table(n_bits: int, taps: tuple[int, ...]) -> np.ndarray | None:
-    """The full cyclic state sequence through state 1, or ``None``.
-
-    This is the exportable form of the orbit cache: the compiled
-    schedule artifact stores this array once and the process that
-    attaches it adopts it via :func:`adopt_orbit` instead of
-    re-stepping the register ``2**n`` times.  ``None`` when the width
-    is beyond the cache limit or the taps do not close a cycle through
-    state 1.
-    """
-    cached = Lfsr(n_bits, seed=1, taps=tuple(taps))._orbit()
-    return None if cached is None else cached[0]
-
-
-def adopt_orbit(n_bits: int, taps: tuple[int, ...], orbit: np.ndarray) -> None:
-    """Seed the orbit cache with a precomputed cycle.
-
-    ``orbit`` must be the cyclic state sequence some
-    ``Lfsr(n_bits, taps=taps)`` walks (as produced by
-    :func:`orbit_table`); every state on it gets its phase registered so
-    subsequent :meth:`Lfsr.sequence` calls gather instead of stepping.
-    Existing entries are kept (they are bit-identical by construction).
-    """
-    if n_bits > _ORBIT_CACHE_MAX_BITS:
-        return
-    # Copy: the input may view an artifact buffer that is later
-    # detached or replaced.
-    arr = np.array(orbit, dtype=np.int64)
-    if arr.ndim != 1 or arr.size == 0:
-        return
-    arr.setflags(write=False)
-    phases = _ORBIT_CACHE.setdefault((int(n_bits), tuple(taps)), {})
-    for i, s in enumerate(arr.tolist()):
-        phases.setdefault(int(s), (arr, i))

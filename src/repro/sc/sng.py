@@ -37,43 +37,7 @@ __all__ = [
     "Sng",
     "WbgSng",
     "comparator_stream",
-    # generator registry (lazily re-exported from repro.sc.generators)
-    "DEFAULT_GENERATOR",
-    "GeneratorInfo",
-    "SngFamily",
-    "register_generator",
-    "resolve_generator",
-    "generator_keys",
-    "list_generators",
-    "generator_fingerprint",
-    "generator_ud_table",
 ]
-
-#: Registry names served via module ``__getattr__`` (PEP 562) so that
-#: ``repro.sc.sng`` stays the one import surface for SNG machinery
-#: without a circular import (:mod:`repro.sc.generators` imports the
-#: sources defined below).
-_REGISTRY_EXPORTS = frozenset(
-    {
-        "DEFAULT_GENERATOR",
-        "GeneratorInfo",
-        "SngFamily",
-        "register_generator",
-        "resolve_generator",
-        "generator_keys",
-        "list_generators",
-        "generator_fingerprint",
-        "generator_ud_table",
-    }
-)
-
-
-def __getattr__(name: str):
-    if name in _REGISTRY_EXPORTS:
-        from repro.sc import generators
-
-        return getattr(generators, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @runtime_checkable

@@ -321,6 +321,8 @@ class ServingServer:
                 try:
                     request = await _read_request(reader)
                 except _HttpError as exc:
+                    # a refused head never reached routing
+                    self.metrics.requests_total.inc(1.0, "other", str(exc.code))
                     await _write_response(
                         writer, exc.code, _json_body({"error": str(exc)}), keep_alive=False
                     )

@@ -114,12 +114,6 @@ class TestLfsrEngine:
         b = LfsrScEngine(n_bits=6).matmul(w, x)
         assert np.array_equal(a, b)
 
-    def test_explicit_seeds(self, operands):
-        w, x = operands
-        a = LfsrScEngine(n_bits=6, seed_w=1, seed_x=5).matmul(w, x)
-        b = LfsrScEngine(n_bits=6, seed_w=1, seed_x=9).matmul(w, x)
-        assert not np.array_equal(a, b)
-
 
 # -- LFSR-SC parity against an independent oracle ---------------------------
 
@@ -269,7 +263,7 @@ class TestLfsrEngineParity:
         for saturate in ("final", "term"):
             engine = LfsrScEngine(n_bits=5, saturate=saturate, generator="ed")
             assert np.array_equal(engine.matmul(w, x), cached_oracle("conv2", 5, saturate, "ed"))
-            w_off, rows = engine._rows[engine._table_key("ed")]
+            w_off, rows = engine._rows[("ed", 5)]
             assert rows.dtype == np.int32
             # segment 0 holds term 0: row x, column m is table[w_off[m, 0], x]
             assert np.array_equal(rows[: table.shape[1]], table[w_off[:, 0]].T)
@@ -278,7 +272,7 @@ class TestLfsrEngineParity:
         w, x = lfsr_operands("conv2")
         engine = LfsrScEngine(n_bits=5, generator="halton")
         first = engine.matmul(w, x)
-        _, rows = engine._rows[engine._table_key("halton")]
+        _, rows = engine._rows[("halton", 5)]
         with pytest.raises(ValueError, match="read-only"):
             rows[0, 0] = 7
         with pytest.raises(ValueError, match="read-only"):
@@ -325,6 +319,22 @@ class TestLfsrEngineParity:
         for engine_cls in (LfsrScEngine, FixedPointEngine):
             with pytest.raises(TypeError):
                 engine_cls(n_bits=5, chunk=16)
+
+    def test_seed_parameters_are_gone(self):
+        """The seed pair is the ``lfsr`` family's, not an engine knob."""
+        for knob in ("seed_w", "seed_x"):
+            with pytest.raises(TypeError):
+                LfsrScEngine(n_bits=5, **{knob: 1})
+
+    def test_default_and_lfsr_share_one_rows_entry(self):
+        w, x = lfsr_operands("conv2")
+        engine = LfsrScEngine(n_bits=5)
+        first = engine.matmul(w, x)
+        assert np.array_equal(engine.matmul(w, x, generator="lfsr"), first)
+        assert np.array_equal(LfsrScEngine(n_bits=5, generator="lfsr").matmul(w, x), first)
+        assert list(engine._rows) == [("lfsr", 5)]
+        stats = get_worker_cache().stats()
+        assert (stats["hits"], stats["misses"]) == (1, 1)  # one table for both engines
 
 
 class TestFactory:

@@ -165,20 +165,24 @@ class TestCompileNetwork:
         assert all(k in compiled for k in needed)
         assert len(meta["layers"]) == 2
 
-    def test_lfsr_network_compiles_table_and_orbits(self):
-        net = small_net(engine="lfsr-sc", n_bits=5, seed_w=1, seed_x=1)
-        compiled = compiled_for(net)
-        kinds = compiled.describe()["kinds"]
-        assert kinds == {"orbit": 2, "ud-table": 1}
-        assert len(compiled.orbit_entries()) == 2
+    def test_lfsr_network_compiles_one_table(self):
+        """The default pair is the registry's ``lfsr`` family: one table, no orbits."""
+        from repro.keys import sng_ud_table_key
+        from repro.sc.generators import generator_fingerprint
+
+        key = sng_ud_table_key(5, generator_fingerprint("lfsr", 5))
+        for generator in (None, "lfsr"):
+            compiled = compiled_for(small_net(engine="lfsr-sc", n_bits=5, generator=generator))
+            assert compiled.describe()["kinds"] == {"ud-table": 1}
+            assert compiled.keys() == [key]
 
     def test_compiled_ud_table_matches_on_demand_build(self):
-        from repro.sc.multipliers import lfsr_ud_table
+        from repro.sc.multipliers import lfsr_ud_table, select_low_bias_seeds
 
-        net = small_net(engine="lfsr-sc", n_bits=5, seed_w=1, seed_x=1)
+        net = small_net(engine="lfsr-sc", n_bits=5)
         cache = ScheduleCache(compiled=compiled_for(net))
-        table = cache.ud_table(5, 1, 1)
-        assert np.array_equal(table, lfsr_ud_table(5, 1, 1))
+        table = cache.sng_ud_table("lfsr", 5)
+        assert np.array_equal(table, lfsr_ud_table(5, *select_low_bias_seeds(5)))
         stats = cache.stats()
         assert stats["rebuilds"] == 0
         assert stats["compiled_hits"] == 1
@@ -243,7 +247,7 @@ def test_counters_count_each_lookup_and_build_once():
     def counts(cache):
         for _ in range(2):
             cache.sc_matmul(w, x, 5)
-            cache.ud_table(5, 1, 1)
+            cache.sng_ud_table("lfsr", 5)
         stats = cache.stats()
         return [stats[k] for k in ("hits", "misses", "rebuilds", "compiled_hits")]
 
@@ -265,7 +269,7 @@ class TestReadOnlyEntries:
         w = conv.engine.quantize_weights(conv.weight.value.reshape(conv.out_channels, -1))
         nets = (
             proposed,
-            small_net(engine="lfsr-sc", n_bits=5, seed_w=1, seed_x=1),
+            small_net(engine="lfsr-sc", n_bits=5),
             small_net(engine="lfsr-sc", n_bits=5, generator="halton"),
         )
         artifact = CompiledSchedules(
@@ -275,7 +279,7 @@ class TestReadOnlyEntries:
         def arrays(cache):
             return [
                 cache.bit_table(5),
-                cache.ud_table(5, 1, 1),
+                cache.sng_ud_table("lfsr", 5),
                 cache.sng_ud_table("halton", 5),
                 *cache.layer_coeff(w, 5),
             ]
@@ -291,15 +295,12 @@ class TestReadOnlyEntries:
     def test_write_through_an_engine_table_raises(self):
         """Writing into a served table must not change later answers."""
         from repro.nn.engines import LfsrScEngine
-        from repro.sc.multipliers import lfsr_ud_table
+        from repro.sc.generators import generator_ud_table
 
-        expected = lfsr_ud_table(5, 1, 1).copy()
-        try:
-            with pytest.raises(ValueError):
-                LfsrScEngine(n_bits=5, seed_w=1, seed_x=1).ud_table[...] = 0
-            assert np.array_equal(lfsr_ud_table(5, 1, 1), expected)
-        finally:
-            lfsr_ud_table.cache_clear()  # never leak a zeroed table to later tests
+        expected = generator_ud_table("lfsr", 5)
+        with pytest.raises(ValueError):
+            LfsrScEngine(n_bits=5).ud_table[...] = 0
+        assert np.array_equal(get_worker_cache().sng_ud_table("lfsr", 5), expected)
 
 
 # -- thread-shard parity ---------------------------------------------------
@@ -388,6 +389,61 @@ class TestEnsureCompiled:
         compiled = ensure_compiled(net, store, "sched-test")
         compiled.validate()
         assert list(store.root.glob("*.corrupt"))
+
+    def test_pre_registry_lfsr_artifact_is_recompiled(self, store, caplog, images):
+        """A default lfsr-sc artifact written before the ``lfsr`` family
+        keyed the default table is stale: recompiled, never trusted.
+
+        That format held the shared-LFSR pair's table under a key of its
+        seeds and taps, beside both LFSR state orbits; its bytes are the
+        ones the ``.sched`` golden pinned for this net.
+        """
+        import hashlib
+
+        from repro.keys import content_key, sng_ud_table_key
+        from repro.sc.generators import generator_fingerprint
+        from repro.sc.lfsr import _ALT_TAPS, MAXIMAL_TAPS, Lfsr
+        from repro.sc.multipliers import lfsr_ud_table, select_low_bias_seeds
+
+        n = 5
+        seed_w, seed_x = select_low_bias_seeds(n)
+        taps = (MAXIMAL_TAPS[n], _ALT_TAPS[n])
+        old = [
+            ScheduleEntry(
+                content_key("ud-table", n, seed_w, seed_x, *taps), "ud-table",
+                {"n_bits": n, "seed_w": seed_w, "seed_x": seed_x},
+                lfsr_ud_table(n, seed_w, seed_x),
+            ),
+            *(
+                ScheduleEntry(
+                    content_key("lfsr-orbit", n, t), "orbit", {"n_bits": n, "taps": list(t)},
+                    Lfsr(n, taps=t).sequence((1 << n) - 1),
+                )
+                for t in taps
+            ),
+        ]
+        data = serialize_schedules(old, {"engines": ["lfsr-sc"], "layers": []})
+        assert hashlib.sha256(data).hexdigest() == (
+            "266367e73b0b959310c6eac370c649691dd67c13ca8cad160a9f99adfb90141d"
+        )
+        store.save_blob("sched-test", data)
+
+        with caplog.at_level(logging.INFO, logger="repro.artifacts"):
+            compiled = ensure_compiled(small_net(engine="lfsr-sc", n_bits=n), store, "sched-test")
+        assert caplog.text.count("event=stale") == 1
+        assert caplog.text.count("event=compile") == 1
+        rewritten = CompiledSchedules(store.load_blob("sched-test"))
+        for artifact in (compiled, rewritten):
+            assert artifact.describe()["kinds"] == {"ud-table": 1}
+            assert artifact.keys() == [sng_ud_table_key(n, generator_fingerprint("lfsr", n))]
+
+        cfg = ParallelConfig(workers=0, batch_size=3)
+        on_demand = predict_logits(small_net(engine="lfsr-sc", n_bits=n), images, cfg)
+        attach_compiled(compiled)
+        reset_worker_cache()
+        got = predict_logits(small_net(engine="lfsr-sc", n_bits=n), images, cfg)
+        assert get_worker_cache().stats()["rebuilds"] == 0
+        assert np.array_equal(got, on_demand)
 
     def test_stale_manifest_triggers_recompile(self, store, caplog):
         """An artifact for yesterday's weights is stale, not 'good enough'."""

@@ -2,11 +2,11 @@
 
 ``serialize_schedules(*compile_network_schedules(net))`` is pinned by
 its SHA-256 for proposed-sc at N = 5 and 8, and for lfsr-sc at N = 5
-with the default seed pair and with the ``mip`` SNG family.  Every
+with the default ``lfsr`` and with the ``mip`` SNG family.  Every
 entry is integer-derived (coefficient schedules, bit tables, up/down
-tables, LFSR orbits) and nothing here goes through BLAS, so the bytes
-are the same on any machine; a change to the artifact format, the key
-scheme, the entry order or any schedule builder fails this test.
+tables) and nothing here goes through BLAS, so the bytes are the same
+on any machine; a change to the artifact format, the key scheme, the
+entry order or any schedule builder fails this test.
 """
 
 from __future__ import annotations

@@ -169,6 +169,27 @@ class TestRoutingAndValidation:
 
         with_server(stub_factory(), check)
 
+    def test_refused_heads_are_counted_under_other(self):
+        """A head refused before routing counts under ``endpoint="other"``."""
+        heads = {
+            400: b"THIS IS NOT HTTP\r\n\r\n",
+            431: http_payload("GET", "/healthz", headers=[("X-Big", "x" * 70_000)]),
+        }
+
+        async def check(server):
+            for code, payload in heads.items():
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                writer.write(payload)
+                await writer.drain()
+                assert (await read_response(reader))[0] == code
+                writer.close()
+            _, _, body = await request(server.port, "GET", "/metrics")
+            text = body.decode()
+            for code in heads:
+                assert f'repro_http_requests_total{{endpoint="other",code="{code}"}} 1' in text
+
+        with_server(stub_factory(), check)
+
     def test_error_statuses(self):
         async def check(server):
             cases = [
