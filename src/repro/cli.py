@@ -21,21 +21,24 @@ import sys
 
 __all__ = ["main", "build_parser"]
 
-_EXPERIMENT_NAMES = (
-    "table1",
-    "fig5",
-    "fig6",
-    "fig7",
-    "table2",
-    "table3",
-    "ablation-stream",
-    "ablation-parallelism",
-    "ablation-accumulator",
-    "ablation-energy-quality",
-    "resilience",
-    "network-performance",
-    "all",
-)
+
+class _ExperimentNames:
+    """``repro experiment`` choices: the runner's names plus ``all``.
+
+    Read from :data:`repro.experiments.runner.EXPERIMENTS` only when
+    argparse checks or lists them, so other commands do not import every
+    harness while the parser is built: imported ahead of ``repro
+    serve``'s own modules, they left ~28 MB more of its boot memory
+    resident.
+    """
+
+    def __iter__(self):
+        from repro.experiments.runner import EXPERIMENTS
+
+        return iter((*EXPERIMENTS, "all"))
+
+    def __contains__(self, name) -> bool:
+        return name in tuple(self)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,7 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_mul.add_argument("--n-bits", type=int, default=8, help="precision incl. sign")
 
     p_exp = sub.add_parser("experiment", help="run a table/figure harness")
-    p_exp.add_argument("name", choices=_EXPERIMENT_NAMES)
+    p_exp.add_argument(
+        "name",
+        choices=_ExperimentNames(),
+        metavar="NAME",  # a listing metavar would read the choices now
+        help="harness to run (`repro info` lists them), or all",
+    )
     p_exp.add_argument("--quick", action="store_true", help="CI-sized presets")
 
     p_inf = sub.add_parser("infer", help="timed batched SC inference on a benchmark")
@@ -192,7 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
     cache_sub.add_parser("ls", help="list store contents")
     cache_sub.add_parser(
-        "verify", help="validate every checkpoint/result (zip, SHA-256, fingerprint)"
+        "verify",
+        help="validate every checkpoint, schedule artifact, MIP table and result "
+        "(zip, SHA-256, store version, fingerprint)",
     )
     p_clear = cache_sub.add_parser("clear", help="delete store contents")
     p_clear.add_argument(
@@ -214,10 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_compile.add_argument("--key", default=None, help="override the artifact store key")
     p_inspect = cache_sub.add_parser(
-        "inspect", help="parse + validate stored schedule artifacts"
+        "inspect", help="load and summarize stored schedule artifacts and MIP tables"
     )
     p_inspect.add_argument(
-        "--key", default=None, help="inspect one artifact (default: all *.sched blobs)"
+        "--key",
+        default=None,
+        help="inspect one artifact (default: every sched-* and sng-mip-* entry)",
     )
     return parser
 
@@ -237,38 +249,13 @@ def _cmd_multiply(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.experiments import (
-        ablation_accumulator,
-        ablation_energy_quality,
-        ablation_parallelism,
-        ablation_stream,
-        fig5_error,
-        fig6_accuracy,
-        fig7_mac_array,
-        network_performance,
-        resilience_study,
-        table1_signed,
-        table2_area,
-        table3_accel,
-    )
-    from repro.experiments.runner import run_all
+    from repro.experiments.runner import EXPERIMENTS, run_all
 
-    dispatch = {
-        "table1": lambda: table1_signed.main(),
-        "fig5": lambda: fig5_error.main((5,) if args.quick else (5, 10)),
-        "fig6": lambda: fig6_accuracy.main(quick=args.quick),
-        "fig7": lambda: fig7_mac_array.main(),
-        "table2": lambda: table2_area.main(),
-        "table3": lambda: table3_accel.main(),
-        "ablation-stream": lambda: ablation_stream.main(6 if args.quick else 8),
-        "ablation-parallelism": lambda: ablation_parallelism.main(),
-        "ablation-accumulator": lambda: ablation_accumulator.main(),
-        "ablation-energy-quality": lambda: ablation_energy_quality.main(),
-        "resilience": lambda: resilience_study.main(),
-        "network-performance": lambda: network_performance.main(),
-        "all": lambda: run_all(quick=args.quick),
-    }
-    dispatch[args.name]()
+    if args.name == "all":
+        run_all(quick=args.quick)
+    else:
+        _, harness = EXPERIMENTS[args.name]
+        harness(args.quick)
     return 0
 
 
@@ -464,47 +451,31 @@ def _cache_compile(args: argparse.Namespace, store) -> int:
 
 def _cache_inspect(args: argparse.Namespace, store) -> int:
     from repro.parallel import CompiledSchedules
-    from repro.sc.mip import MIP_MAGIC, decode_table_blob
 
     if args.key is not None:
         keys = [args.key]
     else:
-        suffix = ".sched"
         keys = [
-            info.name[: -len(suffix)]
+            info.name[: -len(".npz")]
             for info in store.ls()
-            if info.kind == "schedule"
+            if info.kind == "checkpoint" and info.name.startswith(("sched-", "sng-mip-"))
         ]
     if not keys:
         print("(no schedule artifacts)")
         return 0
     bad = 0
     for key in keys:
-        blob = store.load_blob(key)
-        if blob is None:
+        arrays = store.load_checkpoint(key)
+        if arrays is None:
             print(f"{key}: missing or quarantined")
             bad += 1
-            continue
-        try:
-            if bytes(blob[: len(MIP_MAGIC)]) == MIP_MAGIC:  # MIP SNG tables share .sched
-                tables = decode_table_blob(blob)
-                if tables is None:
-                    raise ValueError("not a valid MIP SNG table blob")
-                n_bits = len(tables[0]).bit_length() - 1  # a table holds 2**N words
-                print(f"{key}: MIP SNG tables, n_bits={n_bits}, {len(blob)} bytes")
-                continue
-            compiled = CompiledSchedules(blob)
-            compiled.validate()
-        except Exception as exc:
-            print(f"{key}: INVALID ({type(exc).__name__}: {exc})")
-            bad += 1
-            continue
-        d = compiled.describe()
-        kinds = ", ".join(f"{k}={v}" for k, v in sorted(d["kinds"].items()))
-        print(
-            f"{key}: format v{d['version']}, {d['entries']} entries "
-            f"({kinds}), {d['nbytes']} bytes"
-        )
+        elif set(arrays) == {"w", "x"}:
+            n_bits = len(arrays["w"]).bit_length() - 1  # a table holds 2**N words
+            print(f"{key}: MIP SNG tables, n_bits={n_bits}")
+        else:
+            d = CompiledSchedules(arrays).describe()
+            kinds = ", ".join(f"{k}={v}" for k, v in d["kinds"].items())
+            print(f"{key}: {d['entries']} entries ({kinds}), {d['nbytes']} bytes")
     return 1 if bad else 0
 
 
@@ -523,9 +494,10 @@ def _cmd_generators(_: argparse.Namespace) -> int:
 def _cmd_info(_: argparse.Namespace) -> int:
     import repro
     from repro.experiments.common import DIGITS_SPEC, SHAPES_SPEC
+    from repro.experiments.runner import EXPERIMENTS
 
     print(f"repro {repro.__version__} — DAC'17 SC-multiplier reproduction")
-    print("experiments:", ", ".join(n for n in _EXPERIMENT_NAMES if n != "all"))
+    print("experiments:", ", ".join(EXPERIMENTS))
     for spec in (DIGITS_SPEC, SHAPES_SPEC):
         print(f"benchmark {spec.name}: {spec.dataset}, {spec.n_train} train images")
     return 0

@@ -1,27 +1,32 @@
-"""Atomic, self-healing artifact store for checkpoints and results.
+"""Atomic, self-healing artifact store for every array and result.
 
-Every experiment harness and the benchmark suite persist trained-model
-checkpoints (``.npz``) and result artefacts (``.json``) through this
-module. The store guarantees:
+Every array the reproduction persists reaches disk through one path,
+the checkpoint path (:meth:`ArtifactStore.save_checkpoint` /
+:meth:`~ArtifactStore.check_checkpoint` /
+:meth:`~ArtifactStore.load_checkpoint`): trained-model checkpoints,
+the compiled schedule artifacts of :mod:`repro.parallel.compiled` and
+the MIP-synthesized SNG tables of :mod:`repro.sc.mip`, each one
+``.npz`` of named arrays plus a metadata record.  Result artefacts
+(``.json``) ride beside them.  The store guarantees:
 
 * **Atomic writes** — payloads are written to a ``*.tmp`` file in the
   destination directory, fsynced, then moved into place with
   :func:`os.replace`, so a crashed or killed writer can never leave a
   half-written artifact under the final name.
-* **Integrity validation on load** — checkpoints are verified with a
+* **Integrity validation on load** — an ``.npz`` is verified with a
   zip end-of-central-directory check, a SHA-256 sidecar
-  (``<name>.npz.sha256``), and a schema/param-count check before any
-  weights reach a model.
-* **Graceful degradation** — a corrupt or stale checkpoint is
-  quarantined to ``*.corrupt`` with a warning and the caller retrains;
-  it never crashes the run.
+  (``<name>.npz.sha256``), the zip CRC-32 of every member it reads, and
+  a schema/param-count check before any array reaches a caller.
+* **Graceful degradation** — a corrupt or stale entry is quarantined
+  to ``*.corrupt`` with a warning and the caller rebuilds it (retrains,
+  recompiles, resynthesizes); it never crashes the run.
 * **Cross-process locking** — writers for the same key serialize on a
   ``*.lock`` file (POSIX ``flock``), so concurrent harness/benchmark
-  runs cannot torn-write a shared checkpoint.
-* **Store versioning** — each checkpoint embeds a fingerprint of the
-  producing spec plus the store format version; changing a
-  :class:`~repro.experiments.common.BenchmarkSpec` silently invalidates
-  old checkpoints instead of loading mismatched weights.
+  runs cannot torn-write a shared entry.
+* **Store versioning** — each ``.npz`` records the store format
+  version, and a checkpoint also a fingerprint of the producing spec;
+  changing a :class:`~repro.experiments.common.BenchmarkSpec` silently
+  invalidates old checkpoints instead of loading mismatched weights.
 
 Hit/miss/corrupt/stale/retrain events are logged on the
 ``repro.artifacts`` logger in ``event=... key=...`` structured form.
@@ -44,8 +49,6 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from repro.errors import ArtifactVersionError
-
 try:  # POSIX only; the store degrades to lockless on other platforms
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX
@@ -56,7 +59,6 @@ __all__ = [
     "META_KEY",
     "ArtifactInfo",
     "ArtifactStore",
-    "ArtifactVersionError",
     "atomic_write_bytes",
     "atomic_write_text",
     "fingerprint",
@@ -74,7 +76,6 @@ META_KEY = "__artifact_meta__"
 _SIDECAR_SUFFIX = ".sha256"
 _QUARANTINE_SUFFIX = ".corrupt"
 _LOCK_SUFFIX = ".lock"
-_BLOB_SUFFIX = ".sched"
 
 
 def _event(level: int, event: str, key: str, **fields: Any) -> None:
@@ -147,7 +148,7 @@ class ArtifactInfo:
     """One store entry as reported by ``ls``/``verify``."""
 
     name: str  #: file name relative to the store root
-    kind: str  #: "checkpoint", "result", "quarantined", "sidecar", "lock"
+    kind: str  #: "checkpoint", "result", "quarantined", "sidecar", "lock", "other"
     size: int  #: bytes on disk
     status: str = ""  #: "ok" / "corrupt" / "stale" ("" when unverified)
     reason: str = ""  #: human-readable detail for non-ok status
@@ -168,9 +169,6 @@ class ArtifactStore:
     # paths
     def checkpoint_path(self, key: str) -> Path:
         return self.root / f"{key}.npz"
-
-    def blob_path(self, key: str) -> Path:
-        return self.root / f"{key}{_BLOB_SUFFIX}"
 
     def _sidecar_path(self, path: Path) -> Path:
         return path.with_name(path.name + _SIDECAR_SUFFIX)
@@ -280,7 +278,7 @@ class ArtifactStore:
 
         Never raises on bad store contents: corrupt/stale checkpoints
         are moved to ``*.corrupt`` and the caller is expected to
-        retrain and re-save.
+        rebuild and re-save.
         """
         status, reason = self.check_checkpoint(key, spec_fingerprint, expected_params)
         if status == "missing":
@@ -302,9 +300,7 @@ class ArtifactStore:
 
     def quarantine(self, key: str, reason: str = "") -> Path | None:
         """Move a bad checkpoint aside to ``*.corrupt`` (never raises)."""
-        return self._quarantine_file(self.checkpoint_path(key), key, reason)
-
-    def _quarantine_file(self, path: Path, key: str, reason: str) -> Path | None:
+        path = self.checkpoint_path(key)
         dest = path.with_name(path.name + _QUARANTINE_SUFFIX)
         try:
             os.replace(path, dest)
@@ -319,64 +315,6 @@ class ArtifactStore:
             reason=repr(reason),
         )
         return dest
-
-    # ------------------------------------------------------------------
-    # opaque binary blobs (compiled schedule artifacts)
-    def save_blob(self, key: str, data: bytes) -> Path:
-        """Atomically persist one binary blob plus SHA-256 sidecar.
-
-        Blob contents are opaque to the store (the schedule-artifact
-        framing lives in :mod:`repro.parallel.compiled`); the store only
-        guarantees atomicity and byte integrity.
-        """
-        path = self.blob_path(key)
-        atomic_write_bytes(path, data)
-        atomic_write_text(
-            self._sidecar_path(path), f"{_sha256_hex(data)}  {path.name}\n"
-        )
-        _event(logging.INFO, "save", key, kind="schedule", bytes=len(data))
-        return path
-
-    def load_blob(self, key: str) -> np.ndarray | None:
-        """Memory-map one verified blob, or ``None`` after quarantining.
-
-        Returns a read-only ``uint8`` memmap so multi-megabyte schedule
-        artifacts are paged in lazily and shared between processes by
-        the OS page cache.  A missing sidecar is tolerated (legacy /
-        hand-placed blob); a mismatching one quarantines the file.
-        """
-        path = self.blob_path(key)
-        if not path.exists():
-            _event(logging.INFO, "miss", key, kind="schedule")
-            return None
-        try:
-            data = path.read_bytes()
-        except OSError as exc:  # pragma: no cover - permissions etc.
-            _event(logging.WARNING, "corrupt", key, reason=repr(str(exc)))
-            return None
-        sidecar = self._sidecar_path(path)
-        if sidecar.exists():
-            recorded = sidecar.read_text().split()
-            if not recorded or recorded[0] != _sha256_hex(data):
-                self._quarantine_file(path, key, "SHA-256 sidecar mismatch")
-                return None
-        _event(logging.INFO, "hit", key, kind="schedule", bytes=len(data))
-        if len(data) == 0:
-            return np.zeros(0, dtype=np.uint8)
-        blob = np.memmap(path, dtype=np.uint8, mode="r")
-        return blob
-
-    def _check_blob(self, path: Path) -> tuple[str, str]:
-        try:
-            data = path.read_bytes()
-        except OSError as exc:  # pragma: no cover - permissions etc.
-            return "corrupt", f"unreadable: {exc}"
-        sidecar = self._sidecar_path(path)
-        if sidecar.exists():
-            recorded = sidecar.read_text().split()
-            if not recorded or recorded[0] != _sha256_hex(data):
-                return "corrupt", "SHA-256 sidecar mismatch"
-        return "ok", ""
 
     # ------------------------------------------------------------------
     # JSON results
@@ -395,11 +333,15 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # maintenance (CLI)
     def ls(self) -> list[ArtifactInfo]:
-        """Inventory of the store, sorted by name."""
+        """Inventory of the store, sorted by name.
+
+        A file of any other suffix is ``other`` (such as a ``*.sched``
+        schedule artifact written before schedules were ``.npz``
+        entries): ``verify`` skips it and ``clear`` leaves it.
+        """
         kinds = {
             ".npz": "checkpoint",
             ".json": "result",
-            _BLOB_SUFFIX: "schedule",
             _QUARANTINE_SUFFIX: "quarantined",
             _SIDECAR_SUFFIX: "sidecar",
             _LOCK_SUFFIX: "lock",
@@ -431,9 +373,6 @@ class ArtifactStore:
                 out.append(dataclasses.replace(info, status=status, reason=reason))
             elif info.kind == "result":
                 status, reason = self._check_result(self.root / info.name)
-                out.append(dataclasses.replace(info, status=status, reason=reason))
-            elif info.kind == "schedule":
-                status, reason = self._check_blob(self.root / info.name)
                 out.append(dataclasses.replace(info, status=status, reason=reason))
             elif info.kind == "quarantined":
                 out.append(dataclasses.replace(info, status="quarantined"))

@@ -28,25 +28,41 @@ from repro.experiments import (
     table3_accel,
 )
 
-__all__ = ["run_all", "main"]
+__all__ = ["EXPERIMENTS", "run_all", "main"]
 
-_EXPERIMENTS = (
-    ("Table 1 (signed multiply example)", lambda quick: table1_signed.main()),
-    (
+#: ``repro experiment`` name -> (report title, harness call taking ``quick``).
+EXPERIMENTS = {
+    "table1": ("Table 1 (signed multiply example)", lambda quick: table1_signed.main()),
+    "fig5": (
         "Fig. 5 (multiplier error statistics)",
         lambda quick: fig5_error.main((5,) if quick else (5, 10)),
     ),
-    ("Fig. 6 (CNN recognition accuracy)", lambda quick: fig6_accuracy.main(quick=quick)),
-    ("Fig. 7 (MAC array comparison)", lambda quick: fig7_mac_array.main()),
-    ("Table 2 (area breakdown)", lambda quick: table2_area.main()),
-    ("Table 3 (accelerator comparison)", lambda quick: table3_accel.main()),
-    ("Ablation A1 (stream generator)", lambda quick: ablation_stream.main(6 if quick else 8)),
-    ("Ablation A2 (bit-parallelism)", lambda quick: ablation_parallelism.main()),
-    ("Ablation A3 (accumulator)", lambda quick: ablation_accumulator.main()),
-    ("Ablation A4 (energy-quality trade-off)", lambda quick: ablation_energy_quality.main()),
-    ("Resilience study (future work)", lambda quick: resilience_study.main()),
-    ("Network-level performance", lambda quick: network_performance.main()),
-)
+    "fig6": ("Fig. 6 (CNN recognition accuracy)", lambda quick: fig6_accuracy.main(quick=quick)),
+    "fig7": ("Fig. 7 (MAC array comparison)", lambda quick: fig7_mac_array.main()),
+    "table2": ("Table 2 (area breakdown)", lambda quick: table2_area.main()),
+    "table3": ("Table 3 (accelerator comparison)", lambda quick: table3_accel.main()),
+    "ablation-stream": (
+        "Ablation A1 (stream generator)",
+        lambda quick: ablation_stream.main(6 if quick else 8),
+    ),
+    "ablation-parallelism": (
+        "Ablation A2 (bit-parallelism)",
+        lambda quick: ablation_parallelism.main(),
+    ),
+    "ablation-accumulator": (
+        "Ablation A3 (accumulator)",
+        lambda quick: ablation_accumulator.main(),
+    ),
+    "ablation-energy-quality": (
+        "Ablation A4 (energy-quality trade-off)",
+        lambda quick: ablation_energy_quality.main(),
+    ),
+    "resilience": ("Resilience study (future work)", lambda quick: resilience_study.main()),
+    "network-performance": (
+        "Network-level performance",
+        lambda quick: network_performance.main(),
+    ),
+}
 
 
 def run_all(quick: bool = False, json_dir: str | None = None) -> dict[str, str]:
@@ -58,7 +74,7 @@ def run_all(quick: bool = False, json_dir: str | None = None) -> dict[str, str]:
     from repro.experiments.results_io import save_result
 
     out: dict[str, str] = {}
-    for title, fn in _EXPERIMENTS:
+    for title, fn in EXPERIMENTS.values():
         t0 = time.time()
         buf = io.StringIO()
         with redirect_stdout(buf):

@@ -14,7 +14,10 @@ layer's two entries are ``<layer_digest>/coeff`` and
 suffix to the key of their source.
 
 Keys are ``"<kind>:<sha1-hex>"``: readable enough to group by kind in
-logs and ``repro cache inspect``, stable across processes and runs.
+logs and in ``repro cache inspect``, which counts an artifact's entries
+by kind off their keys alone
+(:func:`repro.parallel.compiled.entry_kind`), and stable across
+processes and runs.
 This module is a leaf — it imports nothing from :mod:`repro` — so every
 layer (``sc``, ``core``, ``parallel``, ``experiments``) can use it.
 """

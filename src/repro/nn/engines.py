@@ -445,11 +445,17 @@ class TruncatedScEngine(MatmulEngine):
     every multiply stops after at most ``cycle_budget`` cycles (the
     weight's down-counter load is capped) and the partial count is
     rescaled, as in :mod:`repro.core.energy_quality`.  ``avg_cycles``
-    on real weights gives the realized energy proxy.
+    on real weights gives the realized energy proxy.  The sum is always
+    clipped to the accumulator once, so ``saturate`` must be ``"final"``.
     """
 
     def __init__(self, cycle_budget: int = 8, rescale: bool = True, **kwargs) -> None:
         super().__init__(**kwargs)
+        if self.saturate != "final":
+            raise ValueError(
+                f"truncated-sc clips its final sum only; saturate={self.saturate!r} "
+                "is not supported"
+            )
         if cycle_budget < 0:
             raise ValueError("cycle_budget must be >= 0")
         self.cycle_budget = cycle_budget
@@ -463,9 +469,7 @@ class TruncatedScEngine(MatmulEngine):
         acc = truncated_matmul_kernel(
             self.quantize_weights(w), x_int, self.n_bits, self.cycle_budget, self.rescale
         )
-        width = self.n_bits + self.acc_bits
-        acc = np.clip(acc, -(1 << (width - 1)), (1 << (width - 1)) - 1)
-        return self._dequantize(acc)
+        return self._dequantize(np.clip(acc, *self._acc_limits))
 
     def avg_cycles(self, w: np.ndarray) -> float:
         """Realized average cycles per multiply under the budget."""

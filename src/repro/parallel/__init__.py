@@ -18,13 +18,10 @@ from repro.parallel.cache import (
 )
 from repro.parallel.compiled import (
     CompiledSchedules,
-    ScheduleArtifactError,
-    ScheduleEntry,
     compile_network_schedules,
     ensure_compiled,
     schedule_artifact_key,
     schedule_manifest,
-    serialize_schedules,
 )
 from repro.parallel.engine import (
     BatchInferenceEngine,
@@ -47,13 +44,10 @@ __all__ = [
     "attach_compiled",
     "detach_compiled",
     "CompiledSchedules",
-    "ScheduleArtifactError",
-    "ScheduleEntry",
     "compile_network_schedules",
     "ensure_compiled",
     "schedule_artifact_key",
     "schedule_manifest",
-    "serialize_schedules",
     "ParallelConfig",
     "resolve_parallelism",
     "predict_logits",

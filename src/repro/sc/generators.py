@@ -38,7 +38,7 @@ A family answers four questions:
   matrix for a vector of magnitudes (what the Fig. 5 sweeps and the
   generic up/down table consume);
 * :meth:`SngFamily.fingerprint` — the content-key component that pins
-  compiled ``.sched`` artifacts to the generator that built them;
+  compiled schedule artifacts to the generator that built them;
 * :meth:`SngFamily.claims` — the invariants the property-based
   conformance suite (``tests/sc/test_sng_conformance.py``) enforces;
   new families declare what they guarantee and get pinned for free.

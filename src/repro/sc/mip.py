@@ -21,17 +21,13 @@ over deep dot products):
    lowers the score.
 
 The search is fully deterministic, so every process synthesizes
-byte-identical tables — but it is not free, so the result is persisted
-once through the PR 1 artifact store as a versioned blob and
-memory-loaded afterwards.
-
-Blob format (``sng-mip-v<version>-n<bits>.sched``)
---------------------------------------------------
-``b"RPMIP"`` magic, one version byte, one ``n_bits`` byte, one zero pad
-byte, then the two tables back to back as little-endian ``uint16``
-(``2**n_bits`` entries each, weight table first).  Loaders validate the
-header, the length, and that both tables are permutations; any mismatch
-resynthesizes and rewrites the blob.
+byte-identical tables — but it is not free (2.3 s at N=8 on a 2-core
+host), so the result is persisted once through the artifact store's
+checkpoint path, as an ``.npz`` of the two tables ``w`` and ``x``
+under :func:`mip_table_key` (``sng-mip-v<version>-n<bits>``), and
+loaded afterwards.  A loaded pair must be two permutations of the
+``2**n`` words; any other stored content is resynthesized and
+rewritten.
 """
 
 from __future__ import annotations
@@ -41,18 +37,16 @@ import numpy as np
 from repro.sc.multipliers import pairwise_partial_counts_from_streams
 
 __all__ = [
-    "MIP_MAGIC",
     "MIP_TABLE_VERSION",
     "MIP_MAX_BITS",
     "TableSource",
-    "decode_table_blob",
-    "mip_table_blob_key",
+    "mip_table_key",
     "synthesize_mip_tables",
     "mip_tables",
 ]
 
 #: Bump when the synthesis objective or search schedule changes; the
-#: version is part of the blob key and of the family fingerprint, so
+#: version is part of the store key and of the family fingerprint, so
 #: stale tables and stale compiled schedules both miss cleanly.
 MIP_TABLE_VERSION = 1
 
@@ -61,8 +55,6 @@ MIP_TABLE_VERSION = 1
 #: sweep).  8 bits matches the widest engine precision the repo serves
 #: and synthesizes in a few seconds.
 MIP_MAX_BITS = 8
-
-MIP_MAGIC = b"RPMIP"
 
 _MEMO: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -89,8 +81,8 @@ class TableSource:
         return self._table[idx]
 
 
-def mip_table_blob_key(n_bits: int) -> str:
-    """Artifact-store blob key of one synthesized table pair."""
+def mip_table_key(n_bits: int) -> str:
+    """Artifact-store key of one synthesized table pair."""
     return f"sng-mip-v{MIP_TABLE_VERSION}-n{int(n_bits)}"
 
 
@@ -164,45 +156,28 @@ def synthesize_mip_tables(n_bits: int) -> tuple[np.ndarray, np.ndarray]:
     return table_w, table_x
 
 
-def _encode(n_bits: int, table_w: np.ndarray, table_x: np.ndarray) -> bytes:
-    header = MIP_MAGIC + bytes([MIP_TABLE_VERSION, n_bits, 0])
-    body_w = np.asarray(table_w, dtype="<u2").tobytes()
-    body_x = np.asarray(table_x, dtype="<u2").tobytes()
-    return header + body_w + body_x
-
-
-def decode_table_blob(data, n_bits: int | None = None) -> tuple[np.ndarray, np.ndarray] | None:
-    """Parse and validate one blob; ``None`` on any mismatch.
-
-    ``n_bits=None`` accepts the width the blob's header names.
-    """
-    raw = bytes(data)
-    if n_bits is None:
-        n_bits = raw[len(MIP_MAGIC) + 1] if len(raw) > len(MIP_MAGIC) + 1 else 0
-    length = 1 << n_bits
-    expected = len(MIP_MAGIC) + 3 + 2 * 2 * length
-    if len(raw) != expected or not raw.startswith(MIP_MAGIC):
+def _permutations(
+    arrays: dict[str, np.ndarray], n_bits: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The stored ``(w, x)``, or ``None`` unless both are permutations of the ``2**n`` words."""
+    words = np.arange(1 << n_bits)
+    tables = (arrays.get("w"), arrays.get("x"))
+    if any(t is None or not np.array_equal(np.sort(t), words) for t in tables):
         return None
-    if raw[len(MIP_MAGIC)] != MIP_TABLE_VERSION or raw[len(MIP_MAGIC) + 1] != n_bits:
-        return None
-    body = np.frombuffer(raw, dtype="<u2", offset=len(MIP_MAGIC) + 3)
-    table_w = body[:length].astype(np.int64)
-    table_x = body[length:].astype(np.int64)
-    full = np.arange(length, dtype=np.int64)
-    if not (np.array_equal(np.sort(table_w), full) and np.array_equal(np.sort(table_x), full)):
-        return None
-    return table_w, table_x
+    return tables
 
 
 def mip_tables(n_bits: int, store=None) -> tuple[np.ndarray, np.ndarray]:
     """Load (or synthesize-and-persist) the table pair for one width.
 
     The store round-trip runs under the artifact lock so concurrent
-    processes synthesize at most once; a corrupt or stale-format blob is
-    rewritten in place.  Without a ``store`` a width this process loaded
-    before answers from memory; a call that passes one always makes the
-    round-trip, so that store gets its blob (from the memo, if the
-    width is there, rather than synthesized again).
+    processes synthesize at most once; a corrupt entry is quarantined by
+    the store, and it or any pair that is not two permutations is
+    resynthesized and rewritten in place.  Without a ``store`` a width
+    this process loaded before answers from memory; a call that passes
+    one always makes the round-trip, so that store gets its tables
+    (from the memo, if the width is there, rather than synthesized
+    again).
     """
     cached = _MEMO.get(n_bits)
     if cached is not None and store is None:
@@ -211,12 +186,12 @@ def mip_tables(n_bits: int, store=None) -> tuple[np.ndarray, np.ndarray]:
         from repro.experiments.common import get_store
 
         store = get_store()
-    key = mip_table_blob_key(n_bits)
+    key = mip_table_key(n_bits)
     with store.lock(key):
-        blob = store.load_blob(key)
-        tables = decode_table_blob(blob, n_bits) if blob is not None else None
+        arrays = store.load_checkpoint(key)
+        tables = _permutations(arrays, n_bits) if arrays is not None else None
         if tables is None:
             tables = cached if cached is not None else synthesize_mip_tables(n_bits)
-            store.save_blob(key, _encode(n_bits, *tables))
+            store.save_checkpoint(key, {"w": tables[0], "x": tables[1]})
     _MEMO[n_bits] = tables
     return tables

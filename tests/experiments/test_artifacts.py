@@ -204,66 +204,68 @@ class TestCorruptionMatrix:
 
 
 class TestScheduleBlobs:
-    """Raw blob plumbing of the compiled schedule artifacts."""
+    """Schedule artifacts and MIP tables are store entries like any checkpoint.
 
-    def test_roundtrip_memmaps_readonly(self, store):
-        payload = bytes(range(256)) * 10
-        store.save_blob("sched", payload)
-        out = store.load_blob("sched")
-        assert out is not None and bytes(out) == payload
-        assert not out.flags.writeable
+    Checked, quarantined, listed and cleared by the one checkpoint path;
+    a ``.sched`` file from before they were ``.npz`` entries is ``other``.
+    """
 
-    def test_missing_blob_is_a_miss(self, store):
-        assert store.load_blob("nope") is None
-        assert not list(store.root.glob("*.corrupt"))
-
-    def test_missing_sidecar_tolerated(self, store):
-        """A hand-placed blob without a sidecar still loads."""
-        store.blob_path("sched").write_bytes(b"payload")
-        assert store.load_blob("sched") is not None
-
-    def test_sidecar_mismatch_quarantines(self, store, caplog):
-        store.save_blob("sched", b"original payload")
-        store.blob_path("sched").write_bytes(b"tampered payload")
-        with caplog.at_level(logging.WARNING, logger="repro.artifacts"):
-            assert store.load_blob("sched") is None
-        assert "event=quarantine" in caplog.text
-        assert store.blob_path("sched").with_suffix(".sched.corrupt").exists()
-
-    def test_ls_and_verify_cover_schedules(self, store):
-        store.save_blob("sched", b"some schedule bytes")
-        kinds = {i.name: i.kind for i in store.ls()}
-        assert kinds["sched.sched"] == "schedule"
-        statuses = {i.name: i.status for i in store.verify()}
-        assert statuses["sched.sched"] == "ok"
-
-    def test_verify_flags_tampered_schedule(self, store):
-        store.save_blob("sched", b"some schedule bytes")
-        store.blob_path("sched").write_bytes(b"tampered")
-        statuses = {i.name: i.status for i in store.verify()}
-        assert statuses["sched.sched"] == "corrupt"
-
-    def test_future_version_artifact_rejected_typed_then_recompiled(self, store):
-        """Forward-compat: a bumped format version raises the typed
-        ArtifactVersionError on parse, and ensure_compiled answers it
-        with a recompile instead of a crash."""
-        from repro.errors import ArtifactVersionError
+    @staticmethod
+    def _compile(store):
         from repro.nn import attach_engines, build_mnist_net
         from repro.nn.calibration import LayerRanges
-        from repro.parallel import CompiledSchedules, ensure_compiled
+        from repro.parallel import ensure_compiled
 
         net = build_mnist_net(seed=3, c1=2, c2=2, fc=8)
-        attach_engines(
-            net, "proposed-sc", [LayerRanges(1.0, 1.0) for _ in net.conv_layers], n_bits=6
-        )
-        data = ensure_compiled(net, store, "sched").blob.tobytes()
-        bumped = data.replace(b'"version":1', b'"version":2', 1)
-        with pytest.raises(ArtifactVersionError):
-            CompiledSchedules(bumped)
-        store.save_blob("sched", bumped)
-        compiled = ensure_compiled(net, store, "sched")  # must not raise
-        assert compiled.version == 1
-        compiled.validate()
+        attach_engines(net, "proposed-sc", [LayerRanges(1.0, 1.0)] * 2, n_bits=6)
+        return ensure_compiled(net, store, "sched")
+
+    def test_missing_blob_is_a_miss(self, store, caplog):
+        with caplog.at_level(logging.INFO, logger="repro.artifacts"):
+            self._compile(store)
+        assert "event=miss key=sched" in caplog.text
+        assert "event=quarantine" not in caplog.text
+        assert not list(store.root.glob("*.corrupt"))
+
+    def test_missing_sidecar_tolerated(self, store, caplog):
+        """A hand-placed artifact without a sidecar still loads."""
+        self._compile(store)
+        store.root.joinpath("sched.npz.sha256").unlink()
+        with caplog.at_level(logging.INFO, logger="repro.artifacts"):
+            self._compile(store)
+        assert "event=hit key=sched kind=schedule-compiled" in caplog.text
+        assert "event=compile" not in caplog.text
+
+    def test_sidecar_mismatch_quarantines(self, store, caplog):
+        from repro.sc.mip import mip_table_key, mip_tables
+
+        mip_tables(4, store)
+        path = store.checkpoint_path(mip_table_key(4))
+        path.write_bytes(path.read_bytes().replace(b"x.npy", b"y.npy"))
+        with caplog.at_level(logging.WARNING, logger="repro.artifacts"):
+            assert store.load_checkpoint(mip_table_key(4)) is None
+        assert "event=quarantine" in caplog.text and "sidecar" in caplog.text
+        assert path.with_suffix(".npz.corrupt").exists()
+
+    def test_ls_and_verify_cover_schedules(self, store):
+        from repro.sc.mip import mip_tables
+
+        self._compile(store)
+        mip_tables(4, store)
+        (store.root / "sched.sched").write_bytes(b"RPSCHED\0 from before")
+        kinds = {i.name: i.kind for i in store.ls()}
+        assert kinds["sched.npz"] == kinds["sng-mip-v1-n4.npz"] == "checkpoint"
+        assert kinds["sched.sched"] == "other"
+        statuses = {i.name: i.status for i in store.verify()}
+        assert statuses == {"sched.npz": "ok", "sng-mip-v1-n4.npz": "ok"}
+        store.clear()
+        assert [p.name for p in store.root.iterdir()] == ["sched.sched"]
+
+    def test_verify_flags_tampered_schedule(self, store):
+        self._compile(store)
+        store.checkpoint_path("sched").write_bytes(b"tampered")
+        statuses = {i.name: i.status for i in store.verify()}
+        assert statuses["sched.npz"] == "corrupt"
 
 
 class TestLocking:

@@ -43,6 +43,13 @@ class TestTruncatedEngine:
         with pytest.raises(ValueError):
             TruncatedScEngine(cycle_budget=-1)
 
+    @pytest.mark.parametrize("saturate", (None, "term"))
+    def test_saturate_modes_it_would_ignore_are_rejected(self, saturate):
+        """The sum is always clipped once, so only ``saturate="final"`` constructs."""
+        with pytest.raises(ValueError, match="saturate"):
+            make_engine("truncated-sc", saturate=saturate)
+        assert make_engine("truncated-sc", saturate="final").saturate == "final"
+
 
 class TestCnnLevelCurve:
     @pytest.mark.slow

@@ -1,34 +1,34 @@
-"""Compiled schedule artifacts: format, the store reading them, thread-shard parity.
+"""Compiled schedule artifacts: the store holding them, reading them, thread-shard parity.
 
 The contract under test: the precompiled-artifact path must be
 *bit-exact* against the on-demand ScheduleCache path across worker
-counts, the artifact format must reject what it cannot read with typed
-errors (never crash, never compute on garbage), an engine that
-serves from a warm artifact must do zero schedule builds, and every
-array the store hands out, built or read from an artifact, is read-only.
+counts, an artifact the store cannot vouch for is quarantined and
+recompiled (never a crash, never computed on), an engine that serves
+from a warm artifact must do zero schedule builds, and every array the
+store hands out, built or read from an artifact, is read-only.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
-from repro.errors import ArtifactVersionError
 from repro.nn import attach_engines, build_mnist_net
 from repro.nn.calibration import LayerRanges
 from repro.parallel import (
     CompiledSchedules,
     ParallelConfig,
-    ScheduleArtifactError,
     ScheduleCache,
-    ScheduleEntry,
     compile_network_schedules,
     ensure_compiled,
     predict_logits,
     predict_logits_grouped,
-    serialize_schedules,
 )
 from repro.parallel.cache import (
     attach_compiled,
@@ -58,8 +58,15 @@ def small_net(seed: int = 3, engine: str = "proposed-sc", n_bits: int = 8, **kwa
 
 
 def compiled_for(net) -> CompiledSchedules:
-    entries, meta = compile_network_schedules(net)
-    return CompiledSchedules(serialize_schedules(entries, meta))
+    return CompiledSchedules(compile_network_schedules(net))
+
+
+@pytest.fixture
+def store(tmp_path, monkeypatch):
+    from repro.experiments.artifacts import ArtifactStore
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    return ArtifactStore(tmp_path)
 
 
 @pytest.fixture
@@ -68,87 +75,97 @@ def images():
     return rng.normal(0.0, 0.5, size=(6, 1, 28, 28))
 
 
-# -- artifact format ------------------------------------------------------
+def _assert_heals(store, caplog, net) -> None:
+    """The damaged artifact costs one quarantine and one compile; the next call hits."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="repro.artifacts"):
+        compiled = ensure_compiled(net, store, "sched-test")
+        again = ensure_compiled(net, store, "sched-test")
+    assert caplog.text.count("event=quarantine") == 1
+    assert caplog.text.count("event=compile") == 1
+    assert "event=hit key=sched-test kind=schedule-compiled" in caplog.text
+    assert [p.name for p in store.root.glob("*.corrupt")] == ["sched-test.npz.corrupt"]
+    assert again.keys() == compiled.keys() == list(compile_network_schedules(net))
+
+
+# -- the artifact view and its store entry ---------------------------------
 
 
 class TestFormat:
-    def test_roundtrip_preserves_arrays_and_meta(self):
-        rng = np.random.default_rng(0)
-        a = rng.integers(-100, 100, size=(3, 5)).astype(np.int64)
-        b = rng.random((4,)).astype(np.float32)
-        data = serialize_schedules(
-            [
-                ScheduleEntry("k/a", "ud-table", {"n_bits": 3}, a),
-                ScheduleEntry("k/b", "bit-table", {}, b),
-            ],
-            meta={"engines": ["x"]},
-        )
-        compiled = CompiledSchedules(data)
-        compiled.validate()
-        assert np.array_equal(compiled.get("k/a"), a)
-        assert np.array_equal(compiled.get("k/b"), b)
-        assert compiled.meta == {"engines": ["x"]}
-        assert set(compiled.keys()) == {"k/a", "k/b"}
-        assert "k/a" in compiled and "missing" not in compiled
-        assert compiled.get("missing") is None
+    def test_roundtrip_preserves_arrays_and_meta(self, store):
+        """An artifact loaded back from the store holds the compiled bytes, key
+        for key, in an ``.npz`` carrying the store's metadata record."""
+        from repro.experiments.artifacts import META_KEY, STORE_VERSION
+
+        for net in (small_net(n_bits=5), small_net(engine="lfsr-sc", n_bits=5)):
+            entries = compile_network_schedules(net)
+            ensure_compiled(net, store, "sched-test")
+            loaded = ensure_compiled(net, store, "sched-test")
+            assert loaded.keys() == list(entries)
+            for key, array in entries.items():
+                got = loaded.get(key)
+                assert (got.dtype, got.shape) == (array.dtype, array.shape)
+                assert got.tobytes() == array.tobytes()
+            with np.load(store.checkpoint_path("sched-test")) as npz:
+                meta = json.loads(npz[META_KEY].tobytes())
+            assert meta == {
+                "store_version": STORE_VERSION, "fingerprint": "", "params": len(entries)
+            }
+            store.clear()
 
     def test_entries_are_read_only_views(self):
-        data = serialize_schedules(
-            [ScheduleEntry("k", "select", {}, np.arange(6, dtype=np.int64))]
-        )
-        arr = CompiledSchedules(data).get("k")
-        with pytest.raises((ValueError, RuntimeError)):
-            arr[0] = 99
+        array = np.arange(6, dtype=np.int64)
+        entry = CompiledSchedules({"k": array}).get("k")
+        with pytest.raises(ValueError):
+            entry[0] = 99
+        assert array.flags.writeable  # the view is frozen, not the caller's array
+        assert CompiledSchedules({"k": array}).get("missing") is None
 
     def test_duplicate_keys_deduplicated(self):
-        arr = np.arange(4, dtype=np.int64)
-        data = serialize_schedules(
-            [ScheduleEntry("k", "select", {}, arr), ScheduleEntry("k", "select", {}, arr)]
-        )
-        assert len(CompiledSchedules(data)) == 1
+        """The walk names the bit table once per layer; the artifact holds it once."""
+        from repro.keys import bit_table_key
+        from repro.parallel import schedule_manifest
 
-    def test_bad_magic_rejected(self):
-        with pytest.raises(ScheduleArtifactError, match="magic"):
-            CompiledSchedules(b"NOTSCHED" + b"\x00" * 64)
+        net = small_net()
+        assert schedule_manifest(net).count(bit_table_key(8)) == 2
+        entries = compile_network_schedules(net)
+        assert list(entries).count(bit_table_key(8)) == 1
+        assert len(entries) == 5
 
-    def test_truncation_rejected(self):
-        data = serialize_schedules(
-            [ScheduleEntry("k", "select", {}, np.arange(100, dtype=np.int64))]
-        )
-        with pytest.raises(ScheduleArtifactError):
-            CompiledSchedules(data[: len(data) // 2])
+    def test_truncation_rejected(self, store, caplog):
+        net = small_net()
+        ensure_compiled(net, store, "sched-test")
+        path = store.checkpoint_path("sched-test")
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        assert store.check_checkpoint("sched-test")[0] == "corrupt"
+        _assert_heals(store, caplog, net)
 
-    def test_future_version_raises_typed_error(self):
-        """A bumped format version must be the *typed* rejection."""
-        data = serialize_schedules(
-            [ScheduleEntry("k", "select", {}, np.arange(4, dtype=np.int64))]
-        )
-        assert data.count(b'"version":1') == 1
-        bumped = data.replace(b'"version":1', b'"version":2', 1)
-        with pytest.raises(ArtifactVersionError, match="version"):
-            CompiledSchedules(bumped)
-        # and it is NOT the generic corruption error: callers distinguish
-        assert not issubclass(ArtifactVersionError, ScheduleArtifactError)
-
-    def test_payload_bitflip_caught_by_crc(self):
-        data = bytearray(
-            serialize_schedules(
-                [ScheduleEntry("k", "select", {}, np.arange(4, dtype=np.int64))]
-            )
-        )
-        data[-1] ^= 0xFF
-        compiled = CompiledSchedules(bytes(data))  # header parses fine
-        with pytest.raises(ScheduleArtifactError, match="CRC"):
-            compiled.validate()
+    def test_payload_bitflip_caught_by_crc(self, store, caplog):
+        """With no sidecar to catch it, a flipped entry byte fails its zip CRC-32."""
+        net = small_net()
+        entries = compile_network_schedules(net)
+        ensure_compiled(net, store, "sched-test")
+        path = store.checkpoint_path("sched-test")
+        data = bytearray(path.read_bytes())
+        data[data.find(next(iter(entries.values())).tobytes()) + 7] ^= 0xFF
+        path.write_bytes(bytes(data))
+        path.with_name(path.name + ".sha256").unlink()
+        assert store.check_checkpoint("sched-test")[0] == "ok"  # the zip still parses
+        with caplog.at_level(logging.INFO, logger="repro.artifacts"):
+            compiled = ensure_compiled(net, store, "sched-test")
+        assert "Bad CRC-32" in caplog.text
+        assert caplog.text.count("event=compile") == 1
+        assert compiled.get(next(iter(entries))).tobytes() == next(iter(entries.values())).tobytes()
 
     def test_describe_summarizes(self):
         net = small_net()
         compiled = compiled_for(net)
         d = compiled.describe()
-        assert d["version"] == 1
-        assert d["entries"] == len(compiled)
-        assert d["kinds"]["layer-coeff"] == 2
-        assert d["nbytes"] == compiled.nbytes
+        assert d["entries"] == len(compiled) == 5
+        assert d["kinds"] == {"bit-table": 1, "layer-coeff": 2, "layer-const": 2}
+        assert d["nbytes"] == compiled.nbytes == sum(
+            a.nbytes for a in compile_network_schedules(net).values()
+        )
 
 
 # -- compiling a network --------------------------------------------------
@@ -159,11 +176,11 @@ class TestCompileNetwork:
         from repro.parallel import schedule_manifest
 
         net = small_net()
-        needed, meta = schedule_manifest(net)
+        needed = schedule_manifest(net)
         compiled = compiled_for(net)
         assert needed, "manifest of an engine-backed net must not be empty"
         assert all(k in compiled for k in needed)
-        assert len(meta["layers"]) == 2
+        assert sum(k.endswith("/coeff") for k in needed) == 2
 
     def test_lfsr_network_compiles_one_table(self):
         """The default pair is the registry's ``lfsr`` family: one table, no orbits."""
@@ -263,7 +280,7 @@ def test_counters_count_each_lookup_and_build_once():
 class TestReadOnlyEntries:
     """Every array the store hands out is read-only, however it was served."""
 
-    def test_entries_are_read_only_cold_warm_and_from_an_artifact(self):
+    def test_entries_are_read_only_cold_warm_and_from_an_artifact(self, store):
         proposed = small_net(n_bits=5)
         conv = proposed.conv_layers[0]
         w = conv.engine.quantize_weights(conv.weight.value.reshape(conv.out_channels, -1))
@@ -272,9 +289,15 @@ class TestReadOnlyEntries:
             small_net(engine="lfsr-sc", n_bits=5),
             small_net(engine="lfsr-sc", n_bits=5, generator="halton"),
         )
-        artifact = CompiledSchedules(
-            serialize_schedules([e for net in nets for e in compile_network_schedules(net)[0]])
-        )
+        entries = {k: a for net in nets for k, a in compile_network_schedules(net).items()}
+        artifact = CompiledSchedules(entries)
+        # the same entries loaded back from a store: an ensure_compiled hit for every net
+        store.save_checkpoint("sched-test", entries)
+        loaded = [ensure_compiled(net, store, "sched-test") for net in nets]
+        assert all(hit.keys() == list(entries) for hit in loaded)
+        for key in entries:
+            with pytest.raises(ValueError):
+                loaded[0].get(key)[...] = 0
 
         def arrays(cache):
             return [
@@ -286,9 +309,10 @@ class TestReadOnlyEntries:
 
         cache = ScheduleCache()
         served = {"cold": arrays(cache), "warm": arrays(cache)}
-        from_artifact = ScheduleCache(compiled=artifact)
-        served["artifact"] = arrays(from_artifact)
-        assert from_artifact.stats()["rebuilds"] == 0
+        for how, compiled in (("artifact", artifact), ("store", loaded[0])):
+            from_artifact = ScheduleCache(compiled=compiled)
+            served[how] = arrays(from_artifact)
+            assert from_artifact.stats()["rebuilds"] == 0
         for how, got in served.items():
             assert not any(a.flags.writeable for a in got), how
 
@@ -342,111 +366,129 @@ class TestPoolParity:
 # -- ensure_compiled (store flow) -----------------------------------------
 
 
+def _rpsched(key: str, array: np.ndarray, params: dict, meta: dict) -> bytes:
+    """One ``.sched`` entry in the framing schedule artifacts had before they were ``.npz``."""
+    payload = array.tobytes()
+    payload += b"\0" * (-len(payload) % 64)
+    record = {
+        "key": key, "kind": "ud-table", "params": params, "dtype": array.dtype.str,
+        "shape": list(array.shape), "offset": 0, "nbytes": array.nbytes,
+    }
+    header = {
+        "format": "repro-schedule", "version": 1, "meta": meta, "payload_len": len(payload),
+        "payload_crc": zlib.crc32(payload), "entries": [record],
+    }
+    head = json.dumps(header, separators=(",", ":")).encode()
+    head = b"RPSCHED\0" + struct.pack("<Q", len(head)) + head
+    return head + b"\0" * (-len(head) % 64) + payload
+
+
 class TestEnsureCompiled:
-    @pytest.fixture
-    def store(self, tmp_path, monkeypatch):
-        from repro.experiments.artifacts import ArtifactStore
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        return ArtifactStore(tmp_path)
-
     def test_compiles_once_then_hits(self, store, caplog):
         net = small_net()
         with caplog.at_level(logging.INFO, logger="repro.artifacts"):
             first = ensure_compiled(net, store, "sched-test")
             second = ensure_compiled(net, store, "sched-test")
-        assert store.blob_path("sched-test").exists()
+        assert store.checkpoint_path("sched-test").exists()
         assert caplog.text.count("event=compile") == 1
         assert "event=hit" in caplog.text
         assert set(first.keys()) == set(second.keys())
 
     def test_garbage_blob_recompiles_not_crashes(self, store, caplog):
         net = small_net()
-        store.save_blob("sched-test", b"RPSCHED\x00 but then garbage")
-        with caplog.at_level(logging.WARNING, logger="repro.artifacts"):
-            compiled = ensure_compiled(net, store, "sched-test")
-        assert "event=corrupt" in caplog.text
-        assert len(compiled) > 0
-        compiled.validate()
+        ensure_compiled(net, store, "sched-test")
+        store.checkpoint_path("sched-test").write_bytes(b"PK\x03\x04 but then garbage")
+        _assert_heals(store, caplog, net)
 
-    def test_future_version_blob_recompiles_not_crashes(self, store, caplog):
-        net = small_net()
-        data = ensure_compiled(net, store, "sched-test").blob.tobytes()
-        store.save_blob("sched-test", data.replace(b'"version":1', b'"version":2', 1))
-        with caplog.at_level(logging.WARNING, logger="repro.artifacts"):
-            compiled = ensure_compiled(net, store, "sched-test")
-        assert "event=stale" in caplog.text
-        assert compiled.version == 1  # rewritten at the supported version
-        compiled.validate()
-
-    def test_sidecar_mismatch_quarantines_then_recompiles(self, store):
+    def test_sidecar_mismatch_quarantines_then_recompiles(self, store, caplog):
         net = small_net()
         ensure_compiled(net, store, "sched-test")
-        path = store.blob_path("sched-test")
-        data = bytearray(path.read_bytes())
-        data[-1] ^= 0xFF  # flip under the sidecar's nose
-        path.write_bytes(bytes(data))
-        compiled = ensure_compiled(net, store, "sched-test")
-        compiled.validate()
-        assert list(store.root.glob("*.corrupt"))
+        sidecar = store.root / "sched-test.npz.sha256"
+        sidecar.write_text("0" * 64 + "  sched-test.npz\n")
+        _assert_heals(store, caplog, net)
 
-    def test_pre_registry_lfsr_artifact_is_recompiled(self, store, caplog, images):
-        """A default lfsr-sc artifact written before the ``lfsr`` family
-        keyed the default table is stale: recompiled, never trusted.
+    def test_future_version_blob_recompiles_not_crashes(self, store, caplog, monkeypatch):
+        """An artifact from another store version is stale: quarantined and recompiled."""
+        from repro.experiments import artifacts
 
-        That format held the shared-LFSR pair's table under a key of its
-        seeds and taps, beside both LFSR state orbits; its bytes are the
-        ones the ``.sched`` golden pinned for this net.
+        net = small_net()
+        with monkeypatch.context() as m:
+            m.setattr(artifacts, "STORE_VERSION", artifacts.STORE_VERSION + 1)
+            ensure_compiled(net, store, "sched-test")
+        _assert_heals(store, caplog, net)
+        assert "stale: store version" in caplog.text
+
+    def test_files_from_before_npz_artifacts_are_ignored(self, store, caplog, images, capsys):
+        """A store that holds only ``.sched`` files heals on first use and keeps them.
+
+        The serving key holds the default lfsr-sc artifact as the
+        ``.sched`` framing wrote it for this net (its SHA-256 is the line
+        the old ``.sched`` golden pinned), with its sidecar, beside a MIP
+        table pair in its old framing that is not the synthesized one.
+        Neither is read: the boot compiles an ``.npz`` artifact, the next
+        boot builds nothing, the MIP pair is synthesized, and the
+        maintenance commands leave both files in place.
         """
-        import hashlib
-
-        from repro.keys import content_key, sng_ud_table_key
+        from repro.cli import main
+        from repro.keys import sng_ud_table_key
+        from repro.sc import mip
         from repro.sc.generators import generator_fingerprint
-        from repro.sc.lfsr import _ALT_TAPS, MAXIMAL_TAPS, Lfsr
-        from repro.sc.multipliers import lfsr_ud_table, select_low_bias_seeds
 
-        n = 5
-        seed_w, seed_x = select_low_bias_seeds(n)
-        taps = (MAXIMAL_TAPS[n], _ALT_TAPS[n])
-        old = [
-            ScheduleEntry(
-                content_key("ud-table", n, seed_w, seed_x, *taps), "ud-table",
-                {"n_bits": n, "seed_w": seed_w, "seed_x": seed_x},
-                lfsr_ud_table(n, seed_w, seed_x),
-            ),
-            *(
-                ScheduleEntry(
-                    content_key("lfsr-orbit", n, t), "orbit", {"n_bits": n, "taps": list(t)},
-                    Lfsr(n, taps=t).sequence((1 << n) - 1),
-                )
-                for t in taps
-            ),
-        ]
-        data = serialize_schedules(old, {"engines": ["lfsr-sc"], "layers": []})
-        assert hashlib.sha256(data).hexdigest() == (
-            "266367e73b0b959310c6eac370c649691dd67c13ca8cad160a9f99adfb90141d"
+        n, key = 5, "sched-digits-quick-lfsr-sc-n5"
+        table = get_worker_cache().sng_ud_table("lfsr", n)
+        data = _rpsched(
+            sng_ud_table_key(n, generator_fingerprint("lfsr", n)), table,
+            {"n_bits": n, "generator": "lfsr"}, {"engines": ["lfsr-sc"], "layers": []},
         )
-        store.save_blob("sched-test", data)
-
-        with caplog.at_level(logging.INFO, logger="repro.artifacts"):
-            compiled = ensure_compiled(small_net(engine="lfsr-sc", n_bits=n), store, "sched-test")
-        assert caplog.text.count("event=stale") == 1
-        assert caplog.text.count("event=compile") == 1
-        rewritten = CompiledSchedules(store.load_blob("sched-test"))
-        for artifact in (compiled, rewritten):
-            assert artifact.describe()["kinds"] == {"ud-table": 1}
-            assert artifact.keys() == [sng_ud_table_key(n, generator_fingerprint("lfsr", n))]
+        assert hashlib.sha256(data).hexdigest() == (
+            "214fd970bb7879df209c1140e7f6a0ec535643524b71d3eff4643d95bdb57248"
+        )
+        old_tables = [t[::-1].astype("<u2") for t in mip.synthesize_mip_tables(n)]
+        old = {
+            f"{key}.sched": data,
+            "sng-mip-v1-n5.sched": b"RPMIP\x01\x05\x00" + b"".join(t.tobytes() for t in old_tables),
+        }
+        for name, payload in old.items():
+            (store.root / name).write_bytes(payload)
+        (store.root / f"{key}.sched.sha256").write_text(
+            f"{hashlib.sha256(data).hexdigest()}  {key}.sched\n"
+        )
 
         cfg = ParallelConfig(workers=0, batch_size=3)
+        reset_worker_cache()
         on_demand = predict_logits(small_net(engine="lfsr-sc", n_bits=n), images, cfg)
-        attach_compiled(compiled)
+        with caplog.at_level(logging.INFO, logger="repro.artifacts"):
+            compiled = ensure_compiled(small_net(engine="lfsr-sc", n_bits=n), store, key)
+            assert caplog.text.count("event=compile") == 1
+            rebooted = ensure_compiled(small_net(engine="lfsr-sc", n_bits=n), store, key)
+            assert caplog.text.count("event=compile") == 1
+        assert store.checkpoint_path(key).exists()
+        assert rebooted.keys() == compiled.keys()
+        attach_compiled(rebooted)
         reset_worker_cache()
         got = predict_logits(small_net(engine="lfsr-sc", n_bits=n), images, cfg)
         assert get_worker_cache().stats()["rebuilds"] == 0
         assert np.array_equal(got, on_demand)
 
+        for served, ref in zip(mip.mip_tables(n, store), mip.synthesize_mip_tables(n)):
+            assert np.array_equal(served, ref)
+        assert store.checkpoint_path(mip.mip_table_key(n)).exists()
+
+        for command in ("ls", "verify", "inspect", "clear"):
+            assert main(["cache", command]) == 0, command
+            for name, payload in old.items():
+                assert (store.root / name).read_bytes() == payload, (command, name)
+        out = capsys.readouterr().out
+        assert f"{'other':12s} {len(data):10d}  {key}.sched" in out
+        assert f"{key}: 1 entries (ud-table=1)" in out
+        assert not list(store.root.glob("*.npz"))
+
     def test_stale_manifest_triggers_recompile(self, store, caplog):
-        """An artifact for yesterday's weights is stale, not 'good enough'."""
+        """An artifact for yesterday's weights is stale, not 'good enough'.
+
+        The replacement is logged at WARNING, where an unconfigured
+        process still prints it (``repro cache compile``, ``repro serve``).
+        """
         from repro.parallel import schedule_manifest
 
         old = small_net(seed=3)
@@ -454,6 +496,6 @@ class TestEnsureCompiled:
         new = small_net(seed=11)
         with caplog.at_level(logging.INFO, logger="repro.artifacts"):
             compiled = ensure_compiled(new, store, "sched-test")
-        assert "event=stale" in caplog.text
-        needed, _ = schedule_manifest(new)
-        assert all(k in compiled for k in needed)
+        stale = [r for r in caplog.records if "event=stale" in r.getMessage()]
+        assert [r.levelno for r in stale] == [logging.WARNING]
+        assert all(k in compiled for k in schedule_manifest(new))

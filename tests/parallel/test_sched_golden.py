@@ -1,12 +1,14 @@
-"""Golden of the compiled ``.sched`` bytes of a small digits net.
+"""Golden of the compiled schedule entries of a small digits net.
 
-``serialize_schedules(*compile_network_schedules(net))`` is pinned by
-its SHA-256 for proposed-sc at N = 5 and 8, and for lfsr-sc at N = 5
-with the default ``lfsr`` and with the ``mip`` SNG family.  Every
-entry is integer-derived (coefficient schedules, bit tables, up/down
-tables) and nothing here goes through BLAS, so the bytes are the same
-on any machine; a change to the artifact format, the key scheme, the
-entry order or any schedule builder fails this test.
+``compile_network_schedules(net)`` is pinned by one SHA-256 over every
+entry's key, kind, dtype, shape and bytes, in order, for proposed-sc at
+N = 5 and 8, and for lfsr-sc at N = 5 with the default ``lfsr`` and
+with the ``mip`` SNG family.  Every entry is integer-derived
+(coefficient schedules, bit tables, up/down tables) and nothing here
+goes through BLAS, so the hashes are the same on any machine; a change
+to the key scheme, the entry kinds, the entry order or any schedule
+builder fails this test.  The container is not pinned: its zip members
+carry write times, and the store's own checks cover it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import hashlib
 
 from repro.nn import attach_engines, build_mnist_net
 from repro.nn.calibration import LayerRanges
-from repro.parallel import compile_network_schedules, serialize_schedules
+from repro.parallel import compile_network_schedules
+from repro.parallel.compiled import entry_kind
 
 CASES = (
     ("proposed-sc", 5, {}),
@@ -26,17 +29,19 @@ CASES = (
 
 
 def render(engine: str, n_bits: int, kwargs: dict) -> str:
-    """One golden line: the case, entry count, byte count and SHA-256."""
+    """One golden line: the case, entry count, entry bytes and SHA-256."""
     net = build_mnist_net(seed=3, c1=2, c2=3, fc=16)
     ranges = [LayerRanges(1.0, 1.0) for _ in net.conv_layers]
     attach_engines(net, engine, ranges, n_bits=n_bits, **kwargs)
-    entries, meta = compile_network_schedules(net)
-    data = serialize_schedules(entries, meta)
-    sha = hashlib.sha256(data).hexdigest()
-    generator = kwargs.get("generator")
+    entries = compile_network_schedules(net)
+    h = hashlib.sha256()
+    for key, array in entries.items():
+        h.update(f"{key}|{entry_kind(key)}|{array.dtype.str}|{array.shape}|".encode())
+        h.update(array.tobytes())
+    nbytes = sum(array.nbytes for array in entries.values())
     return (
-        f"{engine} n_bits={n_bits} generator={generator} "
-        f"entries={len({e.key for e in entries})} bytes={len(data)} sha256 {sha}\n"
+        f"{engine} n_bits={n_bits} generator={kwargs.get('generator')} "
+        f"entries={len(entries)} bytes={nbytes} sha256 {h.hexdigest()}\n"
     )
 
 

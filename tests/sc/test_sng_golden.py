@@ -4,7 +4,7 @@ The two families added with the generator registry are search products
 (a deterministic local-search surrogate for the MIP synthesis; a fixed
 segmented van-der-Corput lane layout), so their exact streams are load
 bearing: a silent change to the search schedule or lane layout would
-shift every compiled ``.sched`` artifact and every Fig. 5/6 number
+shift every compiled schedule artifact and every Fig. 5/6 number
 built on top.  These tests pin short streams, stream-correlation (SCC)
 fixtures and the exhaustive full-period multiply error against
 checked-in golden files.
@@ -75,56 +75,93 @@ def test_family_golden_vectors(spec, golden):
 
 
 def test_mip_tables_match_store_round_trip(tmp_path):
-    """A persisted blob decodes to the synthesized tables, byte for byte."""
+    """A persisted pair loads back as the synthesized tables, byte for byte."""
     from repro.experiments.artifacts import ArtifactStore
     from repro.sc import mip
-    from repro.sc.mip import mip_table_blob_key, mip_tables, synthesize_mip_tables
+    from repro.sc.mip import mip_table_key, mip_tables, synthesize_mip_tables
 
     store = ArtifactStore(tmp_path)
     mip._MEMO.pop(N_BITS, None)
     try:
-        first = mip_tables(N_BITS, store=store)
+        mip_tables(N_BITS, store=store)
     finally:
         mip._MEMO.pop(N_BITS, None)
-    assert store.load_blob(mip_table_blob_key(N_BITS)) is not None
-    synthesized = synthesize_mip_tables(N_BITS)
-    for got, ref in zip(first, synthesized):
-        assert np.array_equal(got, ref)
+    stored = store.load_checkpoint(mip_table_key(N_BITS))
+    assert set(stored) == {"w", "x"}
+    for got, ref in zip((stored["w"], stored["x"]), synthesize_mip_tables(N_BITS)):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
 def test_a_store_passed_for_a_memoized_width_gets_its_blob(tmp_path, monkeypatch):
     """Width 5 is loaded through the default store first, so it is in
-    memory; a fresh store passed afterwards must still get the blob."""
+    memory; a fresh store passed afterwards must still get the tables."""
     from repro.experiments.artifacts import ArtifactStore
-    from repro.sc.mip import decode_table_blob, mip_table_blob_key, mip_tables
+    from repro.sc.mip import mip_table_key, mip_tables
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
     loaded = mip_tables(5)
     fresh = ArtifactStore(tmp_path / "fresh")
     again = mip_tables(5, fresh)
-    blob = fresh.load_blob(mip_table_blob_key(5))
-    assert blob is not None
-    for stored, served, ref in zip(decode_table_blob(blob, 5), again, loaded):
-        assert np.array_equal(stored, ref)
+    stored = fresh.load_checkpoint(mip_table_key(5))
+    assert stored is not None
+    for name, served, ref in zip("wx", again, loaded):
+        assert np.array_equal(stored[name], ref)
         assert np.array_equal(served, ref)
 
 
-def test_corrupt_mip_blob_is_rewritten(tmp_path):
-    """A truncated/garbage blob resynthesizes instead of crashing."""
+def test_corrupt_mip_blob_is_rewritten(tmp_path, monkeypatch):
+    """Garbage bytes, a truncated file and a sidecar mismatch each cost one
+    quarantine and one synthesis, and the call after is a hit."""
     from repro.experiments.artifacts import ArtifactStore
     from repro.sc import mip
-    from repro.sc.mip import mip_table_blob_key, mip_tables, synthesize_mip_tables
+
+    def garbage(path):
+        path.write_bytes(b"PK\x03\x04 garbage")
+
+    def truncated(path):
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+    def sidecar_mismatch(path):
+        path.with_name(path.name + ".sha256").write_text("0" * 64 + f"  {path.name}\n")
+
+    reference = mip.synthesize_mip_tables(N_BITS)
+    calls = []
+    monkeypatch.setattr(mip, "synthesize_mip_tables", lambda n: calls.append(n) or reference)
+    for corrupt in (garbage, truncated, sidecar_mismatch):
+        store = ArtifactStore(tmp_path / corrupt.__name__)
+        mip._MEMO.pop(N_BITS, None)
+        try:
+            mip.mip_tables(N_BITS, store)
+            corrupt(store.checkpoint_path(mip.mip_table_key(N_BITS)))
+            calls.clear()
+            mip._MEMO.pop(N_BITS, None)
+            first = mip.mip_tables(N_BITS, store)
+            mip._MEMO.pop(N_BITS, None)
+            again = mip.mip_tables(N_BITS, store)
+        finally:
+            mip._MEMO.pop(N_BITS, None)
+        assert calls == [N_BITS], corrupt.__name__
+        assert len(list(store.root.glob("*.corrupt"))) == 1, corrupt.__name__
+        for tables in (first, again):
+            for got, ref in zip(tables, reference):
+                assert np.array_equal(got, ref)
+
+
+def test_stored_tables_that_are_not_permutations_are_resynthesized(tmp_path):
+    """A readable entry whose tables are not permutations is rewritten, not served."""
+    from repro.experiments.artifacts import ArtifactStore
+    from repro.sc import mip
 
     store = ArtifactStore(tmp_path)
-    key = mip_table_blob_key(N_BITS)
-    store.save_blob(key, b"RPMIPgarbage")
+    key = mip.mip_table_key(N_BITS)
+    words = np.arange(1 << N_BITS)
+    store.save_checkpoint(key, {"w": np.zeros_like(words), "x": words})
     mip._MEMO.pop(N_BITS, None)
     try:
-        tables = mip_tables(N_BITS, store=store)
+        tables = mip.mip_tables(N_BITS, store)
     finally:
         mip._MEMO.pop(N_BITS, None)
-    for got, ref in zip(tables, synthesize_mip_tables(N_BITS)):
+    stored = store.load_checkpoint(key)
+    for name, got, ref in zip("wx", tables, mip.synthesize_mip_tables(N_BITS)):
         assert np.array_equal(got, ref)
-    # and the store now holds a valid blob again
-    raw = bytes(store.load_blob(key))
-    assert raw.startswith(b"RPMIP") and len(raw) > len(b"RPMIPgarbage")
+        assert np.array_equal(stored[name], ref)

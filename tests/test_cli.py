@@ -18,6 +18,53 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
 
+    def test_building_the_parser_imports_no_harness(self):
+        """The experiment names load only when ``repro experiment`` is parsed.
+
+        Imported while the parser is built, ahead of ``repro serve``'s own
+        modules, the harnesses left ~28 MB more of its boot memory resident.
+        """
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = (
+            "import sys; from repro.cli import build_parser; build_parser(); "
+            "print([m for m in sys.modules if m.startswith('repro.experiments')])"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        assert out.strip() == "[]"
+
+    def test_experiment_names_make_the_runners_calls(self, monkeypatch, capsys):
+        """``repro experiment NAME --quick`` calls its harness as ``run_all(quick=True)`` does."""
+        from repro.experiments import runner
+
+        calls = []
+        for name in runner.__dict__:
+            module = getattr(runner, name)
+            if getattr(module, "__name__", "").startswith("repro.experiments.") and hasattr(
+                module, "main"
+            ):
+                monkeypatch.setattr(
+                    module, "main",
+                    lambda *a, _m=module.__name__, **k: calls.append((_m, a, k)),
+                )
+        runner.run_all(quick=True)
+        expected = list(calls)
+        assert len(expected) == len(runner.EXPERIMENTS) == 12
+        calls.clear()
+        for name in runner.EXPERIMENTS:
+            assert main(["experiment", name, "--quick"]) == 0
+        assert calls == expected
+        calls.clear()
+        assert main(["experiment", "all", "--quick"]) == 0
+        assert calls == expected
+
 
 class TestCommands:
     def test_multiply(self, capsys):
@@ -293,10 +340,11 @@ class TestCacheCommand:
         assert "event=retrain" not in caplog.text
         out = capsys.readouterr().out
         assert "compiled sched-digits-quick-proposed-sc-n6" in out
-        assert (self.root / "sched-digits-quick-proposed-sc-n6.sched").exists()
+        assert (self.root / "sched-digits-quick-proposed-sc-n6.npz").exists()
         assert main(["cache", "inspect"]) == 0
         out = capsys.readouterr().out
-        assert "format v1" in out and "layer-coeff=2" in out
+        assert "sched-digits-quick-proposed-sc-n6: 5 entries (" in out
+        assert "layer-coeff=2" in out and "digits-quick:" not in out
 
     def test_compile_generator_is_the_artifact_the_server_boots_from(
         self, capsys, caplog, trained_store
@@ -321,7 +369,7 @@ class TestCacheCommand:
         assert "event=retrain" not in caplog.text
         caplog.clear()
         assert f"compiled {key}" in capsys.readouterr().out
-        blob = (self.root / f"{key}.sched").read_bytes()
+        artifact = (self.root / f"{key}.npz").read_bytes()
         detach_compiled()
         reset_worker_cache()
         try:
@@ -338,20 +386,22 @@ class TestCacheCommand:
         finally:
             detach_compiled()
             reset_worker_cache()
-        assert (self.root / f"{key}.sched").read_bytes() == blob
+        assert (self.root / f"{key}.npz").read_bytes() == artifact
 
     def test_compile_rejects_an_unknown_generator(self, capsys):
         assert main(["cache", "compile", "--generator", "sobol"]) == 2
         assert "unknown generator 'sobol'" in capsys.readouterr().err
-        assert not list(self.root.glob("*.sched")) and not list(self.root.glob("*.npz"))
+        assert not list(self.root.glob("*.npz"))
 
     def test_inspect_flags_corrupt_artifact(self, capsys):
-        (self.root / "bogus.sched").write_bytes(b"not a schedule artifact")
+        (self.root / "sched-bogus.npz").write_bytes(b"not a schedule artifact")
         assert main(["cache", "inspect"]) == 1
-        assert "INVALID" in capsys.readouterr().out
+        assert "sched-bogus: missing or quarantined" in capsys.readouterr().out
+        assert (self.root / "sched-bogus.npz.corrupt").exists()
 
     def test_inspect_reads_mip_tables_with_their_own_format(self, capsys):
-        """MIP SNG tables live as ``.sched`` blobs next to schedule artifacts."""
+        """MIP SNG tables (an ``.npz`` of ``w`` and ``x``) sit next to schedule
+        artifacts, and one loader reads both."""
         from repro.experiments import get_store
         from repro.nn import attach_engines, build_mnist_net
         from repro.nn.calibration import LayerRanges
@@ -365,9 +415,14 @@ class TestCacheCommand:
         mip.mip_tables(5, store)
         assert main(["cache", "inspect"]) == 0
         out = capsys.readouterr().out
-        assert "sched-small: format v1" in out
-        assert f"{mip.mip_table_blob_key(5)}: MIP SNG tables, n_bits=5" in out
+        assert "sched-small: 5 entries (bit-table=1, layer-coeff=2, layer-const=2)" in out
+        assert f"{mip.mip_table_key(5)}: MIP SNG tables, n_bits=5" in out
+        assert main(["cache", "inspect", "--key", mip.mip_table_key(5)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"{mip.mip_table_key(5)}: MIP SNG tables, n_bits=5"
+        ]
 
-        store.save_blob(mip.mip_table_blob_key(5), mip.MIP_MAGIC + b"\x01\x05\x00 torn")
+        path = store.checkpoint_path(mip.mip_table_key(5))
+        path.write_bytes(path.read_bytes()[:-20])  # torn
         assert main(["cache", "inspect"]) == 1
-        assert "INVALID" in capsys.readouterr().out
+        assert f"{mip.mip_table_key(5)}: missing or quarantined" in capsys.readouterr().out

@@ -57,9 +57,13 @@ class TestDocs:
         assert "round(k / 2^i)" in text
 
     def test_runner_registry_matches_cli(self):
-        from repro.cli import _EXPERIMENT_NAMES
-        from repro.experiments.runner import _EXPERIMENTS
+        from repro.cli import build_parser
+        from repro.experiments.runner import EXPERIMENTS
 
-        assert len(_EXPERIMENTS) == 12
-        # every runner entry has a CLI spelling (minus the 'all' alias)
-        assert len(_EXPERIMENT_NAMES) - 1 == len(_EXPERIMENTS)
+        assert len(EXPERIMENTS) == 12
+        # the CLI accepts exactly the runner's names plus the 'all' alias
+        parser = build_parser()
+        for name in (*EXPERIMENTS, "all"):
+            assert parser.parse_args(["experiment", name]).name == name
+        with pytest.raises(SystemExit):
+            parser.parse_args(["experiment", "fig99"])
