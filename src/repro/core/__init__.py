@@ -31,7 +31,6 @@ Modules
 from repro.core.fsm_generator import (
     FsmMuxGenerator,
     appearance_count,
-    coefficient_matrix,
     mux_select_sequence,
     prefix_ones,
     stream_bits,
@@ -61,7 +60,6 @@ from repro.core.conv_mapping import (
 from repro.core.energy_quality import (
     energy_quality_curve,
     magnitude_cap_weights,
-    truncated_matmul,
     truncated_multiply,
 )
 from repro.core.accelerator_sim import ConvResult, simulate_conv_layer
@@ -71,7 +69,6 @@ from repro.core.verilog import write_rtl_project
 __all__ = [
     "FsmMuxGenerator",
     "appearance_count",
-    "coefficient_matrix",
     "mux_select_sequence",
     "prefix_ones",
     "stream_bits",
@@ -99,7 +96,6 @@ __all__ = [
     "ScMacRtl",
     "BiscMvmRtl",
     "truncated_multiply",
-    "truncated_matmul",
     "magnitude_cap_weights",
     "energy_quality_curve",
     "ConvResult",

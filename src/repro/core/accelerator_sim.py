@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.conv_mapping import AcceleratorConfig, conv_output_shape
-from repro.core.fsm_generator import coefficient_vector
-from repro.sc.encoding import bits_msb_first, signed_range, to_offset_binary
+from repro.core.signed import bisc_multiply_signed
+from repro.sc.encoding import signed_range
 
 __all__ = ["ConvResult", "simulate_conv_layer"]
 
@@ -33,18 +33,6 @@ class ConvResult:
     output: np.ndarray  #: (M, R, C) accumulator values, output-LSB units
     cycles: int  #: total latency under the tiling (Fig. 4 schedule)
     macs: int
-
-
-def _mvm_term(w: int, x_lane_ints: np.ndarray, n_bits: int) -> np.ndarray:
-    """One weight's contribution to every lane (closed form)."""
-    k = abs(int(w))
-    if k == 0:
-        return np.zeros(x_lane_ints.shape, dtype=np.int64)
-    coeff = coefficient_vector(np.int64(k), n_bits).astype(np.int64)  # (N,)
-    bits = bits_msb_first(to_offset_binary(x_lane_ints, n_bits), n_bits)  # (..., N)
-    ones = (bits * coeff).sum(axis=-1)
-    ud = 2 * ones - k
-    return ud if w >= 0 else -ud
 
 
 def simulate_conv_layer(
@@ -107,7 +95,7 @@ def simulate_conv_layer(
                                 rows = slice(r0 * stride + i, (r1 - 1) * stride + i + 1, stride)
                                 cols = slice(c0 * stride + j, (c1 - 1) * stride + j + 1, stride)
                                 lanes = a[z, rows, cols]
-                                term = _mvm_term(wt, lanes, config.n_bits)
+                                term = bisc_multiply_signed(wt, lanes, config.n_bits)
                                 acc = np.clip(acc + term, acc_lo, acc_hi)
                                 mvm_cycles += -(-abs(wt) // b)
                     output[m, r0:r1, c0:c1] = acc

@@ -17,6 +17,9 @@ controlled way.  Two policies are provided:
 * :func:`magnitude_cap_weights` — the static variant: clip weight
   magnitudes at quantization time so *no* multiply exceeds the budget,
   which needs no extra hardware at all.
+
+The matrix product under a budget is
+:func:`repro.core.kernels.truncated_matmul_kernel`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from repro.sc.encoding import signed_range, to_offset_binary
 
 __all__ = [
     "truncated_multiply",
-    "truncated_matmul",
     "magnitude_cap_weights",
     "energy_quality_curve",
 ]
@@ -64,25 +66,6 @@ def truncated_multiply(w_int, x_int, n_bits: int, cycle_budget: int, rescale: bo
     return float(out) if out.ndim == 0 else out
 
 
-def truncated_matmul(
-    w_int: np.ndarray,
-    x_int: np.ndarray,
-    n_bits: int,
-    cycle_budget: int,
-    rescale: bool = True,
-) -> np.ndarray:
-    """Matrix product under a per-multiply cycle budget (vectorized).
-
-    Delegates to :func:`repro.core.kernels.truncated_matmul_kernel`,
-    which folds the per-term sign/rescale factors into the
-    appearance-count coefficients so the whole product is one matmul —
-    the ``(M, D, P, N)`` broadcast of :func:`truncated_multiply` never
-    materializes.  Exact for ``rescale=False``; float64 round-off level
-    agreement otherwise (summation order differs).
-    """
-    return truncated_matmul_kernel(w_int, x_int, n_bits, cycle_budget, rescale)
-
-
 def magnitude_cap_weights(w_int, n_bits: int, cycle_budget: int):
     """Clip weight magnitudes so every multiply fits the cycle budget."""
     w = np.asarray(w_int, dtype=np.int64)
@@ -111,7 +94,7 @@ def energy_quality_curve(
     k = np.abs(w)
     out = []
     for budget in budgets:
-        est = truncated_matmul(w, x, n_bits, int(budget), rescale)
+        est = truncated_matmul_kernel(w, x, n_bits, int(budget), rescale)
         err = est - exact
         out.append(
             {

@@ -33,7 +33,6 @@ __all__ = [
     "stream_bits",
     "prefix_ones",
     "coefficient_vector",
-    "coefficient_matrix",
     "FsmMuxGenerator",
 ]
 
@@ -108,11 +107,6 @@ def coefficient_vector(k, n_bits: int) -> np.ndarray:
     i = np.arange(1, n_bits + 1, dtype=np.int64)
     out = (k[..., None] + (1 << (i - 1))) >> i
     return out
-
-
-def coefficient_matrix(k_values, n_bits: int) -> np.ndarray:
-    """Alias of :func:`coefficient_vector` for arrays (readability)."""
-    return coefficient_vector(k_values, n_bits)
 
 
 def prefix_ones(value, k, n_bits: int):

@@ -223,50 +223,66 @@ class ArtifactStore:
         except (ValueError, UnicodeDecodeError):
             return None
 
+    def _read_checkpoint(
+        self,
+        key: str,
+        spec_fingerprint: str | None,
+        expected_params: int | None,
+        load: bool,
+    ) -> tuple[str, str, dict[str, np.ndarray] | None]:
+        """``(status, reason, arrays)`` of one checkpoint, from one read of its file.
+
+        With ``load``, the arrays are parsed from the bytes the checks
+        run on (``None`` unless the status is ``"ok"``), so a member that
+        fails its zip CRC-32 makes the checkpoint ``"corrupt"``.
+        """
+        path = self.checkpoint_path(key)
+        if not path.exists():
+            return "missing", "no such checkpoint", None
+        try:
+            data = path.read_bytes()
+        except OSError as exc:  # pragma: no cover - permissions etc.
+            return "corrupt", f"unreadable: {exc}", None
+        if not zipfile.is_zipfile(io.BytesIO(data)):
+            return "corrupt", "not a zip archive (bad or missing EOCD)", None
+        sidecar = self._sidecar_path(path)
+        if sidecar.exists():
+            recorded = sidecar.read_text().split()
+            if not recorded or recorded[0] != _sha256_hex(data):
+                return "corrupt", "SHA-256 sidecar mismatch", None
+        try:
+            with np.load(io.BytesIO(data)) as blob:
+                names = [name for name in blob.files if name != META_KEY]
+                meta = self._read_meta(blob)
+                arrays = {name: blob[name] for name in names} if load else None
+        except (zipfile.BadZipFile, OSError, ValueError, KeyError, EOFError) as exc:
+            return "corrupt", f"npz load failed: {exc}", None
+        if meta is None:
+            return "stale", "no artifact metadata (pre-store or foreign file)", None
+        if meta.get("store_version") != STORE_VERSION:
+            reason = f"store version {meta.get('store_version')} != {STORE_VERSION}"
+            return "stale", reason, None
+        if spec_fingerprint is not None and meta.get("fingerprint") != spec_fingerprint:
+            return "stale", "spec fingerprint mismatch", None
+        if meta.get("params") != len(names):
+            return "corrupt", f"param count {len(names)} != recorded {meta.get('params')}", None
+        if expected_params is not None and len(names) != expected_params:
+            return "stale", f"param count {len(names)} != expected {expected_params}", None
+        return "ok", "", arrays
+
     def check_checkpoint(
         self,
         key: str,
         spec_fingerprint: str | None = None,
         expected_params: int | None = None,
     ) -> tuple[str, str]:
-        """Validate one checkpoint without loading it into a model.
+        """Validate one checkpoint without loading its arrays.
 
         Returns ``(status, reason)`` where status is ``"ok"``,
         ``"missing"``, ``"corrupt"`` (unreadable bytes), or ``"stale"``
         (readable but produced by a different spec/format).
         """
-        path = self.checkpoint_path(key)
-        if not path.exists():
-            return "missing", "no such checkpoint"
-        try:
-            data = path.read_bytes()
-        except OSError as exc:  # pragma: no cover - permissions etc.
-            return "corrupt", f"unreadable: {exc}"
-        if not zipfile.is_zipfile(io.BytesIO(data)):
-            return "corrupt", "not a zip archive (bad or missing EOCD)"
-        sidecar = self._sidecar_path(path)
-        if sidecar.exists():
-            recorded = sidecar.read_text().split()[0] if sidecar.read_text().split() else ""
-            if recorded != _sha256_hex(data):
-                return "corrupt", "SHA-256 sidecar mismatch"
-        try:
-            with np.load(io.BytesIO(data)) as blob:
-                files = set(blob.files)
-                meta = self._read_meta(blob)
-        except (zipfile.BadZipFile, OSError, ValueError, KeyError, EOFError) as exc:
-            return "corrupt", f"npz load failed: {exc}"
-        if meta is None:
-            return "stale", "no artifact metadata (pre-store or foreign file)"
-        if meta.get("store_version") != STORE_VERSION:
-            return "stale", f"store version {meta.get('store_version')} != {STORE_VERSION}"
-        if spec_fingerprint is not None and meta.get("fingerprint") != spec_fingerprint:
-            return "stale", "spec fingerprint mismatch"
-        n_params = len(files - {META_KEY})
-        if meta.get("params") != n_params:
-            return "corrupt", f"param count {n_params} != recorded {meta.get('params')}"
-        if expected_params is not None and n_params != expected_params:
-            return "stale", f"param count {n_params} != expected {expected_params}"
-        return "ok", ""
+        return self._read_checkpoint(key, spec_fingerprint, expected_params, load=False)[:2]
 
     def load_checkpoint(
         self,
@@ -276,27 +292,22 @@ class ArtifactStore:
     ) -> dict[str, np.ndarray] | None:
         """Load a validated checkpoint, or ``None`` after quarantining.
 
-        Never raises on bad store contents: corrupt/stale checkpoints
-        are moved to ``*.corrupt`` and the caller is expected to
-        rebuild and re-save.
+        The file is read once: the arrays come from the bytes
+        :meth:`check_checkpoint`'s checks ran on.  Never raises on bad
+        store contents: corrupt/stale checkpoints are moved to
+        ``*.corrupt`` and the caller is expected to rebuild and re-save.
         """
-        status, reason = self.check_checkpoint(key, spec_fingerprint, expected_params)
+        status, reason, arrays = self._read_checkpoint(
+            key, spec_fingerprint, expected_params, load=True
+        )
         if status == "missing":
             _event(logging.INFO, "miss", key)
             return None
         if status != "ok":
             self.quarantine(key, reason=f"{status}: {reason}")
             return None
-        path = self.checkpoint_path(key)
-        try:
-            with np.load(path) as blob:
-                out = {name: blob[name] for name in blob.files if name != META_KEY}
-        except (zipfile.BadZipFile, OSError, ValueError, KeyError, EOFError) as exc:
-            # Raced with a concurrent writer or disk fault after validation.
-            self.quarantine(key, reason=f"corrupt: load raced or failed ({exc})")
-            return None
-        _event(logging.INFO, "hit", key, params=len(out))
-        return out
+        _event(logging.INFO, "hit", key, params=len(arrays))
+        return arrays
 
     def quarantine(self, key: str, reason: str = "") -> Path | None:
         """Move a bad checkpoint aside to ``*.corrupt`` (never raises)."""

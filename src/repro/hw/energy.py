@@ -13,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.signed import multiply_latency
 from repro.hw.array import MacArray
 from repro.hw.mac_designs import MacDesign, fixed_point_mac, lfsr_sc_mac, proposed_mac
+from repro.sc.encoding import quantize_signed
 
 __all__ = ["avg_mac_cycles_from_weights", "Fig7Row", "compare_mac_arrays"]
 
@@ -22,16 +24,17 @@ __all__ = ["avg_mac_cycles_from_weights", "Fig7Row", "compare_mac_arrays"]
 def avg_mac_cycles_from_weights(
     weights: np.ndarray, precision: int, bit_parallel: int = 1
 ) -> float:
-    """``E[ceil(|2^(N-1) w| / b)]`` over a float weight sample.
+    """``E[ceil(|w_int| / b)]`` over a float weight sample.
 
     This is the data-dependent per-MAC latency of the proposed design —
     small because trained CNN weights are bell-shaped around zero
-    (Section 3.2).
+    (Section 3.2).  Each weight is quantized as the engines quantize it
+    (:func:`~repro.sc.encoding.quantize_signed`) and costs what the
+    multiplier takes for it (:func:`~repro.core.signed.multiply_latency`),
+    so a full-scale negative weight costs ``2**(N-1)`` cycles.
     """
-    w = np.asarray(weights, dtype=np.float64).ravel()
-    half = 1 << (precision - 1)
-    k = np.clip(np.rint(np.abs(w) * half), 0, half - 1)
-    return float(np.ceil(k / bit_parallel).mean())
+    w_int = quantize_signed(np.asarray(weights, dtype=np.float64).ravel(), precision)
+    return float(multiply_latency(w_int, precision, bit_parallel).mean())
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,22 @@
 """Canonical content keys for schedule state.
 
-Every piece of content-keyed schedule state — per-layer appearance-count
-coefficient matrices, operand bit tables and the up/down tables of the
-SNG families — is addressed by one string key produced here.  The
-process schedule store (:class:`~repro.parallel.cache.ScheduleCache`)
-keeps every entry in one memo under these strings and the ahead-of-time
+Every piece of content-keyed schedule state — each layer's
+appearance-count coefficients and the up/down tables of the SNG
+families — is addressed by one string key produced here.  The process
+schedule store (:class:`~repro.parallel.cache.ScheduleCache`) keeps
+every entry in one memo under these strings and the ahead-of-time
 compiled artifact (:mod:`repro.parallel.compiled`) stores its entries
 under the same ones, so "the same schedule" means one thing everywhere
 and a store lookup can fall through from its memo to the artifact by
-key alone.  A
-layer's two entries are ``<layer_digest>/coeff`` and
-``<layer_digest>/const``; the store's derived layouts append their own
-suffix to the key of their source.
+key alone.
 
 Keys are ``"<kind>:<sha1-hex>"``: readable enough to group by kind in
 logs and in ``repro cache inspect``, which counts an artifact's entries
 by kind off their keys alone
 (:func:`repro.parallel.compiled.entry_kind`), and stable across
-processes and runs.
+processes and runs.  The kind is hashed with the content, so a key
+names one layout: coefficients stored in another layout before
+(``layer:<sha1>/coeff``) can never be served under a key made here.
 This module is a leaf — it imports nothing from :mod:`repro` — so every
 layer (``sc``, ``core``, ``parallel``, ``experiments``) can use it.
 """
@@ -30,8 +29,7 @@ import numpy as np
 
 __all__ = [
     "content_key",
-    "layer_digest",
-    "bit_table_key",
+    "layer_coeff_key",
     "sng_ud_table_key",
 ]
 
@@ -58,8 +56,8 @@ def content_key(kind: str, *parts) -> str:
     return f"{kind}:{h.hexdigest()}"
 
 
-def layer_digest(w_int: np.ndarray, n_bits: int) -> str:
-    """Content key of one weight matrix's coefficient schedule.
+def layer_coeff_key(w_int: np.ndarray, n_bits: int) -> str:
+    """Key of one weight matrix's ``(D*N, M)`` coefficient matrix.
 
     Keyed by the quantized weight *bytes* (plus dtype/shape via
     :func:`content_key`) and the precision, so in-place weight mutation
@@ -67,12 +65,7 @@ def layer_digest(w_int: np.ndarray, n_bits: int) -> str:
     fleet pins.
     """
     w = np.ascontiguousarray(np.asarray(w_int, dtype=np.int64))
-    return content_key("layer", w, int(n_bits))
-
-
-def bit_table_key(n_bits: int) -> str:
-    """Key of the ``(N, 2**N)`` MSB-first offset-word bit matrix."""
-    return content_key("bit-table", int(n_bits))
+    return content_key("layer-coeff", w, int(n_bits))
 
 
 def sng_ud_table_key(n_bits: int, fingerprint: tuple) -> str:

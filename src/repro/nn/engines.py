@@ -92,9 +92,11 @@ same way:
   called once per layer input, is the one finiteness and range check:
   NaN and +-Inf raise, and every finite value saturates to the rail,
   also one that overflows when scaled.  Words are in range by
-  construction, so the kernels do not check them again (the signed API
-  of :meth:`~repro.parallel.cache.ScheduleCache.sc_matmul` keeps its
-  own check for its other callers).
+  construction.  The fixed-point and lfsr-sc kernels use them unchecked;
+  proposed-sc and truncated-sc pass them, made signed, to kernels with a
+  signed API (:meth:`~repro.parallel.cache.ScheduleCache.sc_matmul`,
+  :func:`~repro.core.kernels.truncated_matmul_kernel`), whose range
+  check of both operands runs on every call.
 * **Weight memo.**  :meth:`MatmulEngine.quantize_weights` quantizes a
   layer's weights once and memoizes them on the engine, keyed by the
   weight *content*: a private float64 copy of the weights, compared

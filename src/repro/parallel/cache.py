@@ -1,39 +1,46 @@
-"""The process store of schedules, up/down tables and weight coefficient loads.
+"""The process store of layer coefficients and up/down tables.
 
 Inference reuses the same conv weights for every batch, but the
-reference kernel (:func:`repro.core.mvm.sc_matmul`) rebuilds the whole
-FSM bookkeeping — appearance-count coefficients (the per-select-line
-totals implied by the weight's down-counter load) and the operand bit
-expansion — on every call.  So the process keeps one
-:class:`ScheduleCache` (:func:`get_worker_cache`), from which every
-proposed-SC and conventional-SC engine call draws, on any thread.
+reference kernel (:func:`repro.core.mvm.sc_matmul`) rebuilds the
+appearance-count coefficients of every weight (the per-select-line
+totals implied by its down-counter load) on every call.  So the process
+keeps one :class:`ScheduleCache` (:func:`get_worker_cache`), from which
+every proposed-SC and conventional-SC engine call draws, on any thread.
 
-Every entry is a pure function of content, and the store keeps them
-all in one memo under the :mod:`repro.keys` string a compiled artifact
+The store keeps exactly what the kernels read, in two entry kinds, each
+a pure function of content and kept in one memo under the
+:mod:`repro.keys` string a compiled artifact
 (:mod:`repro.parallel.compiled`) uses for the same content:
-``bit_table`` (the ``(N, 2**N)`` MSB-first bit matrix of every offset
-word), ``sng_ud_table`` (the conventional-SC up/down table of each
-registry SNG family, the default shared-LFSR pair included),
-``layer_coeff`` (``<layer digest>/coeff`` and ``/const``: a weight
-matrix's sign-folded coefficients and count constant, keyed by the
-weight bytes, so in-place fine-tuning never serves stale schedules),
-and the two layouts :meth:`ScheduleCache.sc_matmul` derives, under
-their source's key plus a suffix.
 
-One private lookup serves every entry, in one order: the memo, then the
+* ``layer-coeff`` (:meth:`ScheduleCache.layer_coeff`, under
+  :func:`~repro.keys.layer_coeff_key`): a weight matrix's sign-folded
+  coefficients in the ``(D*N, M)`` layout the GEMM of
+  :meth:`ScheduleCache.sc_matmul` multiplies, keyed by the weight
+  bytes, so in-place fine-tuning never serves stale schedules;
+* ``ud-table`` (:meth:`ScheduleCache.sng_ud_table`, under
+  :func:`~repro.keys.sng_ud_table_key`): the conventional-SC up/down
+  table of each registry SNG family, the default shared-LFSR pair
+  included.
+
+The ``(2**N, N)`` bit rows the GEMM gathers are a function of ``N``
+alone, so they are built once per ``N`` outside the store
+(:func:`_bit_rows`, read-only), and the subtraction constant of the
+closed form is the row sum of the weights, taken per call.
+
+One private lookup serves both kinds, in one order: the memo, then the
 attached artifact (an entry of the wrong shape, or a table of the wrong
 dtype, is a miss there, not an error), then a build outside the lock.
 It alone holds the lock, the shape check of a served memo entry, the
-counters and the LRU bounds (``max_layers`` layers,
-four times as many derived layouts; tables stay).  ``hits`` /
-``misses`` and the ``hook`` count the lookups an engine call makes (one
-per up/down table, one per layer); ``compiled_hits`` counts artifact
-entries served and ``rebuilds`` the builds of entries an artifact can
-hold, so a boot from a covering artifact builds nothing.  Every array
-handed out is read-only (the lookup freezes what it inserts; artifact
-entries are read-only views), so a write into a table raises instead of
-changing every later answer in the process.  Artifact entries are never
-copied into the memo, so a dropped cache comes back warm.
+counters and the LRU bound (``max_layers`` layers; tables stay).  One
+counting rule covers both kinds: every lookup counts one hit or one
+miss (and fires the ``hook``), an artifact entry served counts one
+``compiled_hits``, and every miss builds its entry (``rebuilds``), so a
+warm engine call counts one lookup per layer or table and a boot from a
+covering artifact builds nothing.  Every array handed out is read-only
+(the lookup freezes what it inserts; artifact entries are read-only
+views), so a write into a table raises instead of changing every later
+answer in the process.  Artifact entries are never copied into the
+memo, so a dropped cache comes back warm.
 
 :meth:`ScheduleCache.sc_matmul` combines these into a fast path that is
 **bit-exact** with :func:`repro.core.mvm.sc_matmul`: all operands are
@@ -41,12 +48,12 @@ small integers, so the GEMM is exact (every partial sum is an
 exactly-representable integer) and the result is identical down to the
 last LSB under any summation order.  The rule that makes it so: a
 layer's coefficients are float32 only when every partial sum stays
-below ``2**24`` (bounded by twice the row's total coefficient mass),
+below ``2**24`` (bounded by twice the column's total coefficient mass),
 and float64 — exact below ``2**53`` — otherwise.  The parity fleet in
 ``tests/parallel`` pins this.  The layout is chosen for the gather: bit
-rows land contiguously in a ``(P, D*N)`` operand matrix, and the
-coefficients are re-laid to match it once per layer, so no per-batch
-transposing copy of the ``N``-fold bit expansion is ever made.
+rows land contiguously in a ``(P, D*N)`` operand matrix whose columns
+are the coefficients' rows, so no per-batch transposing copy of the
+``N``-fold bit expansion is ever made.
 
 A module lock guards creating and dropping the process cache itself, so
 threads that start on a dropped cache all get the same new one.
@@ -55,15 +62,15 @@ threads that start on a dropped cache all get the same new one.
 from __future__ import annotations
 
 import threading
-from collections import Counter, OrderedDict
-from functools import partial
+from collections import OrderedDict
+from functools import lru_cache, partial
 
 import numpy as np
 
 from repro.core.accumulator import check_acc_bits
 from repro.core.fsm_generator import coefficient_vector
 from repro.core.mvm import sc_matmul
-from repro.keys import bit_table_key, layer_digest, sng_ud_table_key
+from repro.keys import layer_coeff_key, sng_ud_table_key
 from repro.sc.encoding import bits_msb_first, signed_range
 
 __all__ = [
@@ -78,43 +85,30 @@ __all__ = [
 #: float32 GEMM is exact while every partial sum stays below 2**24.
 _F32_EXACT_BOUND = 1 << 24
 
-#: Entry kinds an engine call looks up: they count ``hits``/``misses``.
-_ENGINE_KINDS = frozenset({"ud-table", "layer-coeff"})
-#: Entry kinds that count ``compiled_hits``/``rebuilds`` (a layer's
-#: constant rides on its coefficients).
-_ARTIFACT_KINDS = _ENGINE_KINDS | {"bit-table"}
-#: LRU bound of each bounded kind, in units of ``max_layers``.
-_BOUNDS = {"layer-coeff": 1, "layer-const": 1, "derived": 4}
 
-
-def _bit_table(n_bits: int) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _bit_rows(n_bits: int) -> np.ndarray:
+    """``(2**N, N)`` float32, read-only: row ``v`` holds the MSB-first bits of word ``v``."""
     words = np.arange(1 << n_bits, dtype=np.int64)
-    return np.ascontiguousarray(bits_msb_first(words, n_bits).T.astype(np.float32))
+    rows = np.ascontiguousarray(bits_msb_first(words, n_bits), dtype=np.float32)
+    rows.setflags(write=False)
+    return rows
 
 
 def _coefficients(w: np.ndarray, n_bits: int) -> np.ndarray:
-    """Sign-folded ``(M, N*D)`` select-line-major coefficients of ``w``.
+    """Sign-folded coefficients of ``w`` in the GEMM's ``(D*N, M)`` layout.
 
-    float32 while the GEMM is exact in it: any partial sum is at most
-    the row's total coefficient mass ``sum_{d,n} |coeff|``.
+    Row ``d*N + n`` holds select line ``n`` of operand ``d``: the column
+    order of a gathered ``(P, D, N)`` bit block.  float32 while the GEMM
+    is exact in it: any partial sum is at most the column's total
+    coefficient mass ``sum_{d,n} |coeff|``.
     """
     m, d = w.shape
     sign = np.where(w < 0, -1, 1).astype(np.int64)
     coeff = coefficient_vector(np.abs(w), n_bits) * sign[:, :, None]  # (M, D, N)
-    coeff_t = np.ascontiguousarray(coeff.transpose(0, 2, 1)).reshape(m, d * n_bits)
-    mass = int(np.abs(coeff_t).sum(axis=1).max()) if coeff_t.size else 0
-    return coeff_t.astype(np.float32 if 2 * mass < _F32_EXACT_BOUND else np.float64)
-
-
-def _d_major(coeff_t: np.ndarray, n_bits: int) -> np.ndarray:
-    """Re-lay ``(M, N*D)`` select-line-major coefficients as ``(D*N, M)``.
-
-    Row ``d*N + n`` holds select line ``n`` of operand ``d``: the column
-    order of a gathered ``(P, D, N)`` bit block.
-    """
-    m, nd = coeff_t.shape
-    by_line = coeff_t.reshape(m, n_bits, nd // n_bits)  # (M, N, D)
-    return np.ascontiguousarray(by_line.transpose(2, 1, 0)).reshape(nd, m)
+    coeff = np.ascontiguousarray(coeff.transpose(1, 2, 0)).reshape(d * n_bits, m)
+    mass = int(np.abs(coeff).sum(axis=0).max()) if coeff.size else 0
+    return coeff.astype(np.float32 if 2 * mass < _F32_EXACT_BOUND else np.float64)
 
 
 class CachePoisonedError(RuntimeError):
@@ -128,7 +122,7 @@ class CachePoisonedError(RuntimeError):
 
 
 class ScheduleCache:
-    """Process-local store of schedules and per-layer coefficient loads.
+    """Process-local store of layer coefficients and up/down tables.
 
     One memo keyed by :mod:`repro.keys` content strings, backed by an
     optional compiled artifact ``compiled`` (a
@@ -146,12 +140,16 @@ class ScheduleCache:
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        self.rebuilds = 0
         self.compiled_hits = 0
         #: optional observer ``hook("hit" | "miss")`` fired on every
-        #: lookup an engine call makes.  The serving layer points this at
-        #: its metrics counters; it must be cheap and must not raise.
+        #: lookup.  The serving layer points this at its metrics
+        #: counters; it must be cheap and must not raise.
         self.hook = hook
+
+    @property
+    def rebuilds(self) -> int:
+        """Entries built: every miss builds the entry it looked up."""
+        return self.misses
 
     def _lookup(self, key: str, kind: str, shape: tuple, build, dtype=None) -> np.ndarray:
         """The entry ``key``: from the memo, else the artifact, else ``build()``.
@@ -176,37 +174,25 @@ class ScheduleCache:
                     entry.shape != shape or (dtype is not None and entry.dtype != dtype)
                 ):
                     entry = None
-                if kind in _ARTIFACT_KINDS:
-                    if entry is None:
-                        self.rebuilds += 1
-                    else:
-                        self.compiled_hits += 1
-            if kind in _ENGINE_KINDS:
-                if entry is None:
-                    self.misses += 1
-                else:
-                    self.hits += 1
-                if self.hook is not None:
-                    self.hook("miss" if entry is None else "hit")
+                if entry is not None:
+                    self.compiled_hits += 1
+            if entry is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+            if self.hook is not None:
+                self.hook("miss" if entry is None else "hit")
             if entry is not None:
                 return entry
         entry = build()
         entry.setflags(write=False)
         with self._lock:
             self._memo[key] = (kind, entry)
-            if kind in _BOUNDS:
-                same = [k for k, (k_kind, _) in self._memo.items() if k_kind == kind]
-                for old in same[: max(0, len(same) - _BOUNDS[kind] * self.max_layers)]:
+            if kind == "layer-coeff":
+                layers = [k for k, (k_kind, _) in self._memo.items() if k_kind == kind]
+                for old in layers[: max(0, len(layers) - self.max_layers)]:
                     del self._memo[old]
         return entry
-
-    # -- tables -------------------------------------------------------------
-    def bit_table(self, n_bits: int) -> np.ndarray:
-        """``(N, 2**N)`` float32 matrix: row ``n`` = MSB-first bit ``n``."""
-        return self._lookup(
-            bit_table_key(n_bits), "bit-table", (n_bits, 1 << n_bits),
-            partial(_bit_table, n_bits), np.float32,
-        )
 
     def sng_ud_table(self, generator: str, n_bits: int) -> np.ndarray:
         """XNOR up/down table of one registry SNG family, the default included.
@@ -224,30 +210,21 @@ class ScheduleCache:
         build = partial(generators.generator_ud_table, generator, n_bits)
         return self._lookup(key, "ud-table", (side, side), build, np.int64)
 
-    # -- per-layer coefficient loads --------------------------------------
-    def layer_coeff(self, w_int: np.ndarray, n_bits: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sign-folded coefficient matrix + count constant for ``w_int``.
+    def layer_coeff(self, w_int: np.ndarray, n_bits: int) -> np.ndarray:
+        """Sign-folded ``(D*N, M)`` coefficient matrix of ``w_int``.
 
-        Returns ``(coeff_t, const)`` where ``coeff_t`` has shape
-        ``(M, N*D)`` in select-line-major order (float32 when exact,
-        float64 otherwise) and ``const[m] = sum_d sign*|w|`` (the row sum
-        of ``w``) is the subtraction constant of the closed form.  Keyed by weight
-        *content*, so in-place weight updates miss and recompute.
+        Row ``d*N + n`` holds select line ``n`` of operand ``d`` for
+        every output row (float32 when exact, float64 otherwise).  Keyed
+        by weight *content*, so in-place weight updates miss and
+        recompute.
         """
-        return self._layer(w_int, n_bits)[1:]
-
-    def _layer(self, w_int: np.ndarray, n_bits: int) -> tuple[str, np.ndarray, np.ndarray]:
-        """:meth:`layer_coeff` with the layer's content key in front."""
         w = np.ascontiguousarray(np.asarray(w_int, dtype=np.int64))
-        digest = layer_digest(w, n_bits)
         m, d = w.shape
-        coeff_t = self._lookup(
-            f"{digest}/coeff", "layer-coeff", (m, d * n_bits), partial(_coefficients, w, n_bits)
+        return self._lookup(
+            layer_coeff_key(w, n_bits), "layer-coeff", (d * n_bits, m),
+            partial(_coefficients, w, n_bits),
         )
-        const = self._lookup(f"{digest}/const", "layer-const", (m,), partial(w.sum, axis=1))
-        return digest, coeff_t, const
 
-    # -- the fast batched matmul ------------------------------------------
     def sc_matmul(
         self,
         w_int: np.ndarray,
@@ -263,14 +240,13 @@ class ScheduleCache:
         delegates to the reference implementation.
 
         The whole product is one gather and one GEMM.  Each operand's
-        offset word picks its ``N``-wide row of the ``(2**N, N)`` bit-row
-        table (the transpose of :meth:`bit_table`), so the gather writes
-        one contiguous ``(P, D*N)`` matrix with no transposing copy, and
-        that matrix multiplies the layer's coefficients re-laid
-        operand-major as ``(D*N, M)``.  Both derived layouts are built
-        once (per ``N`` and dtype, per layer) and memoized.  The GEMM is
-        exact: the cached coefficients are float32 only when every
-        partial sum is below ``2**24`` (float64 otherwise).
+        offset word picks its ``N``-wide row of the ``(2**N, N)`` bit
+        rows, so the gather writes one contiguous ``(P, D*N)`` matrix
+        with no transposing copy, and that matrix multiplies the layer's
+        ``(D*N, M)`` coefficients (:meth:`layer_coeff`, one store lookup
+        per call).  The GEMM is exact: the cached coefficients are
+        float32 only when every partial sum is below ``2**24`` (float64
+        otherwise).
         """
         if saturate == "term":
             return sc_matmul(w_int, x_int, n_bits, acc_bits, saturate=saturate)
@@ -288,41 +264,29 @@ class ScheduleCache:
             raise ValueError(f"unknown saturate mode: {saturate!r}")
 
         d, p = x.shape
-        digest, coeff_t, const = self._layer(w, n_bits)
-        dtype = coeff_t.dtype
-        coeff = self._lookup(
-            f"{digest}/coeff/d-major{dtype.str}", "derived", (d * n_bits, w.shape[0]),
-            partial(_d_major, coeff_t, n_bits),
-        )
-        rows = self._lookup(
-            f"{bit_table_key(n_bits)}/rows{dtype.str}", "derived", (1 << n_bits, n_bits),
-            lambda: np.ascontiguousarray(self.bit_table(n_bits).T, dtype=dtype),
-        )
+        coeff = self.layer_coeff(w, n_bits)
         # Offset-binary words, transposed: row q holds the D operands of
         # output column q, so gathering their (2**N, N) bit rows lands as
         # one contiguous (P, D, N) block and the reshape to (P, D*N) is free.
         # One pass, from x's own integer dtype (the int16 words of a conv
         # layer) straight to the gather's index type.
         offs = np.add(x.T, 1 << (n_bits - 1), dtype=np.intp, order="C")
-        bits = np.take(rows, offs, axis=0)
+        bits = np.take(_bit_rows(n_bits), offs, axis=0)
         prod = bits.reshape(p, d * n_bits) @ coeff  # (P, M)
         ones_signed = np.rint(prod).astype(np.int64)  # exact: integer-valued sums
-        out = 2 * ones_signed - const
+        out = 2 * ones_signed - w.sum(axis=1)
         if saturate == "final":
             width = check_acc_bits(n_bits, acc_bits)
             out = np.clip(out, -(1 << (width - 1)), (1 << (width - 1)) - 1)
         return out.T
 
     def stats(self) -> dict[str, int]:
-        """Counters and resident entries per kind (for logs and tests)."""
+        """Counters and resident layers (for logs and tests)."""
         with self._lock:
-            kinds = Counter(kind for kind, _ in self._memo.values())
             return {
                 "hits": self.hits,
                 "misses": self.misses,
-                "layers": kinds["layer-coeff"],
-                "bit_tables": kinds["bit-table"],
-                "derived": kinds["derived"],
+                "layers": sum(kind == "layer-coeff" for kind, _ in self._memo.values()),
                 "rebuilds": self.rebuilds,
                 "compiled_hits": self.compiled_hits,
             }

@@ -1,14 +1,15 @@
 """Ahead-of-time compiled schedule artifacts.
 
-Every schedule the SC engines need — operand bit tables, signed
-appearance-count coefficient matrices and the conventional-SC up/down
-tables of the SNG families — is a pure function of the model weights
-and engine parameters, identical for every call.  This module compiles
-all of them **once** at model-load time into one artifact: an ``.npz``
-of its entries, one array per :mod:`repro.keys` content key, persisted
-through the artifact store's checkpoint path (atomic rename, SHA-256
-sidecar, zip CRC-32 per member, quarantine-then-rebuild) and attached
-process-wide as a read-only key → array view
+Every schedule the SC engines need — each proposed-SC layer's signed
+appearance-count coefficients, in the ``(D*N, M)`` layout the GEMM
+reads, and the conventional-SC up/down tables of the SNG families — is
+a pure function of the model weights and engine parameters, identical
+for every call.  This module compiles all of them **once** at
+model-load time into one artifact: an ``.npz`` of its entries, one
+array per :mod:`repro.keys` content key, persisted through the
+artifact store's checkpoint path (atomic rename, SHA-256 sidecar, zip
+CRC-32 per member, quarantine-then-rebuild) and attached process-wide
+as a read-only key → array view
 (:func:`~repro.parallel.cache.attach_compiled`).  The process
 :class:`~repro.parallel.cache.ScheduleCache` reads it as the second
 step of its one lookup (memo → artifact → build), so an artifact that
@@ -16,15 +17,19 @@ covers the net leaves nothing to build (``stats()["rebuilds"]`` stays
 0).
 
 One walk over ``net.conv_layers`` (``_walk``) names every entry a net
-needs, as ``(key, build)`` under the :mod:`repro.keys` strings the
-store uses: :func:`schedule_manifest` takes only the keys, and
-:func:`compile_network_schedules` runs each build through a scratch
-:class:`~repro.parallel.cache.ScheduleCache`, so every compiled table
-and layer schedule comes from the same on-demand path the engines use.
+needs, one per conv layer, as ``(key, build)`` under the
+:mod:`repro.keys` strings the store uses: :func:`schedule_manifest`
+takes only the keys, and :func:`compile_network_schedules` runs each
+build through a scratch :class:`~repro.parallel.cache.ScheduleCache`,
+so every compiled table and layer schedule comes from the same
+on-demand path the engines use.
 
 The artifact has no format version of its own.  Its entries are content
 keys, so an artifact is fresh iff it holds every key of the net's
 manifest; the store's version and integrity checks cover the container.
+An artifact written before the coefficients were stored in the GEMM's
+layout holds ``layer:<sha1>/coeff`` keys that no manifest names any
+more, so it is stale and recompiled once.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.keys import bit_table_key, layer_digest, sng_ud_table_key
+from repro.keys import layer_coeff_key, sng_ud_table_key
 from repro.parallel.cache import ScheduleCache
 
 __all__ = [
@@ -54,13 +59,10 @@ logger = logging.getLogger("repro.artifacts")
 def entry_kind(key: str) -> str:
     """The kind of the artifact entry under ``key``, read off the key.
 
-    ``layer-coeff`` and ``layer-const`` (the two suffixes of a layer
-    digest), ``bit-table``, and ``ud-table`` (an SNG family's up/down
-    table).
+    ``layer-coeff`` (a layer's coefficients) or ``ud-table`` (an SNG
+    family's up/down table).
     """
-    prefix, _, rest = key.partition(":")
-    if prefix == "layer":
-        return "layer-" + rest.rpartition("/")[2]
+    prefix = key.partition(":")[0]
     return "ud-table" if prefix == "sng-ud-table" else prefix
 
 
@@ -108,14 +110,13 @@ class CompiledSchedules:
 
 
 def _walk(net, cache: ScheduleCache):
-    """Yield ``(key, build)`` for every entry ``net`` needs.
+    """Yield ``(key, build)`` for every entry ``net`` needs, one per conv layer.
 
-    One pass over ``net.conv_layers``: an lfsr-sc layer needs the
-    up/down table of its engine's SNG family (the default ``lfsr`` pair
-    like any other), a proposed-sc layer its coefficients, its count
-    constant and the bit table.  ``build()`` makes the entry's array
-    through ``cache``, the on-demand path the engines use.  Yielding
-    builds nothing; only proposed-sc weights are quantized, to key them.
+    An lfsr-sc layer needs the up/down table of its engine's SNG family
+    (the default ``lfsr`` pair like any other), a proposed-sc layer its
+    coefficients.  ``build()`` makes the entry's array through
+    ``cache``, the on-demand path the engines use.  Yielding builds
+    nothing; only proposed-sc weights are quantized, to key them.
     """
     from repro.nn.engines import LfsrScEngine, ProposedScEngine
     from repro.sc.generators import generator_fingerprint
@@ -130,11 +131,7 @@ def _walk(net, cache: ScheduleCache):
             )
         elif isinstance(engine, ProposedScEngine):
             w_int = engine.quantize_weights(conv.weight.value.reshape(conv.out_channels, -1))
-            digest = layer_digest(w_int, n)
-            layer = partial(cache.layer_coeff, w_int, n)
-            yield f"{digest}/coeff", lambda layer=layer: layer()[0]
-            yield f"{digest}/const", lambda layer=layer: layer()[1]
-            yield bit_table_key(n), partial(cache.bit_table, n)
+            yield layer_coeff_key(w_int, n), partial(cache.layer_coeff, w_int, n)
 
 
 def schedule_manifest(net) -> list[str]:
@@ -153,7 +150,8 @@ def compile_network_schedules(net) -> dict[str, np.ndarray]:
     Every build runs through a scratch :class:`ScheduleCache`, so the
     compiled arrays come from the exact code path the on-demand lookup
     uses — bit-identical by construction.  Entries keep walk order; a
-    key the walk names twice (the bit table of two layers) is one entry.
+    key the walk names twice (the up/down table of two lfsr-sc layers)
+    is one entry.
     """
     entries: dict[str, np.ndarray] = {}
     for key, build in _walk(net, ScheduleCache(max_layers=1 << 30)):

@@ -30,12 +30,9 @@ from repro.sc.halton import HaltonSource, halton_sequence, radical_inverse
 from repro.sc.ed import EvenDistributionSource, even_distribution_stream
 from repro.sc.sng import (
     CounterSource,
-    HaltonRng,
-    LfsrSource,
     RandomSource,
     Sng,
     WbgSng,
-    SobolLikeSource,
 )
 from repro.sc.generators import (
     DEFAULT_GENERATOR,
@@ -92,10 +89,7 @@ __all__ = [
     "EvenDistributionSource",
     "even_distribution_stream",
     "RandomSource",
-    "LfsrSource",
-    "HaltonRng",
     "CounterSource",
-    "SobolLikeSource",
     "Sng",
     "WbgSng",
     "DEFAULT_GENERATOR",

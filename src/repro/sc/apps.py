@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.sc.halton import HaltonSource
 from repro.sc.lfsr import Lfsr
-from repro.sc.sng import SobolLikeSource
 
 __all__ = ["roberts_cross_exact", "roberts_cross_sc", "edge_detection_error"]
 
@@ -74,7 +74,7 @@ def roberts_cross_sc(
     if source == "lfsr":
         rand = Lfsr(n_bits, seed=1).sequence(length)
     elif source == "sobol":
-        rand = SobolLikeSource(n_bits).sequence(length)
+        rand = HaltonSource(n_bits, base=2).sequence(length)
     else:
         raise ValueError(f"unknown source {source!r}")
     select = (Lfsr(n_bits, seed=5, alternate=True).sequence(length) & 1).astype(bool)

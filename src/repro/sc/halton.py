@@ -7,14 +7,21 @@ Halton sequences instead of LFSRs.  Fig. 5 of the paper evaluates this
 
 The radical-inverse function in base ``b`` reverses the base-``b``
 digits of the index around the radix point; for base 2 this is the van
-der Corput sequence.
+der Corput sequence, whose ``n``-bit integer form is the bit-reversed
+counter (:func:`bit_reverse`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["radical_inverse", "halton_sequence", "halton_int_sequence", "HaltonSource"]
+__all__ = [
+    "radical_inverse",
+    "halton_sequence",
+    "halton_int_sequence",
+    "bit_reverse",
+    "HaltonSource",
+]
 
 
 def radical_inverse(index, base: int):
@@ -56,11 +63,25 @@ def halton_int_sequence(length: int, base: int, n_bits: int, start: int = 0) -> 
     return np.floor(pts * (1 << n_bits)).astype(np.int64)
 
 
+def bit_reverse(values: np.ndarray, n_bits: int) -> np.ndarray:
+    """The low ``n_bits`` bits of each integer, reversed.
+
+    Applied to a counter ``0 .. 2**n - 1`` this is the base-2 Halton
+    (van der Corput) sequence as ``n``-bit integers, a permutation.
+    """
+    out = np.zeros_like(values)
+    v = values.copy()
+    for _ in range(n_bits):
+        out = (out << 1) | (v & 1)
+        v >>= 1
+    return out
+
+
 class HaltonSource:
     """Streaming Halton generator with the random-source interface.
 
     Emits ``n_bits``-bit integers; interchangeable with
-    :class:`repro.sc.sng.LfsrSource` inside an SNG.
+    :class:`repro.sc.lfsr.Lfsr` inside an SNG.
     """
 
     def __init__(self, n_bits: int, base: int = 2, start: int = 0) -> None:

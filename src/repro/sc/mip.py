@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.sc.halton import bit_reverse
 from repro.sc.multipliers import pairwise_partial_counts_from_streams
 
 __all__ = [
@@ -86,16 +87,6 @@ def mip_table_key(n_bits: int) -> str:
     return f"sng-mip-v{MIP_TABLE_VERSION}-n{int(n_bits)}"
 
 
-def _vdc(n_bits: int) -> np.ndarray:
-    """Bit-reversed counter: the van der Corput base-2 permutation."""
-    out = np.zeros(1 << n_bits, dtype=np.int64)
-    v = np.arange(1 << n_bits, dtype=np.int64)
-    for _ in range(n_bits):
-        out = (out << 1) | (v & 1)
-        v >>= 1
-    return out
-
-
 def _score(rand_w: np.ndarray, rand_x: np.ndarray, n_bits: int) -> float:
     """Exhaustive bipolar multiply error of one table pair."""
     length = 1 << n_bits
@@ -124,7 +115,7 @@ def synthesize_mip_tables(n_bits: int) -> tuple[np.ndarray, np.ndarray]:
     length = 1 << n_bits
     idx = np.arange(length, dtype=np.int64)
     table_w = idx.copy()
-    vdc = _vdc(n_bits)
+    vdc = bit_reverse(idx, n_bits)  # the van der Corput permutation
     # -- XOR digit-scramble scan -------------------------------------------
     best_score = np.inf
     best_xor = 0

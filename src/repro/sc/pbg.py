@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.sc.halton import bit_reverse
+
 __all__ = ["PBG_VERSION", "default_lanes", "PbgSource"]
 
 #: Part of the family fingerprint; bump when lane layout or scrambling
@@ -48,15 +50,6 @@ PBG_VERSION = 1
 def default_lanes(n_bits: int) -> int:
     """Default word width: 8 lanes, narrowed so segments stay >= 2 codes."""
     return min(8, 1 << max(0, n_bits - 1))
-
-
-def _bit_reverse(values: np.ndarray, n_bits: int) -> np.ndarray:
-    out = np.zeros_like(values)
-    v = values.copy()
-    for _ in range(n_bits):
-        out = (out << 1) | (v & 1)
-        v >>= 1
-    return out
 
 
 class PbgSource:
@@ -98,7 +91,7 @@ class PbgSource:
             return flat % self.period
         t = (flat // self.lanes) % self._segment
         j = flat % self.lanes
-        return j * self._segment + _bit_reverse(t, self._segment_bits)
+        return j * self._segment + bit_reverse(t, self._segment_bits)
 
     def words(self, cycles: int) -> np.ndarray:
         """The next ``cycles`` parallel words, shape ``(cycles, lanes)``."""

@@ -4,10 +4,10 @@ An SNG (Section 2.1 of the paper) pairs a random-number source with a
 comparator: each cycle it emits 1 when ``random < value``.  The choice
 of source determines accuracy and hardware cost:
 
-* :class:`LfsrSource` — the conventional LFSR-based SNG.
-* :class:`HaltonRng` — Halton low-discrepancy source (Alaghi & Hayes).
-* :class:`SobolLikeSource` — bit-reversed binary counter (van der
-  Corput base 2), the deterministic core shared by many
+* :class:`~repro.sc.lfsr.Lfsr` — the conventional LFSR-based SNG.
+* :class:`~repro.sc.halton.HaltonSource` — Halton low-discrepancy
+  source (Alaghi & Hayes).  In base 2 it is the bit-reversed binary
+  counter (van der Corput), the deterministic core shared by many
   low-discrepancy SNG proposals.
 * :class:`CounterSource` — a plain binary counter; emitting
   ``value`` ones *first* (a sorted, fully deterministic stream).  This
@@ -25,15 +25,10 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from repro.sc.encoding import BIPOLAR, Encoding, to_offset_binary
-from repro.sc.halton import HaltonSource
-from repro.sc.lfsr import Lfsr
 
 __all__ = [
     "RandomSource",
-    "LfsrSource",
-    "HaltonRng",
     "CounterSource",
-    "SobolLikeSource",
     "Sng",
     "WbgSng",
     "comparator_stream",
@@ -53,30 +48,6 @@ class RandomSource(Protocol):
     def sequence(self, length: int) -> np.ndarray:
         """Return the next ``length`` integers in ``[0, 2**n_bits)``."""
         ...  # pragma: no cover - protocol
-
-
-class LfsrSource:
-    """LFSR-backed random source (the conventional SNG core)."""
-
-    def __init__(
-        self,
-        n_bits: int,
-        seed: int = 1,
-        alternate: bool = False,
-        taps: tuple[int, ...] | None = None,
-    ) -> None:
-        self.n_bits = n_bits
-        self._lfsr = Lfsr(n_bits, seed=seed, alternate=alternate, taps=taps)
-
-    def reset(self) -> None:
-        self._lfsr.reset()
-
-    def sequence(self, length: int) -> np.ndarray:
-        return self._lfsr.sequence(length)
-
-
-class HaltonRng(HaltonSource):
-    """Halton source under the SNG random-source interface."""
 
 
 class CounterSource:
@@ -99,39 +70,6 @@ class CounterSource:
         out = (self._state + np.arange(length, dtype=np.int64)) % period
         self._state = int((self._state + length) % period)
         return out
-
-
-class SobolLikeSource:
-    """Bit-reversed binary counter (van der Corput base 2).
-
-    Reversing the bits of an up-counter yields the lowest-discrepancy
-    deterministic permutation of ``0 .. 2**n - 1``; it equals the
-    base-2 Halton sequence scaled to integers and is the usual
-    hardware-friendly low-discrepancy source.
-    """
-
-    def __init__(self, n_bits: int, start: int = 0) -> None:
-        self.n_bits = n_bits
-        self._start = start
-        self._state = start
-
-    def reset(self) -> None:
-        self._state = self._start
-
-    def sequence(self, length: int) -> np.ndarray:
-        period = 1 << self.n_bits
-        counts = (self._state + np.arange(length, dtype=np.int64)) % period
-        self._state = int((self._state + length) % period)
-        return _bit_reverse(counts, self.n_bits)
-
-
-def _bit_reverse(values: np.ndarray, n_bits: int) -> np.ndarray:
-    out = np.zeros_like(values)
-    v = values.copy()
-    for _ in range(n_bits):
-        out = (out << 1) | (v & 1)
-        v >>= 1
-    return out
 
 
 def comparator_stream(random_values: np.ndarray, magnitude: int) -> np.ndarray:

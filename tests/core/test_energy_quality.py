@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from repro.core.energy_quality import (
     energy_quality_curve,
     magnitude_cap_weights,
-    truncated_matmul,
     truncated_multiply,
 )
+from repro.core.kernels import truncated_matmul_kernel
 from repro.core.signed import bisc_multiply_signed
 
 
@@ -54,13 +54,13 @@ class TestTruncatedMatmul:
         n = 6
         w = rng.integers(-32, 32, size=(3, 7))
         x = rng.integers(-32, 32, size=(7, 4))
-        got = truncated_matmul(w, x, n, cycle_budget=32)
+        got = truncated_matmul_kernel(w, x, n, cycle_budget=32)
         ref = bisc_multiply_signed(w[:, :, None], x[None, :, :], n).sum(axis=1)
         assert np.allclose(got, ref)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            truncated_matmul(np.zeros((2, 3)), np.zeros((4, 2)), 4, 2)
+            truncated_matmul_kernel(np.zeros((2, 3)), np.zeros((4, 2)), 4, 2)
 
 
 class TestMagnitudeCap:

@@ -22,8 +22,8 @@ from repro.nn.engines import ProposedScEngine
 from repro.parallel import ScheduleCache, get_worker_cache, reset_worker_cache
 from repro.sc.counters import SaturatingUpDownCounter
 from repro.sc.encoding import quantize_signed
+from repro.sc.lfsr import Lfsr
 from repro.sc.multipliers import ConventionalScMac
-from repro.sc.sng import LfsrSource
 
 
 def _batches(rng, n_bits: int, p: int, terms: int):
@@ -108,7 +108,7 @@ class TestSaturatingCounterReuse:
 class TestConventionalScMacReuse:
     def _make(self):
         return ConventionalScMac(
-            6, LfsrSource(6), LfsrSource(6, alternate=True), acc_bits=2
+            6, Lfsr(6), Lfsr(6, alternate=True), acc_bits=2
         )
 
     def test_stepped_vs_vectorized_across_batches(self, rng):

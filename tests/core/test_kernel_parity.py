@@ -22,7 +22,6 @@ from repro.core.energy_quality import truncated_multiply
 from repro.sc.counters import SaturatingUpDownCounter, saturating_walk
 from repro.sc.lfsr import Lfsr
 from repro.sc.multipliers import ConventionalScMac
-from repro.sc.sng import LfsrSource
 
 
 def _walk_reference(start, deltas, lo, hi):
@@ -225,8 +224,8 @@ class TestConventionalParity:
         rng = np.random.default_rng(seed)
         n = 6
         half = 1 << (n - 1)
-        fast = ConventionalScMac(n, LfsrSource(n), LfsrSource(n, alternate=True), acc_bits=1)
-        slow = ConventionalScMac(n, LfsrSource(n), LfsrSource(n, alternate=True), acc_bits=1)
+        fast = ConventionalScMac(n, Lfsr(n), Lfsr(n, alternate=True), acc_bits=1)
+        slow = ConventionalScMac(n, Lfsr(n), Lfsr(n, alternate=True), acc_bits=1)
         for _ in range(3):
             w = int(rng.integers(-half, half))
             x = int(rng.integers(-half, half))

@@ -100,6 +100,28 @@ class TestCorruptionMatrix:
         assert out is not None and set(out) == set(arrays)
         assert np.array_equal(out["p0"], arrays["p0"])
 
+    def test_a_load_reads_the_file_once(self, store, monkeypatch):
+        """The arrays come from the bytes the checks ran on: one open of the file."""
+        import builtins
+        import io
+        import os
+
+        store.save_checkpoint("k", _arrays(), spec_fingerprint="fp")
+        path = os.fspath(store.checkpoint_path("k"))
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if not isinstance(file, int) and os.fspath(file) == path:
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        out = store.load_checkpoint("k", spec_fingerprint="fp", expected_params=3)
+        assert len(opened) == 1
+        assert all(np.array_equal(out[name], array) for name, array in _arrays().items())
+
     def test_missing_is_a_miss_not_quarantine(self, store):
         assert store.load_checkpoint("nope") is None
         assert not list(store.root.glob("*.corrupt"))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import laplace_weights_for_target_latency
+from repro.analysis import laplace_weights_for_target_latency, weight_latency_stats
 from repro.hw.energy import avg_mac_cycles_from_weights, compare_mac_arrays
 
 
@@ -19,6 +19,24 @@ class TestAvgCycles:
     def test_clipped_to_representable(self):
         w = np.array([10.0])  # saturates at 2**(N-1) - 1
         assert avg_mac_cycles_from_weights(w, 5) == 15.0
+
+    def test_full_scale_negative_weight(self):
+        """-1.0 quantizes to -2**(N-1), and the multiplier runs that many cycles."""
+        from repro.core.mvm import BiscMvm
+
+        mvm = BiscMvm(n_bits=8, p=1)
+        mvm.mac(-128, np.zeros(1, dtype=np.int64))
+        assert mvm.cycles == 128
+        assert avg_mac_cycles_from_weights(np.array([-1.0]), 8) == 128.0
+        assert avg_mac_cycles_from_weights(np.array([-1.0]), 8, bit_parallel=8) == 16.0
+
+    def test_matches_weight_latency_stats(self):
+        """One quantizer and one latency rule: the Fig. 7 delay equals the stats'."""
+        w = np.random.default_rng(2).uniform(-1.2, 1.2, size=4096)
+        for precision in (5, 8, 9):
+            for b in (1, 3, 8):
+                stats = weight_latency_stats(w, precision, bit_parallel=b)
+                assert avg_mac_cycles_from_weights(w, precision, b) == stats.avg_cycles
 
     def test_laplace_target_matches(self):
         for target in (3.0, 7.7):

@@ -9,6 +9,7 @@ inline paths; fixed-seed tests cover shards running on threads.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -173,7 +174,7 @@ def _operands(m, d, p, n_bits=8, seed=0):
 def _assert_cached_twice_matches_core(w, x, n_bits, saturate):
     cache = ScheduleCache()
     expected = sc_matmul(w, x, n_bits, 2, saturate=saturate)
-    for _ in range(2):  # the second call is served from the derived-layout memo
+    for _ in range(2):  # the second call is served from the layer memo
         assert np.array_equal(expected, cache.sc_matmul(w, x, n_bits, 2, saturate=saturate))
     return cache
 
@@ -193,7 +194,7 @@ def test_schedule_cache_float64_coefficients_match_core(monkeypatch, saturate):
     monkeypatch.setattr(cache_mod, "_F32_EXACT_BOUND", 1)
     w, x = _operands(5, 12, 7, seed=3)
     cache = _assert_cached_twice_matches_core(w, x, 8, saturate)
-    assert cache.layer_coeff(w, 8)[0].dtype == np.float64
+    assert cache.layer_coeff(w, 8).dtype == np.float64
 
 
 @pytest.mark.parametrize("saturate", ["final", None])
@@ -223,6 +224,46 @@ def test_schedule_cache_warm_call_makes_no_transposing_copy():
     finally:
         tracemalloc.stop()
     assert peak < 1.75 * bit_matrix, f"peak {peak / 1e6:.2f} MB"
+
+
+class _CountingLock:
+    """A lock that counts how often it is taken."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.taken = 0
+
+    def __enter__(self):
+        self.taken += 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self._lock.__exit__(*exc)
+
+
+def test_warm_conv_call_makes_one_store_lookup():
+    """A warm proposed-sc conv call takes the store's lock once.
+
+    The store holds the layer's coefficients in the GEMM's layout, and
+    they are the one entry the call looks up.
+    """
+    from repro.nn.layers.conv import Conv2D
+
+    reset_worker_cache()
+    try:
+        rng = np.random.default_rng(0)
+        conv = Conv2D(2, 4, kernel=3, engine=ProposedScEngine(n_bits=8), rng=rng)
+        x = rng.normal(0.0, 0.5, size=(2, 2, 6, 6))
+        cold = conv.forward(x)
+        cache = get_worker_cache()
+        cache._lock = lock = _CountingLock()
+        hits, misses = cache.hits, cache.misses
+        warm = conv.forward(x)
+        assert lock.taken == 1
+        assert (cache.hits, cache.misses) == (hits + 1, misses)
+        assert np.array_equal(warm, cold)
+    finally:
+        reset_worker_cache()
 
 
 # -- block independence of engine matmuls (hypothesis-driven) ------------
@@ -358,21 +399,24 @@ def test_cached_matmul_parity(rng):
     """ScheduleCache.sc_matmul == the uncached core, cold and warm."""
     cache = ScheduleCache()
     w = rng.integers(-128, 128, size=(6, 14))
-    for _ in range(2):  # second pass exercises the derived-layout memo
+    for _ in range(2):  # second pass exercises the layer memo
         x = rng.integers(-128, 128, size=(14, 9))
         expected = sc_matmul(w, x, 8, 2)
         assert np.array_equal(expected, cache.sc_matmul(w, x, 8, 2))
 
 
-def test_schedule_cache_derived_layouts_bounded(rng):
-    """The derived-layout memo stays LRU-bounded at 4x ``max_layers``."""
+def test_schedule_cache_layers_bounded(rng):
+    """The layer memo stays LRU-bounded at ``max_layers``; tables stay."""
     cache = ScheduleCache(max_layers=2)
-    for i in range(12):  # 12 layouts + the bit rows: past the bound of 8
+    table = cache.sng_ud_table("lfsr", 4)
+    for i in range(12):  # 12 layers: past the bound of 2
         w = rng.integers(-8, 8, size=(3, 5))
         w[0, 0] = i - 8  # distinct content each loop
         x = rng.integers(-8, 8, size=(5, 4))
         assert np.array_equal(sc_matmul(w, x, 4, 2, "final"), cache.sc_matmul(w, x, 4, 2))
-    assert 0 < cache.stats()["derived"] <= 4 * cache.max_layers
+    assert cache.stats()["layers"] == cache.max_layers
+    assert cache.sng_ud_table("lfsr", 4) is table
+    assert cache.stats()["misses"] == 13  # every layer once, the table once
 
 
 def test_inproc_sharded_matmul_parity(rng):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.mvm import sc_matmul
-from repro.keys import layer_digest
+from repro.keys import layer_coeff_key
 from repro.parallel.cache import (
     CachePoisonedError,
     ScheduleCache,
@@ -59,18 +59,15 @@ class CacheMachine(RuleBasedStateMachine):
     def _counted(self, call):
         """Run one engine-style call; ``None`` if it refused a corrupted entry.
 
-        A served call counts one lookup.  A refused one counts at most
-        one: its layer's coefficients were either refused before any
-        counting or looked up before a later entry was refused.
+        A served call counts one lookup, its layer's coefficients.  A
+        refused one counts none: the entry is refused before counting.
         """
         before = self.cache.hits + self.cache.misses
         try:
             result = call()
         except CachePoisonedError:
             assert self.poisoned, "refused an entry nothing corrupted"
-            counted = self.cache.hits + self.cache.misses - before
-            assert counted <= 1
-            self.lookups += counted
+            assert self.cache.hits + self.cache.misses == before
             return None
         self.lookups += 1
         return result
@@ -78,14 +75,12 @@ class CacheMachine(RuleBasedStateMachine):
     @rule(i=st.integers(min_value=0, max_value=4))
     def lookup(self, i):
         w = self.weights[i]
-        served = self._counted(lambda: self.cache.layer_coeff(w, N_BITS))
-        if served is None:
+        coeff = self._counted(lambda: self.cache.layer_coeff(w, N_BITS))
+        if coeff is None:
             return
-        coeff, const = served
-        ref_coeff, ref_const = fresh_coeff(w)
+        ref_coeff = fresh_coeff(w)
         assert coeff.dtype == ref_coeff.dtype
         assert np.array_equal(coeff, ref_coeff), "served a stale/wrong schedule"
-        assert np.array_equal(const, ref_const)
 
     @rule(
         i=st.integers(min_value=0, max_value=4),
@@ -141,14 +136,14 @@ class TestCorruptedEntry:
     W = np.random.default_rng(1).integers(-7, 8, size=(4, 5))
 
     def _check(self, cache, fresh_store):
-        coeff, const = cache.layer_coeff(self.W, N_BITS)
-        corrupt_memo(cache, [f"{layer_digest(self.W, N_BITS)}/coeff"])
+        coeff = cache.layer_coeff(self.W, N_BITS)
+        corrupt_memo(cache, [layer_coeff_key(self.W, N_BITS)])
         with pytest.raises(CachePoisonedError, match="failed shape validation"):
             cache.layer_coeff(self.W, N_BITS)
         recomputed = fresh_store().layer_coeff(self.W, N_BITS)
-        for got, want in zip(recomputed, fresh_coeff(self.W), strict=True):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert np.array_equal(recomputed[0], coeff) and np.array_equal(recomputed[1], const)
+        want = fresh_coeff(self.W)
+        assert recomputed.dtype == want.dtype and np.array_equal(recomputed, want)
+        assert np.array_equal(recomputed, coeff)
 
     def test_a_fresh_store_serves_the_recompute(self):
         self._check(ScheduleCache(), ScheduleCache)

@@ -31,11 +31,13 @@ from repro.parallel import (
     predict_logits_grouped,
 )
 from repro.parallel.cache import (
+    _bit_rows,
     attach_compiled,
     detach_compiled,
     get_worker_cache,
     reset_worker_cache,
 )
+from repro.parallel.compiled import entry_kind
 
 POOL_WORKERS = (1, 2, 4)
 
@@ -122,15 +124,13 @@ class TestFormat:
         assert CompiledSchedules({"k": array}).get("missing") is None
 
     def test_duplicate_keys_deduplicated(self):
-        """The walk names the bit table once per layer; the artifact holds it once."""
-        from repro.keys import bit_table_key
+        """The walk names the up/down table once per layer; the artifact holds it once."""
         from repro.parallel import schedule_manifest
 
-        net = small_net()
-        assert schedule_manifest(net).count(bit_table_key(8)) == 2
-        entries = compile_network_schedules(net)
-        assert list(entries).count(bit_table_key(8)) == 1
-        assert len(entries) == 5
+        net = small_net(engine="lfsr-sc", n_bits=5)
+        manifest = schedule_manifest(net)
+        assert len(manifest) == 2 and len(set(manifest)) == 1
+        assert list(compile_network_schedules(net)) == manifest[:1]
 
     def test_truncation_rejected(self, store, caplog):
         net = small_net()
@@ -161,8 +161,8 @@ class TestFormat:
         net = small_net()
         compiled = compiled_for(net)
         d = compiled.describe()
-        assert d["entries"] == len(compiled) == 5
-        assert d["kinds"] == {"bit-table": 1, "layer-coeff": 2, "layer-const": 2}
+        assert d["entries"] == len(compiled) == 2
+        assert d["kinds"] == {"layer-coeff": 2}
         assert d["nbytes"] == compiled.nbytes == sum(
             a.nbytes for a in compile_network_schedules(net).values()
         )
@@ -180,7 +180,7 @@ class TestCompileNetwork:
         compiled = compiled_for(net)
         assert needed, "manifest of an engine-backed net must not be empty"
         assert all(k in compiled for k in needed)
-        assert sum(k.endswith("/coeff") for k in needed) == 2
+        assert [entry_kind(k) for k in needed] == ["layer-coeff", "layer-coeff"]
 
     def test_lfsr_network_compiles_one_table(self):
         """The default pair is the registry's ``lfsr`` family: one table, no orbits."""
@@ -253,8 +253,8 @@ def test_counters_count_each_lookup_and_build_once():
     """One hit or miss per layer and per table; a build or artifact read per entry.
 
     The serving metrics (``hook``) and perfbench's ``cache.*`` figures
-    read these counters.  The layer's constant, the derived layouts and
-    the bit table an engine never asks for directly count no hit or miss.
+    read these counters.  One rule covers both kinds: a proposed-sc call
+    looks up its layer's coefficients once, a table lookup its table.
     """
     net = small_net(n_bits=5)
     conv = net.conv_layers[0]
@@ -268,10 +268,10 @@ def test_counters_count_each_lookup_and_build_once():
         stats = cache.stats()
         return [stats[k] for k in ("hits", "misses", "rebuilds", "compiled_hits")]
 
-    # built: the layer's coefficients, the bit table, the up/down table
-    assert counts(ScheduleCache()) == [2, 2, 3, 0]
-    # read from the artifact on each lookup: the coefficients twice, the bit table once
-    assert counts(ScheduleCache(compiled=compiled_for(net))) == [3, 1, 1, 3]
+    # built: the layer's coefficients, the up/down table
+    assert counts(ScheduleCache()) == [2, 2, 2, 0]
+    # the coefficients read from the artifact on each lookup, the table built once
+    assert counts(ScheduleCache(compiled=compiled_for(net))) == [3, 1, 1, 2]
 
 
 # -- read-only entries ----------------------------------------------------
@@ -301,10 +301,9 @@ class TestReadOnlyEntries:
 
         def arrays(cache):
             return [
-                cache.bit_table(5),
                 cache.sng_ud_table("lfsr", 5),
                 cache.sng_ud_table("halton", 5),
-                *cache.layer_coeff(w, 5),
+                cache.layer_coeff(w, 5),
             ]
 
         cache = ScheduleCache()
@@ -315,6 +314,8 @@ class TestReadOnlyEntries:
             assert from_artifact.stats()["rebuilds"] == 0
         for how, got in served.items():
             assert not any(a.flags.writeable for a in got), how
+        # the bit rows every proposed-sc call gathers, built once per N
+        assert not _bit_rows(5).flags.writeable
 
     def test_write_through_an_engine_table_raises(self):
         """Writing into a served table must not change later answers."""
@@ -482,6 +483,78 @@ class TestEnsureCompiled:
         assert f"{'other':12s} {len(data):10d}  {key}.sched" in out
         assert f"{key}: 1 entries (ud-table=1)" in out
         assert not list(store.root.glob("*.npz"))
+
+    def test_artifact_in_the_previous_layout_is_stale_and_never_served(self, store, caplog):
+        """An artifact from before the store kept coefficients in the GEMM's layout.
+
+        It holds, key for key and byte for byte, what such an artifact
+        held for this net: each layer's ``(M, N*D)`` select-line-major
+        coefficients under ``layer:<sha1>/coeff``, the layer's count
+        constant under ``/const`` and the ``(N, 2**N)`` bit table.  The
+        net's first layer is square (eight 1x1 filters over
+        one channel at N = 8: ``M = D*N``), so its old entry passes every
+        shape check of the new layout and only its key keeps it out.  The
+        artifact is logged stale, recompiled once and never served, not
+        even when attached as it is.
+        """
+        from repro.core.fsm_generator import coefficient_vector
+        from repro.core.mvm import sc_matmul
+        from repro.keys import content_key
+        from repro.nn import Conv2D, Dense, Flatten, Network
+        from repro.sc.encoding import bits_msb_first
+
+        n = 8
+        rng = np.random.default_rng(5)
+        net = Network([
+            Conv2D(1, 8, kernel=1, rng=rng), Conv2D(8, 3, kernel=3, rng=rng),
+            Flatten(), Dense(3 * 2 * 2, 10, rng=rng),
+        ])
+        attach_engines(net, "proposed-sc", [LayerRanges(1.0, 1.0)] * 2, n_bits=n)
+        ws = [
+            conv.engine.quantize_weights(conv.weight.value.reshape(conv.out_channels, -1))
+            for conv in net.conv_layers
+        ]
+        old = {}
+        for w in ws:
+            (m, d), digest = w.shape, content_key("layer", np.asarray(w, dtype=np.int64), n)
+            coeff = coefficient_vector(np.abs(w), n) * np.where(w < 0, -1, 1)[:, :, None]
+            old[f"{digest}/coeff"] = coeff.transpose(0, 2, 1).reshape(m, n * d).astype(np.float32)
+            old[f"{digest}/const"] = w.sum(axis=1)
+            old[content_key("bit-table", n)] = bits_msb_first(np.arange(1 << n), n).T.astype(
+                np.float32
+            )
+        square = old[f"{content_key('layer', np.asarray(ws[0], dtype=np.int64), n)}/coeff"]
+        assert square.shape == (n * ws[0].shape[1], ws[0].shape[0]) == (8, 8)
+        assert not np.array_equal(square, square.T)  # served transposed, it would be wrong
+        store.save_checkpoint("sched-test", old)
+
+        with caplog.at_level(logging.INFO, logger="repro.artifacts"):
+            compiled = ensure_compiled(net, store, "sched-test")
+            again = ensure_compiled(net, store, "sched-test")
+        stale = [r for r in caplog.records if "event=stale" in r.getMessage()]
+        assert [r.levelno for r in stale] == [logging.WARNING]
+        assert caplog.text.count("event=compile") == 1
+        assert "event=hit key=sched-test kind=schedule-compiled" in caplog.text
+        assert again.keys() == compiled.keys() == list(compile_network_schedules(net))
+        assert not any(key in compiled for key in old)
+
+        x = np.random.default_rng(6).integers(-128, 128, size=(1, 16))
+        cache = ScheduleCache(compiled=CompiledSchedules(old))
+        assert np.array_equal(cache.sc_matmul(ws[0], x, n), sc_matmul(ws[0], x, n))
+        assert cache.stats()["compiled_hits"] == 0
+
+        images = np.random.default_rng(7).normal(0.0, 0.5, size=(5, 1, 4, 4))
+        cfg = ParallelConfig(workers=0, batch_size=2)
+        attach_compiled(CompiledSchedules(old))
+        reset_worker_cache()
+        on_demand = predict_logits(net, images, cfg)
+        stats = get_worker_cache().stats()
+        assert (stats["compiled_hits"], stats["rebuilds"]) == (0, 2)
+        attach_compiled(again)
+        reset_worker_cache()
+        assert np.array_equal(predict_logits(net, images, cfg), on_demand)
+        stats = get_worker_cache().stats()
+        assert (stats["compiled_hits"], stats["rebuilds"]) == (6, 0)
 
     def test_stale_manifest_triggers_recompile(self, store, caplog):
         """An artifact for yesterday's weights is stale, not 'good enough'.

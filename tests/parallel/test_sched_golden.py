@@ -4,7 +4,7 @@
 entry's key, kind, dtype, shape and bytes, in order, for proposed-sc at
 N = 5 and 8, and for lfsr-sc at N = 5 with the default ``lfsr`` and
 with the ``mip`` SNG family.  Every entry is integer-derived
-(coefficient schedules, bit tables, up/down tables) and nothing here
+(layer coefficients, up/down tables) and nothing here
 goes through BLAS, so the hashes are the same on any machine; a change
 to the key scheme, the entry kinds, the entry order or any schedule
 builder fails this test.  The container is not pinned: its zip members

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.sc.halton import HaltonSource
 from repro.sc.lfsr import Lfsr
 from repro.sc.multipliers import (
     ConventionalScMac,
@@ -16,7 +17,6 @@ from repro.sc.multipliers import (
     unipolar_multiply_int,
     xnor_ones_from_counts,
 )
-from repro.sc.sng import LfsrSource, SobolLikeSource
 
 
 class TestGates:
@@ -30,14 +30,14 @@ class TestGates:
 class TestScalarMultiplies:
     def test_unipolar_accuracy(self):
         n = 8
-        got = unipolar_multiply_int(128, 128, n, SobolLikeSource(n), LfsrSource(n, seed=5))
+        got = unipolar_multiply_int(128, 128, n, HaltonSource(n), Lfsr(n, seed=5))
         # 0.5 * 0.5 == 0.25 -> 64 counts out of 256
         assert abs(got - 64) <= 6
 
     def test_bipolar_accuracy(self):
         n = 8
         got = bipolar_multiply_int(
-            64, -64, n, LfsrSource(n, seed=3), LfsrSource(n, seed=40, alternate=True)
+            64, -64, n, Lfsr(n, seed=3), Lfsr(n, seed=40, alternate=True)
         )
         exact = 64 * -64 / 128.0  # -32 output LSBs
         assert abs(got - exact) <= 10
@@ -45,7 +45,7 @@ class TestScalarMultiplies:
     def test_zero_weight(self):
         n = 6
         got = bipolar_multiply_int(
-            0, 20, n, LfsrSource(n, seed=1), LfsrSource(n, seed=9, alternate=True)
+            0, 20, n, Lfsr(n, seed=1), Lfsr(n, seed=9, alternate=True)
         )
         assert abs(got) <= 4
 
@@ -105,7 +105,7 @@ class TestUdTable:
 class TestConventionalScMac:
     def test_latency_accounting(self):
         n = 5
-        mac = ConventionalScMac(n, LfsrSource(n), LfsrSource(n, seed=7, alternate=True))
+        mac = ConventionalScMac(n, Lfsr(n), Lfsr(n, seed=7, alternate=True))
         mac.mac(3, 4)
         mac.mac(-5, 8)
         assert mac.cycles == 2 * (1 << n)
@@ -113,7 +113,7 @@ class TestConventionalScMac:
     def test_accumulates_products(self):
         n = 7
         mac = ConventionalScMac(
-            n, LfsrSource(n, seed=2), LfsrSource(n, seed=29, alternate=True), acc_bits=4
+            n, Lfsr(n, seed=2), Lfsr(n, seed=29, alternate=True), acc_bits=4
         )
         pairs = [(40, 30), (-25, 50), (10, -60)]
         for w, x in pairs:
@@ -123,7 +123,7 @@ class TestConventionalScMac:
 
     def test_reset(self):
         n = 5
-        mac = ConventionalScMac(n, LfsrSource(n), LfsrSource(n, seed=3, alternate=True))
+        mac = ConventionalScMac(n, Lfsr(n), Lfsr(n, seed=3, alternate=True))
         mac.mac(10, 10)
         mac.reset()
         assert mac.cycles == 0 and mac.counter.value == 0

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from repro.sc import ops
 from repro.sc.bitstream import sn_value
-from repro.sc.sng import Sng, SobolLikeSource
+from repro.sc.halton import HaltonSource
+from repro.sc.sng import Sng
 
 
 def correlated_streams(n_bits, *values):
     """Comparator streams of a shared permutation source — one period."""
-    sng = Sng(SobolLikeSource(n_bits))
+    sng = Sng(HaltonSource(n_bits))
     out = []
     for v in values:
         sng.reset()
@@ -57,9 +58,9 @@ class TestSaturatingAdd:
         """For small operands OR-addition is nearly exact."""
         n = 6
         # decorrelate by giving b the reversed phase
-        sng = Sng(SobolLikeSource(n))
+        sng = Sng(HaltonSource(n))
         a = sng.generate(a_val, 1 << n)
-        sng2 = Sng(SobolLikeSource(n, start=17))
+        sng2 = Sng(HaltonSource(n, start=17))
         b = sng2.generate(b_val, 1 << n)
         got = int(ops.saturating_add(a, b).sum())
         assert abs(got - min(a_val + b_val, (1 << n))) <= max(2, a_val * b_val / 16)

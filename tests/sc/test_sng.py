@@ -6,13 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sc.encoding import BIPOLAR
+from repro.sc.halton import HaltonSource
+from repro.sc.lfsr import Lfsr
 from repro.sc.sng import (
     CounterSource,
-    HaltonRng,
-    LfsrSource,
     RandomSource,
     Sng,
-    SobolLikeSource,
     comparator_stream,
 )
 
@@ -23,17 +22,17 @@ class TestSources:
         assert sng.generate(5, 8).tolist() == [1, 1, 1, 1, 1, 0, 0, 0]
 
     def test_sobol_is_bit_reversed_counter(self):
-        src = SobolLikeSource(4)
+        src = HaltonSource(4)
         seq = src.sequence(16)
         expected = [int(format(i, "04b")[::-1], 2) for i in range(16)]
         assert seq.tolist() == expected
 
     def test_sobol_permutation(self):
-        seq = SobolLikeSource(5).sequence(32)
+        seq = HaltonSource(5).sequence(32)
         assert sorted(seq.tolist()) == list(range(32))
 
     def test_sources_satisfy_protocol(self):
-        for src in (CounterSource(4), SobolLikeSource(4), LfsrSource(4), HaltonRng(4)):
+        for src in (CounterSource(4), HaltonSource(4), Lfsr(4), HaltonSource(4, base=3)):
             assert isinstance(src, RandomSource)
 
     def test_counter_wraps(self):
@@ -42,7 +41,7 @@ class TestSources:
         assert seq.tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 0, 1]
 
     def test_reset(self):
-        for src in (CounterSource(4, start=5), SobolLikeSource(4, start=3), LfsrSource(4, seed=7)):
+        for src in (CounterSource(4, start=5), HaltonSource(4, start=3), Lfsr(4, seed=7)):
             a = src.sequence(9)
             src.reset()
             assert np.array_equal(src.sequence(9), a)
@@ -60,7 +59,7 @@ class TestSng:
     def test_sobol_one_period_exact(self, n, raw):
         """A full period of any permutation source encodes exactly."""
         v = raw % (1 << n)
-        sng = Sng(SobolLikeSource(n))
+        sng = Sng(HaltonSource(n))
         assert int(sng.generate(v, 1 << n).sum()) == v
 
     def test_bipolar_uses_offset_binary(self):
@@ -76,7 +75,7 @@ class TestSng:
             sng.generate(20, 8)
 
     def test_generate_all_values_consistent(self):
-        sng = Sng(LfsrSource(5, seed=3))
+        sng = Sng(Lfsr(5, seed=3))
         table = sng.generate_all_values(32)
         assert table.shape == (33, 32)
         sng.reset()
@@ -97,17 +96,17 @@ class TestSharedSourceSemantics:
     mid-conversion, which no shared hardware SNG does."""
 
     def test_repeated_generate_is_identical(self):
-        sng = Sng(LfsrSource(5, seed=3))
+        sng = Sng(Lfsr(5, seed=3))
         first = sng.generate(13, 32)
         # regression: this used to return the comparator output of the
         # *next* 32 source values instead of the same shared window
         assert np.array_equal(sng.generate(13, 32), first)
 
     def test_streams_share_one_window(self):
-        sng = Sng(LfsrSource(5, seed=3))
+        sng = Sng(Lfsr(5, seed=3))
         a = sng.generate(9, 32)
         b = sng.generate(21, 32)
-        fresh = LfsrSource(5, seed=3).sequence(32)
+        fresh = Lfsr(5, seed=3).sequence(32)
         assert np.array_equal(a, comparator_stream(fresh, 9))
         assert np.array_equal(b, comparator_stream(fresh, 21))
         # comparator streams off one source nest: higher value adds ones
@@ -116,21 +115,21 @@ class TestSharedSourceSemantics:
     def test_shared_streams_are_maximally_correlated(self):
         from repro.sc.bitstream import sc_correlation
 
-        sng = Sng(LfsrSource(6, seed=5))
+        sng = Sng(Lfsr(6, seed=5))
         a = sng.generate(20, 64)
         b = sng.generate(44, 64)
         assert sc_correlation(a, b) == pytest.approx(1.0)
 
     def test_longer_generate_extends_the_window(self):
-        sng = Sng(LfsrSource(5, seed=3))
+        sng = Sng(Lfsr(5, seed=3))
         short = sng.generate(13, 8)
         long = sng.generate(13, 48)
         assert np.array_equal(short, long[:8])
-        sng2 = Sng(LfsrSource(5, seed=3))
+        sng2 = Sng(Lfsr(5, seed=3))
         assert np.array_equal(sng2.generate(13, 48), long)
 
     def test_reset_starts_a_fresh_window(self):
-        sng = Sng(LfsrSource(5, seed=3))
+        sng = Sng(Lfsr(5, seed=3))
         first = sng.generate(13, 32)
         sng.generate(7, 48)  # grow the window past the first call
         sng.reset()
